@@ -1,0 +1,112 @@
+"""Byte-for-byte pins of CLI reports and printed algebras.
+
+Element names and H/V indices follow the discovery order of the exact
+closures, so a change to that order, or to any report, shows up here.
+When an output is meant to change, regenerate the files with
+``PYTHONPATH=src python tests/test_golden.py --write`` and review the diff.
+"""
+
+import contextlib
+import io
+import json
+import os
+import sys
+
+import pytest
+
+from forestalg import cli
+from forestalg import io as fio
+from forestalg.defk import free_kdefinite
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+GOLDEN = os.path.join(HERE, "golden")
+FIXTURES = os.path.join(os.path.dirname(HERE), "fixtures")
+FIXTURE_NAMES = sorted(f for f in os.listdir(FIXTURES) if f.endswith(".fa"))
+
+REPORTS = (
+    ("check",),
+    ("reach",),
+    ("definiteness",),
+    ("decide", "--logic", "ef", "--certificate"),
+    ("decide", "--logic", "ex", "--certificate"),
+    ("decide", "--logic", "efex", "--certificate"),
+    ("witness",),
+    ("decompose", "--logic", "ef"),
+    ("decompose", "--logic", "efex"),
+)
+
+COMPILED = {
+    "compile_cycle3.fa": ("EF(a0 & EX a1) | EF(a1 & EX a2) | EF(a2 & EX a0)",
+                          "a0,a1,a2"),
+    "compile_ex_ex_a.fa": ("EX(EX a)", "a,b"),
+}
+
+
+def _run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(list(argv))
+    return code, out.getvalue()
+
+
+def fixture_reports(name):
+    """{command line: {"exit": code, "stdout": text}} for one fixture."""
+    path = os.path.join(FIXTURES, name)
+    out = {}
+    for cmd in REPORTS:
+        code, text = _run(cmd + ("--json", path))
+        out[" ".join(cmd + ("--json", name))] = {"exit": code, "stdout": text}
+    return out
+
+
+def printed_outputs():
+    """{golden file name: text} for the compiled and printed algebras."""
+    out = {}
+    for fname, (formula, alphabet) in COMPILED.items():
+        code, text = _run(("compile", formula, "--alphabet", alphabet))
+        assert code == 0
+        out[fname] = text
+    alg, hom = free_kdefinite(("a", "b", "c"), 1)
+    out["free_kdefinite_abc_1.fa"] = fio.print_algebra(
+        alg, letters=dict(hom.assign))
+    return out
+
+
+def _report_path(name):
+    return os.path.join(GOLDEN, "reports_%s.json" % name[:-len(".fa")])
+
+
+def _read(path):
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        return fh.read()
+
+
+def _dump_reports(reports):
+    return json.dumps(reports, indent=1, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_fixture_reports_match_golden(name):
+    assert _dump_reports(fixture_reports(name)) == _read(_report_path(name))
+
+
+def test_printed_algebras_match_golden():
+    for fname, text in printed_outputs().items():
+        assert text == _read(os.path.join(GOLDEN, fname)), fname
+
+
+def _write():
+    os.makedirs(GOLDEN, exist_ok=True)
+    files = {_report_path(n): _dump_reports(fixture_reports(n))
+             for n in FIXTURE_NAMES}
+    files.update({os.path.join(GOLDEN, f): t
+                  for f, t in printed_outputs().items()})
+    for path, text in files.items():
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: python tests/test_golden.py --write")
+    _write()
