@@ -17,6 +17,7 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import IdealViolation, SizeLimitError, StructuralError
+from .joint import closure
 
 DEFAULT_MAX_VERTICAL = 200_000
 DEFAULT_MAX_WREATH_VERTICAL = 300_000
@@ -315,18 +316,10 @@ def close_vertical(hmonoid, generators, add_insertions=True, faithful=True,
                 if names[idx] == "v%d" % idx:
                     names[idx] = "ins_%s" % hmonoid.names[g]
 
-    frontier = list(range(len(rows)))
-    gens = list(range(len(rows)))
-    while frontier:
-        new = []
-        for b in frontier:
-            rb = rows[b]
-            for a in gens:
-                ra = rows[a]
-                comp = tuple(ra[x] for x in rb)
-                if comp not in index:
-                    new.append(intern(comp, None))
-        frontier = new
+    index = closure(rows, list(rows), lambda ra, rb: tuple(ra[x] for x in rb),
+                    None, max_vertical, "vertical closure")
+    rows = list(index)
+    names += ["v%d" % i for i in range(len(names), len(rows))]
 
     if merged and warn_on_merge:
         warnings.warn("merged vertical generators with duplicate actions: %s"

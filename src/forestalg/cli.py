@@ -187,10 +187,9 @@ def _cmd_decide(args):
               "definable": decision.definable, "detail": decision.detail,
               "syntactic_horizontal": decision.syntactic.hom.target.H.size}
     if args.logic == "efex":
-        trace_report = nonconfusion(decision.syntactic.hom)
         report["trace_sizes"] = {
             str(ci): [len(level) for level in trace.levels]
-            for ci, trace in sorted(trace_report.traces.items())}
+            for ci, trace in sorted(decision.nonconfusion.traces.items())}
     if args.timings:
         report["seconds"] = round(elapsed, 3)
     lines = ["%s-definable: %s" % (args.logic, str(decision.definable).lower())]

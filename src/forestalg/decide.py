@@ -225,6 +225,7 @@ class Decision:
     syntactic: Recognizer
     certificate: object = None
     detail: str = ""
+    nonconfusion: NonconfusionReport = None     # the efex pair fixpoint
 
 
 def decide(rec, fragment):
@@ -251,7 +252,8 @@ def decide(rec, fragment):
         report = nonconfusion(mu)
         if report.nonconfusing:
             return Decision("efex", True, syn, None,
-                            "nonconfusing with parameter %d" % report.parameter)
+                            "nonconfusing with parameter %d" % report.parameter,
+                            report)
         ci = report.confused_classes()[0]
         trace = report.traces[ci]
         pair = sorted(trace.levels[-1])[0]
@@ -260,5 +262,5 @@ def decide(rec, fragment):
         detail = ("confused pair (%s, %s) at level %d: %s vs %s"
                   % (mu.target.hname(pair[0]), mu.target.hname(pair[1]), k,
                      terms.print_forest(s), terms.print_forest(t)))
-        return Decision("efex", False, syn, (s, t, k, ci), detail)
+        return Decision("efex", False, syn, (s, t, k, ci), detail, report)
     raise ValueError("fragment must be ef, ex or efex")

@@ -22,10 +22,11 @@ from dataclasses import dataclass, field
 from . import terms
 from .algebra import close_vertical, horizontal_monoid, u1, u2
 from .decide import is_ef_algebra, nonconfusion
-from .defk import definiteness_degree, key_letter, key_sum
+from .defk import KdefEvaluator, definiteness_degree
 from .errors import (AlphabetMismatchError, InternalError, NotEFAlgebra,
                      NotKDefinite, NotNonconfusing, SizeLimitError)
 from .hom import Homomorphism, image_restrict
+from .joint import HomEvaluator, TensorEvaluator, determines, image
 from .oracle import key_value_sets
 from .reach import quotient_hom, reachability
 
@@ -84,76 +85,28 @@ class Cascade:
         return state
 
     def reachable_states(self):
-        if self._states is not None:
-            return self._states
-        start = self.zero_state()
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            new = []
-            for x in frontier:
-                for a in self.alphabet:
-                    y = self.letter_action(a, x)
-                    if y not in seen:
-                        if len(seen) >= self.max_size:
-                            raise SizeLimitError("cascade states", self.max_size)
-                        seen.add(y)
-                        new.append(y)
-                for z in list(seen):
-                    y = self.plus_state(x, z)
-                    if y not in seen:
-                        if len(seen) >= self.max_size:
-                            raise SizeLimitError("cascade states", self.max_size)
-                        seen.add(y)
-                        new.append(y)
-            frontier = new
-        self._states = sorted(seen)
+        if self._states is None:
+            self._states = sorted(image(self, self.alphabet, self.max_size,
+                                        "cascade states"))
         return self._states
 
     def joint_image(self, hom):
         """Exact {(cascade state of s, hom value of s)} closure."""
         if tuple(sorted(set(hom.alphabet), key=terms.label_key)) != self.alphabet:
             raise AlphabetMismatchError("cascade and homomorphism alphabets differ")
-        alg = hom.target
-        cap = self.max_size * alg.H.size
-        start = (self.zero_state(), alg.zero)
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            new = []
-            for (x, h) in frontier:
-                for a in self.alphabet:
-                    p = (self.letter_action(a, x), alg.act(hom.letter(a), h))
-                    if p not in seen:
-                        if len(seen) >= cap:
-                            raise SizeLimitError("cascade joint image", cap)
-                        seen.add(p)
-                        new.append(p)
-                for (y, g) in list(seen):
-                    p = (self.plus_state(x, y), alg.plus(h, g))
-                    if p not in seen:
-                        if len(seen) >= cap:
-                            raise SizeLimitError("cascade joint image", cap)
-                        seen.add(p)
-                        new.append(p)
-            frontier = new
-        return seen
+        cap = self.max_size * hom.target.H.size
+        return image(TensorEvaluator(self, HomEvaluator(hom), lambda a, x: a),
+                     self.alphabet, cap, "cascade joint image")
 
     def factors(self, hom):
         """Does the cascade value determine the hom value?  Exact."""
-        mapping = {}
-        for state, h in sorted(self.joint_image(hom)):
-            if state in mapping and mapping[state] != h:
-                return False, (state, mapping[state], h)
-            mapping[state] = h
-        return True, None
+        witness = determines(self.joint_image(hom))[1]
+        return witness is None, witness
 
     def factor_map(self, hom):
-        mapping = {}
-        for state, h in self.joint_image(hom):
-            if state in mapping and mapping[state] != h:
-                raise InternalError("cascade does not factor the homomorphism")
-            mapping[state] = h
+        mapping = determines(self.joint_image(hom))[0]
+        if mapping is None:
+            raise InternalError("cascade does not factor the homomorphism")
         return mapping
 
     def describe(self):
@@ -285,33 +238,12 @@ def _class_tag_map(casc, view, k, max_size):
     already part of the cascade."""
     if k <= 0:
         return {s: () for s in casc.reachable_states()}
-    start = (casc.zero_state(), ())
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        new = []
-        for (x, key) in frontier:
-            for a in casc.alphabet:
-                p = (casc.letter_action(a, x), key_letter(view(a, x), key, k))
-                if p not in seen:
-                    if len(seen) >= max_size:
-                        raise SizeLimitError("depth-%d tag closure" % k, max_size)
-                    seen.add(p)
-                    new.append(p)
-            for (y, key2) in list(seen):
-                p = (casc.plus_state(x, y), key_sum(key, key2))
-                if p not in seen:
-                    if len(seen) >= max_size:
-                        raise SizeLimitError("depth-%d tag closure" % k, max_size)
-                    seen.add(p)
-                    new.append(p)
-        frontier = new
-    out = {}
-    for state, key in seen:
-        if state in out and out[state] != key:
-            raise InternalError("cascade prefix does not determine the class tag")
-        out[state] = key
-    return out
+    tagged = image(TensorEvaluator(casc, KdefEvaluator(k), view), casc.alphabet,
+                   max_size, "depth-%d tag closure" % k)
+    mapping = determines(tagged)[0]
+    if mapping is None:
+        raise InternalError("cascade prefix does not determine the class tag")
+    return mapping
 
 
 def _append_kdef_group(casc, view, k, max_size):

@@ -15,9 +15,9 @@ h -> g + letter.h.
 from dataclasses import dataclass
 
 from . import terms
-from .algebra import close_vertical, horizontal_monoid
-from .errors import SizeLimitError
+from .algebra import DEFAULT_MAX_VERTICAL, close_vertical, horizontal_monoid
 from .hom import Homomorphism, image_restrict
+from .joint import closure, image
 
 DEFAULT_MAX_CLASSES = 4096
 
@@ -82,7 +82,7 @@ class KdefEvaluator:
 
 
 def free_kdefinite(alphabet, k, max_classes=DEFAULT_MAX_CLASSES,
-                   max_vertical=None):
+                   max_vertical=DEFAULT_MAX_VERTICAL):
     """The quotient by depth-k equivalence, with the canonical homomorphism.
 
     Horizontal elements are the canonical keys; every key is reachable from
@@ -92,33 +92,8 @@ def free_kdefinite(alphabet, k, max_classes=DEFAULT_MAX_CLASSES,
     KdefEvaluator instead.
     """
     alphabet = tuple(sorted(set(alphabet), key=terms.label_key))
-    keys = [()]
-    index = {(): 0}
-
-    def intern(key):
-        if key not in index:
-            if len(keys) >= max_classes:
-                raise SizeLimitError("depth-%d classes" % k, max_classes)
-            index[key] = len(keys)
-            keys.append(key)
-        return index[key]
-
-    frontier = [()]
-    while frontier:
-        new = []
-        for c in frontier:
-            for a in alphabet:
-                nk = key_letter(a, c, k)
-                if nk not in index:
-                    intern(nk)
-                    new.append(nk)
-            for c2 in list(keys):
-                nk = key_sum(c, c2)
-                if nk not in index:
-                    intern(nk)
-                    new.append(nk)
-        frontier = new
-
+    index = image(KdefEvaluator(k), alphabet, max_classes, "depth-%d classes" % k)
+    keys = list(index)
     n = len(keys)
     plus = [[index[key_sum(keys[i], keys[j])] for j in range(n)] for i in range(n)]
     H = horizontal_monoid(plus, 0)
@@ -126,12 +101,8 @@ def free_kdefinite(alphabet, k, max_classes=DEFAULT_MAX_CLASSES,
     for a in alphabet:
         gens[terms.print_label(a)] = tuple(index[key_letter(a, keys[i], k)]
                                            for i in range(n))
-    if max_vertical is None:
-        alg, genmap = close_vertical(H, gens, add_insertions=True, faithful=True,
-                                     warn_on_merge=False)
-    else:
-        alg, genmap = close_vertical(H, gens, add_insertions=True, faithful=True,
-                                     warn_on_merge=False, max_vertical=max_vertical)
+    alg, genmap = close_vertical(H, gens, add_insertions=True, faithful=True,
+                                 warn_on_merge=False, max_vertical=max_vertical)
     assign = {a: genmap[terms.print_label(a)] for a in alphabet}
     hom = Homomorphism(alphabet, alg, assign)
     hom.keys = tuple(keys)
@@ -161,18 +132,8 @@ def guarded_semigroup(hom):
         row = alg.action[hom.letter(a)]
         for g in range(n):
             gens.add(tuple(alg.plus(g, row[h]) for h in range(n)))
-    elems = set(gens)
-    frontier = list(gens)
-    while frontier:
-        new = []
-        for rb in frontier:
-            for ra in gens:
-                comp = tuple(ra[x] for x in rb)
-                if comp not in elems:
-                    elems.add(comp)
-                    new.append(comp)
-        frontier = new
-    return sorted(elems)
+    return sorted(closure(gens, gens, lambda ra, rb: tuple(ra[x] for x in rb),
+                          None))
 
 
 def _absorbs_right(products, semigroup):
@@ -201,12 +162,11 @@ def definiteness_degree(alpha):
     return None
 
 
-def ex_definable_by_idempotents(alpha, transposed=False):
+def ex_definable_by_idempotents(alpha):
     """Finite-semigroup shortcut for "k-definite for some k".
 
-    The sound criterion is that every idempotent absorbs on the right
-    (e.s = e for all s).  The transposed variant (e.s = s) is exposed for
-    comparison only; it tests a different property.
+    The criterion is that every idempotent absorbs on the right: e.s = e
+    for all s in the guarded semigroup.
     """
     hom = image_restrict(alpha)
     if hom.target.H.size == 1:
@@ -216,9 +176,7 @@ def ex_definable_by_idempotents(alpha, transposed=False):
         if tuple(e[x] for x in e) != e:
             continue
         for s in S:
-            got = tuple(e[x] for x in s)
-            want = s if transposed else e
-            if got != want:
+            if tuple(e[x] for x in s) != e:
                 return False
     return True
 

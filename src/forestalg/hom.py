@@ -7,13 +7,13 @@ syntactic quotients of recognizers, and witness-term realization.
 """
 
 import heapq
-import itertools
 from dataclasses import dataclass, field
 
 from . import terms
 from .algebra import (AlgebraMorphism, ForestAlgebra, close_vertical,
                       horizontal_monoid)
 from .errors import AlphabetMismatchError, UnknownLetterError
+from .joint import HomEvaluator, closure, determines, joint_image
 
 
 @dataclass
@@ -77,10 +77,6 @@ class Homomorphism:
                 return v
         return None
 
-    def is_onto(self):
-        reach = _reachable_values(self)
-        return len(reach) == self.target.H.size
-
     def eval_name(self, forest):
         return self.target.hname(self.eval(forest))
 
@@ -129,76 +125,29 @@ def relabeled(forest, hom, tag_names=None):
 def _reachable_values(hom):
     alg = hom.target
     letters = [alg.action[hom.letter(a)] for a in hom.alphabet]
-    seen = {alg.zero}
-    frontier = [alg.zero]
-    while frontier:
-        new = []
-        for h in frontier:
-            for row in letters:
-                x = row[h]
-                if x not in seen:
-                    seen.add(x)
-                    new.append(x)
-            for g in list(seen):
-                x = alg.plus(h, g)
-                if x not in seen:
-                    seen.add(x)
-                    new.append(x)
-        frontier = new
-    return seen
+    return closure((alg.zero,), letters, lambda row, h: row[h], alg.plus)
 
 
 def reachable_pairs(alpha, beta):
-    """Exact set {(alpha(s), beta(s)) : s a forest} via a worklist closure.
+    """Exact set {(alpha(s), beta(s)) : s a forest} via the worklist closure.
 
     Every forest is generated from 0 by letters and +, so the least set
     containing (0,0) closed under both is exactly the joint image.
     """
     if tuple(alpha.alphabet) != tuple(beta.alphabet):
         raise AlphabetMismatchError("homomorphisms must share an alphabet")
-    A, B = alpha.target, beta.target
-    letters = [(A.action[alpha.letter(a)], B.action[beta.letter(a)])
-               for a in alpha.alphabet]
-    start = (A.zero, B.zero)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        new = []
-        for (x, y) in frontier:
-            for ra, rb in letters:
-                p = (ra[x], rb[y])
-                if p not in seen:
-                    seen.add(p)
-                    new.append(p)
-            for (u, w) in list(seen):
-                p = (A.plus(x, u), B.plus(y, w))
-                if p not in seen:
-                    seen.add(p)
-                    new.append(p)
-        frontier = new
-    return seen
+    return set(joint_image(HomEvaluator(alpha), HomEvaluator(beta),
+                           alpha.alphabet, None))
 
 
 def factors_through(beta, alpha):
     """Does alpha(s) = alpha(s') force beta(s) = beta(s')?  Exact, no sampling.
 
-    Returns (True, None) or (False, (h, g1, g2)) where h is an alpha-value
-    reached with the two distinct beta-values g1, g2.
+    Returns (True, None) or (False, (h, g1, g2)) where h is the least
+    alpha-value reached with two distinct beta-values, g1 < g2 the least two.
     """
-    mapping = {}
-    for (h, g) in sorted(reachable_pairs(alpha, beta)):
-        if h in mapping and mapping[h] != g:
-            return False, (h, mapping[h], g)
-        mapping[h] = g
-    return True, None
-
-
-def factor_map(beta, alpha):
-    """The map alpha-value -> beta-value when beta factors through alpha."""
-    ok, witness = factors_through(beta, alpha)
-    if not ok:
-        raise ValueError("does not factor: %r" % (witness,))
-    return {h: g for (h, g) in reachable_pairs(alpha, beta)}
+    witness = determines(reachable_pairs(alpha, beta))[1]
+    return witness is None, witness
 
 
 # ---------------------------------------------------------------------------
@@ -335,35 +284,26 @@ def constant_letter_realizers(hom):
 
 
 # ---------------------------------------------------------------------------
-# Isomorphism of recognizers (brute force, desk scale)
+# Isomorphism of recognizers
 
 def recognizers_isomorphic(rec1, rec2):
     """A horizontal bijection respecting 0, +, letter actions and acceptance.
 
     Returns the mapping as a tuple, or None.  Both recognizers should be
-    image restricted; the vertical monoids then correspond automatically
-    because they are generated by letters and insertions.
+    image restricted.  Any isomorphism then sends alpha1(s) to alpha2(s), so
+    one exists exactly when the reachable pairs are the graph of a bijection
+    that maps accept onto accept; the vertical monoids correspond
+    automatically because they are generated by letters and insertions.
     """
-    a1, a2 = rec1.hom.target, rec2.hom.target
-    if a1.H.size != a2.H.size:
+    alpha, a2 = rec1.hom, rec2.hom
+    n = alpha.target.H.size
+    if n != a2.target.H.size or set(alpha.alphabet) != set(a2.alphabet):
         return None
-    if set(rec1.hom.alphabet) != set(rec2.hom.alphabet):
+    beta = Homomorphism(alpha.alphabet, a2.target, a2.assign)
+    forward = determines(reachable_pairs(alpha, beta))[0]
+    if forward is None or len(forward) != n or len(set(forward.values())) != n:
         return None
-    n = a1.H.size
-    letters = sorted(set(rec1.hom.alphabet), key=terms.label_key)
-    rows1 = {a: a1.action[rec1.hom.letter(a)] for a in letters}
-    rows2 = {a: a2.action[rec2.hom.letter(a)] for a in letters}
-    for perm in itertools.permutations(range(n)):
-        if perm[a1.zero] != a2.zero:
-            continue
-        if {perm[h] for h in rec1.accept} != set(rec2.accept):
-            continue
-        ok = all(perm[a1.plus(h, g)] == a2.plus(perm[h], perm[g])
-                 for h in range(n) for g in range(n))
-        if not ok:
-            continue
-        ok = all(perm[rows1[a][h]] == rows2[a][perm[h]]
-                 for a in letters for h in range(n))
-        if ok:
-            return perm
-    return None
+    perm = tuple(forward[h] for h in range(n))
+    if {perm[h] for h in rec1.accept} != set(rec2.accept):
+        return None
+    return perm

@@ -150,7 +150,3 @@ def load_algebra(path):
     with open(path, "r", encoding="utf-8") as fh:
         return parse_algebra(fh.read())
 
-
-def save_algebra(path, alg, letters=None, accept=None):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(print_algebra(alg, letters=letters, accept=accept))

@@ -1,18 +1,84 @@
-"""Joint-value closures over anything that evaluates forests compositionally.
+"""The exact closure primitive and the evaluators it runs over.
 
-An evaluator exposes zero_state(), plus_state(x, y) and letter_action(a, x);
-forests evaluate bottom-up through these three operations, so the exact set
-of joint values of two evaluators is the least set containing the pair of
-zeros that is closed under letters and componentwise sums.  Cascades already
-implement the protocol; homomorphisms and depth-k keys get small wrappers,
-and tensoring is an evaluator combinator.  None of this materializes a
-vertical monoid, which is what makes mutual-factoring checks cheap even when
-the corresponding algebras would be enormous.
+Every forest is built from the empty forest by letters and sums, so the set
+of values of all forests under anything that evaluates compositionally is
+the least set containing 0 that is closed under the letter steps and +.
+closure() computes such least sets by one worklist, and every exact set in
+the package comes from it: images and joint images of homomorphisms,
+cascade states, depth-k classes, vertical monoids (closed under composition
+with their generators) and the oracle's value sets.  determines() turns a
+relation into a function or the least conflict, which is what every
+factoring check asks.
+
+An evaluator exposes zero_state(), plus_state(x, y) and letter_action(a, x).
+Cascades implement the protocol; homomorphisms and depth-k keys get small
+wrappers, and tensoring is an evaluator combinator.  None of this
+materializes a vertical monoid, which is what makes mutual-factoring checks
+cheap even when the corresponding algebras would be enormous.
 """
+
+import itertools
 
 from .errors import SizeLimitError
 
 DEFAULT_MAX_JOINT = 500_000
+
+
+def closure(starts, alphabet, act, plus, cap=None, what="closure"):
+    """Least set containing ``starts`` closed under the steps, in discovery order.
+
+    The steps are ``act(a, x)`` for every a in ``alphabet`` and, unless
+    ``plus`` is None, ``plus(x, y)`` for every y discovered so far.  The
+    worklist is first in, first out; each element runs its letter steps in
+    alphabet order, then its sums in discovery order.  Returns a dict from
+    element to discovery index.  Raises SizeLimitError(what, cap) on the
+    first new element once ``cap`` elements are held.
+    """
+    limit = float("inf") if cap is None else cap
+    index = {}
+    order = []
+
+    def add(y):
+        if len(order) >= limit:
+            raise SizeLimitError(what, cap)
+        index[y] = len(order)
+        order.append(y)
+
+    for x in starts:
+        if x not in index:
+            add(x)
+    at = 0
+    while at < len(order):
+        x = order[at]
+        at += 1
+        for a in alphabet:
+            y = act(a, x)
+            if y not in index:
+                add(y)
+        if plus is not None:
+            for z in itertools.islice(order, len(order)):
+                y = plus(x, z)
+                if y not in index:
+                    add(y)
+    return index
+
+
+def determines(pairs):
+    """Is the relation ``pairs`` the graph of a function?  Exact.
+
+    Returns (mapping, None) when every x has one y, and otherwise
+    (None, (x, y1, y2)) for the least conflicting x and its two least y.
+    """
+    mapping = {}
+    clash = set()
+    for x, y in pairs:
+        if mapping.setdefault(x, y) != y:
+            clash.add(x)
+    if not clash:
+        return mapping, None
+    x = min(clash)
+    y1, y2 = sorted({y for (u, y) in pairs if u == x})[:2]
+    return None, (x, y1, y2)
 
 
 class HomEvaluator:
@@ -66,48 +132,19 @@ def evaluate(ev, forest):
     return state
 
 
+def image(ev, alphabet, cap=None, what="closure"):
+    """Exact set of values of all forests under an evaluator, in discovery order."""
+    return closure((ev.zero_state(),), alphabet, ev.letter_action,
+                   ev.plus_state, cap, what)
+
+
 def joint_image(e1, e2, alphabet, max_pairs=DEFAULT_MAX_JOINT):
     """Exact set {(value of s under e1, value under e2) : s any forest}."""
-    start = (e1.zero_state(), e2.zero_state())
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        new = []
-        for (x, y) in frontier:
-            for a in alphabet:
-                p = (e1.letter_action(a, x), e2.letter_action(a, y))
-                if p not in seen:
-                    if len(seen) >= max_pairs:
-                        raise SizeLimitError("joint image", max_pairs)
-                    seen.add(p)
-                    new.append(p)
-            for (u, w) in list(seen):
-                p = (e1.plus_state(x, u), e2.plus_state(y, w))
-                if p not in seen:
-                    if len(seen) >= max_pairs:
-                        raise SizeLimitError("joint image", max_pairs)
-                    seen.add(p)
-                    new.append(p)
-        frontier = new
-    return seen
-
-
-def determines(e1, e2, alphabet, max_pairs=DEFAULT_MAX_JOINT):
-    """Does the e1 value of a forest determine its e2 value?  Exact."""
-    mapping = {}
-    for (x, y) in joint_image(e1, e2, alphabet, max_pairs):
-        if x in mapping and mapping[x] != y:
-            return False, (x, mapping[x], y)
-        mapping[x] = y
-    return True, None
+    return image(TensorEvaluator(e1, e2, lambda a, x1: a), alphabet,
+                 max_pairs, "joint image")
 
 
 def mutually_determine(e1, e2, alphabet, max_pairs=DEFAULT_MAX_JOINT):
-    pairs = joint_image(e1, e2, alphabet, max_pairs)
-    forward, backward = {}, {}
-    for (x, y) in pairs:
-        if forward.setdefault(x, y) != y:
-            return False
-        if backward.setdefault(y, x) != x:
-            return False
-    return True
+    pairs = list(joint_image(e1, e2, alphabet, max_pairs))
+    return (determines(pairs)[1] is None
+            and determines([(y, x) for (x, y) in pairs])[1] is None)

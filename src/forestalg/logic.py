@@ -18,6 +18,7 @@ from . import terms
 from .algebra import close_vertical, horizontal_monoid
 from .errors import ParseError, RoleError
 from .hom import Homomorphism, Recognizer
+from .joint import closure
 
 
 @dataclass(frozen=True)
@@ -296,25 +297,8 @@ def to_recognizer(phi, alphabet):
                 out |= 1 << i
         return out
 
-    masks = [0]
-    index = {0: 0}
-    frontier = [0]
-    while frontier:
-        new = []
-        for x in frontier:
-            for a in alphabet:
-                y = letter_step(a, x)
-                if y not in index:
-                    index[y] = len(masks)
-                    masks.append(y)
-                    new.append(y)
-            for z in list(masks):
-                y = x | z
-                if y not in index:
-                    index[y] = len(masks)
-                    masks.append(y)
-                    new.append(y)
-        frontier = new
+    index = closure((0,), alphabet, letter_step, lambda x, z: x | z)
+    masks = list(index)
 
     n = len(masks)
     plus = [[index[masks[i] | masks[j]] for j in range(n)] for i in range(n)]

@@ -14,14 +14,18 @@ Two routes to the same facts:
     sets, which live in the powerset of H.  Recursing on value sets gives
     the exact confused-pair relation in polynomial time, independently of
     the pair fixpoint it validates.
+
+Both are exact closures computed by joint.closure: the first over the
+tensor of the homomorphism with depth-k keys, the second over sets of
+values and over pairs of values.
 """
 
-import random
 from dataclasses import dataclass
 
 from . import terms
-from .defk import key_letter, key_sum
-from .errors import SizeLimitError
+from .defk import KdefEvaluator
+from .hom import _reachable_values
+from .joint import HomEvaluator, TensorEvaluator, closure, image
 from .reach import class_tag_names, reachability
 
 DEFAULT_MAX_PAIRS = 200_000
@@ -53,71 +57,19 @@ def tagged_class_closure(alpha, ci, k, rs=None, max_pairs=DEFAULT_MAX_PAIRS):
     if rs is None:
         rs = reachability(alg)
     tag_names = class_tag_names(alpha, ci, rs)
-    letters = [(a, alg.action[alpha.letter(a)])
-               for a in sorted(set(alpha.alphabet), key=terms.label_key)]
-
-    start = (alg.zero, ())
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        new = []
-        for (h, key) in frontier:
-            for a, row in letters:
-                p = (row[h], key_letter((a, tag_names[h]), key, k))
-                if p not in seen:
-                    if len(seen) >= max_pairs:
-                        raise SizeLimitError("tagged class closure", max_pairs)
-                    seen.add(p)
-                    new.append(p)
-            for (g, key2) in list(seen):
-                p = (alg.plus(h, g), key_sum(key, key2))
-                if p not in seen:
-                    if len(seen) >= max_pairs:
-                        raise SizeLimitError("tagged class closure", max_pairs)
-                    seen.add(p)
-                    new.append(p)
-        frontier = new
-    return TaggedClassClosure(ci, k, frozenset(seen), tag_names)
+    tensor = TensorEvaluator(HomEvaluator(alpha), KdefEvaluator(k),
+                             lambda a, h: (a, tag_names[h]))
+    pairs = image(tensor, sorted(set(alpha.alphabet), key=terms.label_key),
+                  max_pairs, "tagged class closure")
+    return TaggedClassClosure(ci, k, frozenset(pairs), tag_names)
 
 
 # ---------------------------------------------------------------------------
 # Value-set recursion
 
-def _image(alpha):
-    alg = alpha.target
-    letters = [alg.action[alpha.letter(a)] for a in set(alpha.alphabet)]
-    seen = {alg.zero}
-    frontier = [alg.zero]
-    while frontier:
-        new = []
-        for h in frontier:
-            for row in letters:
-                if row[h] not in seen:
-                    seen.add(row[h])
-                    new.append(row[h])
-            for g in list(seen):
-                x = alg.plus(h, g)
-                if x not in seen:
-                    seen.add(x)
-                    new.append(x)
-        frontier = new
-    return frozenset(seen)
-
-
 def _plus_closure(alg, values):
     """Nonempty-sum closure of a set of horizontal elements."""
-    out = set(values)
-    frontier = list(values)
-    while frontier:
-        new = []
-        for x in frontier:
-            for y in list(out):
-                z = alg.plus(x, y)
-                if z not in out:
-                    out.add(z)
-                    new.append(z)
-        frontier = new
-    return frozenset(out)
+    return frozenset(closure(values, (), None, alg.plus))
 
 
 def _pointwise_sum(alg, ws1, ws2):
@@ -149,21 +101,12 @@ def _class_value_sets(alpha, tag_names, k):
     kept, which is sound: equal value sets admit the same realizations.
     """
     alg = alpha.target
-    sets = {_image(alpha)}
+    sets = {frozenset(_reachable_values(alpha))}
     for _ in range(k):
         kinds = _kind_contributions(alpha, tag_names, sets)
-        closed = set(kinds)
-        frontier = list(kinds)
-        while frontier:
-            new = []
-            for w in frontier:
-                for w2 in kinds:
-                    ws = _pointwise_sum(alg, w, w2)
-                    if ws not in closed:
-                        closed.add(ws)
-                        new.append(ws)
-            frontier = new
-        sets = closed | {frozenset({alg.zero})}
+        closed = closure(kinds, kinds, lambda w2, w: _pointwise_sum(alg, w, w2),
+                         None)
+        sets = set(closed) | {frozenset({alg.zero})}
     return sets
 
 
@@ -176,25 +119,12 @@ def brute_confused_pairs(alpha, ci, k, rs=None, max_pairs=DEFAULT_MAX_PAIRS):
     members = set(rs.classes[ci])
     tag_names = class_tag_names(alpha, ci, rs)
     if k <= 0:
-        image = _image(alpha)
-        return {(h, g) for h in image & members for g in image & members
-                if h != g}
+        reached = members.intersection(_reachable_values(alpha))
+        return {(h, g) for h in reached for g in reached if h != g}
     level_sets = _class_value_sets(alpha, tag_names, k - 1)
     kinds = _kind_contributions(alpha, tag_names, level_sets)
-    pairs = set()
-    for w in kinds:
-        pairs |= {(x, y) for x in w for y in w}
-    frontier = list(pairs)
-    while frontier:
-        new = []
-        for (x, y) in frontier:
-            for (u, v) in list(pairs):
-                p = (alg.plus(x, u), alg.plus(y, v))
-                if p not in pairs:
-                    pairs.add(p)
-                    new.append(p)
-        frontier = new
-    pairs.add((alg.zero, alg.zero))
+    pairs = closure({(x, y) for w in kinds for x in w for y in w}, (), None,
+                    lambda p, q: (alg.plus(p[0], q[0]), alg.plus(p[1], q[1])))
     return {(h, g) for (h, g) in pairs
             if h != g and h in members and g in members}
 
@@ -206,12 +136,12 @@ def key_value_sets(alpha, ci, k, keys, rs=None):
     if rs is None:
         rs = reachability(alg)
     tag_names = class_tag_names(alpha, ci, rs)
-    image = _image(alpha)
+    reached = frozenset(_reachable_values(alpha))
     cache = {}
 
     def values(key, j):
         if j <= 0:
-            return image
+            return reached
         if key == ():
             return frozenset({alg.zero})
         got = cache.get((key, j))
@@ -272,9 +202,3 @@ def random_forest(rng, alphabet, max_depth, max_width):
                    random_forest(rng, alphabet, max_depth - 1, max_width))
         for _ in range(width)
     )
-
-
-def random_forests(seed, count, alphabet, max_depth, max_width):
-    rng = random.Random(seed)
-    return [random_forest(rng, alphabet, max_depth, max_width)
-            for _ in range(count)]

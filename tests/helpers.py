@@ -1,10 +1,12 @@
-"""Shared fixtures and random-instance generators for the test suite."""
+"""Shared fixtures, random-instance generators and slow reference
+algorithms for the test suite."""
 
+import itertools
 import random
 
 from forestalg.algebra import close_vertical, horizontal_monoid
 from forestalg.hom import Homomorphism, Recognizer
-from forestalg import logic
+from forestalg import logic, terms
 
 
 def four_element_algebra():
@@ -141,3 +143,83 @@ def random_formula(rng, alphabet, depth):
         return logic.EX(tree_formula(d - 1))
 
     return forest_formula(depth)
+
+
+def random_cascade(rng, **kwargs):
+    """A two-stage cascade: a random hom, then a random second target whose
+    letters read the first stage's value."""
+    from forestalg.decompose import OTHER_STAGE, Cascade, Stage
+
+    first = random_hom(rng, **kwargs)
+    second = random_hom(rng, **kwargs).target
+    casc = Cascade(first.alphabet)
+    casc.append(Stage(OTHER_STAGE, first.target, 0,
+                      {(a,): first.letter(a) for a in casc.alphabet}))
+    casc.append(Stage(OTHER_STAGE, second, 1,
+                      {(a, h): rng.randrange(second.V.size)
+                       for a in casc.alphabet
+                       for h in range(first.target.H.size)}))
+    return casc
+
+
+def permuted_copy(rec, perm):
+    """The same recognizer with horizontal element h renamed perm[h]."""
+    alg = rec.hom.target
+    n = alg.H.size
+    inv = [0] * n
+    for h, p in enumerate(perm):
+        inv[p] = h
+    plus = [[perm[alg.plus(inv[i], inv[j])] for j in range(n)] for i in range(n)]
+    H = horizontal_monoid(plus, perm[alg.zero])
+    gens = {a: tuple(perm[alg.act(rec.hom.letter(a), inv[i])] for i in range(n))
+            for a in rec.hom.alphabet}
+    copy, genmap = close_vertical(H, gens, warn_on_merge=False)
+    hom = Homomorphism(rec.hom.alphabet, copy,
+                       {a: genmap[a] for a in rec.hom.alphabet})
+    return Recognizer(hom, frozenset(perm[h] for h in rec.accept))
+
+
+# ---------------------------------------------------------------------------
+# Reference algorithms
+
+def reference_closure(zero, alphabet, act, plus):
+    """Least set containing zero closed under act(a, x) and plus(x, y), by
+    rounds: each round applies every step that involves an element found in
+    the round before."""
+    seen = {zero}
+    new = {zero}
+    while new:
+        found = {act(a, x) for x in new for a in alphabet}
+        found |= {plus(x, y) for x in new for y in seen}
+        found |= {plus(y, x) for x in new for y in seen}
+        new = found - seen
+        seen |= new
+    return seen
+
+
+def brute_isomorphism(rec1, rec2):
+    """The first horizontal bijection, in permutation order, respecting 0,
+    +, letter actions and acceptance, or None.  Factorial; |H| <= 7."""
+    a1, a2 = rec1.hom.target, rec2.hom.target
+    if a1.H.size != a2.H.size:
+        return None
+    if set(rec1.hom.alphabet) != set(rec2.hom.alphabet):
+        return None
+    n = a1.H.size
+    letters = sorted(set(rec1.hom.alphabet), key=terms.label_key)
+    rows1 = {a: a1.action[rec1.hom.letter(a)] for a in letters}
+    rows2 = {a: a2.action[rec2.hom.letter(a)] for a in letters}
+    for perm in itertools.permutations(range(n)):
+        if perm[a1.zero] != a2.zero:
+            continue
+        if {perm[h] for h in rec1.accept} != set(rec2.accept):
+            continue
+        ok = all(perm[a1.plus(h, g)] == a2.plus(perm[h], perm[g])
+                 for h in range(n) for g in range(n))
+        if not ok:
+            continue
+        ok = all(perm[rows1[a][h]] == rows2[a][perm[h]]
+                 for a in letters for h in range(n))
+        if ok:
+            return perm
+    return None

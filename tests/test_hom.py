@@ -9,7 +9,8 @@ from forestalg.hom import (Homomorphism, Recognizer, constant_letter_realizers,
 from forestalg.oracle import random_forest
 from forestalg.reach import quotient_hom
 
-from helpers import four_element_algebra, u2_example_recognizer
+from helpers import (brute_isomorphism, four_element_algebra, permuted_copy,
+                     random_recognizer, u2_example_recognizer)
 
 
 def F(text):
@@ -187,6 +188,38 @@ def test_eval_invariant_under_ic_normalize():
         for _ in range(150):
             s = random_forest(rng, hom.alphabet, 4, 3)
             assert hom.eval(s) == hom.eval(terms.ic_normalize(s))
+
+
+def test_recognizers_isomorphic_matches_permutation_search():
+    # a function from H1 onto part of H2 is not a bijection
+    onto = u2_example_recognizer()
+    collapsed = Recognizer(Homomorphism(onto.hom.alphabet, onto.hom.target,
+                                        dict.fromkeys(onto.hom.alphabet, 0)),
+                           frozenset({0}))
+    assert recognizers_isomorphic(onto, collapsed) is None
+    assert brute_isomorphism(onto, collapsed) is None
+    rng = random.Random(41)
+    found = 0
+    for _ in range(30):
+        rec = random_recognizer(rng, max_h=6)
+        while rec.hom.target.H.size < 3:
+            rec = random_recognizer(rng, max_h=6)
+        other = random_recognizer(rng, max_h=6)
+        n = rec.hom.target.H.size
+        perm = list(range(n))
+        rng.shuffle(perm)
+        perm = tuple(perm)
+        copy = permuted_copy(rec, perm)
+        flipped = Recognizer(rec.hom, frozenset(range(n)) - rec.accept)
+        cases = [(syntactic(rec)[0], syntactic(other)[0]),
+                 (syntactic(rec)[0], syntactic(copy)[0]),
+                 (rec, copy), (copy, rec), (rec, flipped)]
+        for r1, r2 in cases:
+            got = recognizers_isomorphic(r1, r2)
+            assert got == brute_isomorphism(r1, r2)
+            found += got is not None
+        assert recognizers_isomorphic(rec, copy) == perm
+    assert found >= 60
 
 
 def test_u2_example_is_onto():

@@ -1,0 +1,110 @@
+import random
+
+import pytest
+
+from forestalg.defk import key_letter, key_sum
+from forestalg.errors import SizeLimitError
+from forestalg.hom import reachable_pairs
+from forestalg.joint import closure, determines
+from forestalg.oracle import tagged_class_closure
+from forestalg.reach import class_tag_names, reachability
+
+from helpers import random_cascade, random_hom, reference_closure
+
+
+def test_closure_discovery_order():
+    # first in, first out; letters in alphabet order before sums
+    got = closure((1,), (2, 3), lambda a, x: a * x if a * x < 20 else x, None)
+    assert list(got) == [1, 2, 3, 4, 6, 9, 8, 12, 18, 16]
+    assert got == {x: i for i, x in enumerate(got)}
+    # sums pair the element with those held when its sums start: pairing
+    # with elements found during the sums, or summing before the letter
+    # steps, would put 3 before 5, or 2 before 4
+    got = closure((0,), ("a",),
+                  lambda a, x: 1 if x == 0 else x + 3 if x < 4 else x,
+                  lambda x, z: min(x + z, 4))
+    assert list(got) == [0, 1, 4, 2, 5, 3, 6]
+
+
+def test_closure_cap_raises_with_the_callers_phase():
+    with pytest.raises(SizeLimitError) as info:
+        closure((0,), (1,), lambda a, x: x + a, None, 10, "counting phase")
+    assert info.value.what == "counting phase"
+    assert info.value.limit == 10
+
+
+def test_closure_never_holds_more_than_cap():
+    # the chain 0, 1, 2, ... is processed in order, so an element is only
+    # ever acted on while it is held
+    acted = []
+
+    def step(a, x):
+        acted.append(x)
+        return x + a
+
+    with pytest.raises(SizeLimitError):
+        closure((0,), (1,), step, None, 10, "chain")
+    assert acted == list(range(10))
+    sums = closure((1, 2, 4, 8), (), None, lambda x, z: x | z)
+    assert len(sums) == 15
+    for cap in range(4, 15):
+        with pytest.raises(SizeLimitError):
+            closure((1, 2, 4, 8), (), None, lambda x, z: x | z, cap, "sums")
+
+
+def test_closure_of_exactly_cap_elements_succeeds():
+    assert len(closure((0,), (1,), lambda a, x: min(x + a, 9), None, 10)) == 10
+    assert len(closure((1, 2, 4, 8), (), None, lambda x, z: x | z, 15)) == 15
+    with pytest.raises(SizeLimitError):
+        closure((0, 1, 2), (), None, None, 2, "starts")
+
+
+def test_determines_function_and_least_conflict():
+    pairs = [(3, "c"), (1, "a"), (2, "b"), (1, "a")]
+    assert determines(pairs) == ({3: "c", 1: "a", 2: "b"}, None)
+    pairs = [(5, 9), (4, 7), (5, 1), (4, 3), (4, 5), (2, 0)]
+    assert determines(pairs) == (None, (4, 3, 5))
+
+
+def test_reachable_pairs_match_reference():
+    rng = random.Random(31)
+    for _ in range(40):
+        alpha = random_hom(rng)
+        beta = random_hom(rng)
+        if alpha.alphabet != beta.alphabet:
+            continue
+        A, B = alpha.target, beta.target
+        want = reference_closure(
+            (A.zero, B.zero), alpha.alphabet,
+            lambda a, p: (A.act(alpha.letter(a), p[0]), B.act(beta.letter(a), p[1])),
+            lambda p, q: (A.plus(p[0], q[0]), B.plus(p[1], q[1])))
+        assert reachable_pairs(alpha, beta) == want
+
+
+def test_cascade_states_match_reference():
+    rng = random.Random(32)
+    for _ in range(25):
+        casc = random_cascade(rng, max_h=4)
+        want = reference_closure(casc.zero_state(), casc.alphabet,
+                                 casc.letter_action, casc.plus_state)
+        assert casc.reachable_states() == sorted(want)
+
+
+def test_tagged_class_closure_matches_reference():
+    # depth 2 is left out: over tagged letters its key universe takes
+    # minutes to close already at |H| = 3
+    rng = random.Random(33)
+    for _ in range(20):
+        alpha = random_hom(rng, max_h=4)
+        alg = alpha.target
+        rs = reachability(alg)
+        for ci in range(len(rs.classes)):
+            tags = class_tag_names(alpha, ci, rs)
+            for k in range(2):
+                want = reference_closure(
+                    (alg.zero, ()), alpha.alphabet,
+                    lambda a, p: (alg.act(alpha.letter(a), p[0]),
+                                  key_letter((a, tags[p[0]]), p[1], k)),
+                    lambda p, q: (alg.plus(p[0], q[0]), key_sum(p[1], q[1])))
+                got = tagged_class_closure(alpha, ci, k, rs)
+                assert got.pairs == want
