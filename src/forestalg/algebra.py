@@ -266,14 +266,14 @@ def horizontal_monoid(plus_table, identity, names=None):
     return FiniteMonoid(plus_table, identity, _canonical_names(plus_table, identity, names))
 
 
-def close_vertical(hmonoid, generators, add_insertions=True, faithful=True,
-                   max_vertical=DEFAULT_MAX_VERTICAL, warn_on_merge=True):
+def close_vertical(hmonoid, generators, max_vertical=DEFAULT_MAX_VERTICAL,
+                   warn_on_merge=True):
     """Close a set of action functions into a vertical monoid.
 
     ``generators`` maps names to action rows (tuples H -> H).  The identity
-    action and, if requested, every insertion h -> g + h are added, and the
-    set is closed under composition.  With ``faithful`` set, generators with
-    identical action are merged (the action rows are the elements).
+    action and every insertion h -> g + h are added, and the set is closed
+    under composition.  The action rows are the elements, so the result is
+    faithful and generators with identical action are merged.
 
     Returns (ForestAlgebra, genmap) where genmap sends each generator name to
     its vertical index.
@@ -290,15 +290,14 @@ def close_vertical(hmonoid, generators, add_insertions=True, faithful=True,
 
     def intern(row, name):
         if row in index:
-            if name is not None:
-                merged.append(name)
+            merged.append(name)
             return index[row]
         if len(rows) >= max_vertical:
             raise SizeLimitError("vertical closure", max_vertical)
         idx = len(rows)
         rows.append(row)
         index[row] = idx
-        names.append(name if name is not None else "v%d" % idx)
+        names.append(name)
         return idx
 
     for name in sorted(generators, key=str):
@@ -306,15 +305,9 @@ def close_vertical(hmonoid, generators, add_insertions=True, faithful=True,
         if len(row) != n or any(not (0 <= x < n) for x in row):
             raise StructuralError("generator %r is not an action row" % (name,))
         genmap[name] = intern(row, str(name))
-    if add_insertions:
-        for g in range(n):
-            row = tuple(plus[g][h] for h in range(n))
-            fresh = row not in index
-            idx = intern(row, None)
-            if fresh:
-                inserted.append(idx)
-                if names[idx] == "v%d" % idx:
-                    names[idx] = "ins_%s" % hmonoid.names[g]
+    for g in range(n):
+        if plus[g] not in index:
+            inserted.append(intern(plus[g], "ins_%s" % hmonoid.names[g]))
 
     index = closure(rows, list(rows), lambda ra, rb: tuple(ra[x] for x in rb),
                     None, max_vertical, "vertical closure")
@@ -344,7 +337,7 @@ def close_vertical(hmonoid, generators, add_insertions=True, faithful=True,
                      for b in range(len(all_rows)))
 
     V = FiniteMonoid(None, 0, final_names, row_fn=vrow, size=len(all_rows))
-    alg = ForestAlgebra(hmonoid, V, tuple(rows), faithful=faithful, inserted=inserted)
+    alg = ForestAlgebra(hmonoid, V, tuple(rows), faithful=True, inserted=inserted)
     return alg, genmap
 
 

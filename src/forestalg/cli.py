@@ -368,6 +368,9 @@ def main(argv=None):
     except (ForestAlgError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
+    except RecursionError:
+        print("error: input nested too deeply", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

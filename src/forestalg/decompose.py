@@ -20,12 +20,12 @@ Produced cascades:
 from dataclasses import dataclass, field
 
 from . import terms
-from .algebra import close_vertical, horizontal_monoid, u1, u2
+from .algebra import u1, u2
 from .decide import is_ef_algebra, nonconfusion
 from .defk import KdefEvaluator, definiteness_degree
 from .errors import (AlphabetMismatchError, InternalError, NotEFAlgebra,
                      NotKDefinite, NotNonconfusing, SizeLimitError)
-from .hom import Homomorphism, image_restrict
+from .hom import generated, image_restrict
 from .joint import HomEvaluator, TensorEvaluator, determines, image
 from .oracle import key_value_sets
 from .reach import quotient_hom, reachability
@@ -157,15 +157,9 @@ def wreath_compose(alpha, beta, max_size=DEFAULT_MAX_SIZE):
     names = ["(%s,%s)" % (alpha.target.hname(s[0]), beta.target.hname(s[1]))
              for s in states]
     plus = [[pos[casc.plus_state(x, y)] for y in states] for x in states]
-    H = horizontal_monoid(plus, pos[casc.zero_state()], names)
-    gens = {}
-    for a in casc.alphabet:
-        gens[terms.print_label(a)] = tuple(pos[casc.letter_action(a, x)]
-                                           for x in states)
-    alg, genmap = close_vertical(H, gens, add_insertions=True, faithful=True,
-                                 warn_on_merge=False)
-    assign = {a: genmap[terms.print_label(a)] for a in casc.alphabet}
-    return Homomorphism(casc.alphabet, alg, assign)
+    rows = {a: tuple(pos[casc.letter_action(a, x)] for x in states)
+            for a in casc.alphabet}
+    return generated(casc.alphabet, plus, pos[casc.zero_state()], rows, names)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +200,8 @@ def _ef_rec(casc, alpha):
             _ef_rec(casc, qhom)
         return
     cj = rs.subminimal[0]
-    assert len(rs.classes[cj]) == 1, "EF identities force trivial classes"
+    if len(rs.classes[cj]) != 1:
+        raise InternalError("EF identities force trivial classes")
     hstar = rs.classes[cj][0]
     qhom, proj = quotient_hom(alpha, cj, "strict", rs)
     _ef_rec(casc, qhom)

@@ -15,8 +15,8 @@ h -> g + letter.h.
 from dataclasses import dataclass
 
 from . import terms
-from .algebra import DEFAULT_MAX_VERTICAL, close_vertical, horizontal_monoid
-from .hom import Homomorphism, image_restrict
+from .algebra import DEFAULT_MAX_VERTICAL
+from .hom import generated, image_restrict
 from .joint import closure, image
 
 DEFAULT_MAX_CLASSES = 4096
@@ -94,19 +94,11 @@ def free_kdefinite(alphabet, k, max_classes=DEFAULT_MAX_CLASSES,
     alphabet = tuple(sorted(set(alphabet), key=terms.label_key))
     index = image(KdefEvaluator(k), alphabet, max_classes, "depth-%d classes" % k)
     keys = list(index)
-    n = len(keys)
-    plus = [[index[key_sum(keys[i], keys[j])] for j in range(n)] for i in range(n)]
-    H = horizontal_monoid(plus, 0)
-    gens = {}
-    for a in alphabet:
-        gens[terms.print_label(a)] = tuple(index[key_letter(a, keys[i], k)]
-                                           for i in range(n))
-    alg, genmap = close_vertical(H, gens, add_insertions=True, faithful=True,
-                                 warn_on_merge=False, max_vertical=max_vertical)
-    assign = {a: genmap[terms.print_label(a)] for a in alphabet}
-    hom = Homomorphism(alphabet, alg, assign)
+    plus = [[index[key_sum(x, y)] for y in keys] for x in keys]
+    rows = {a: tuple(index[key_letter(a, x, k)] for x in keys) for a in alphabet}
+    hom = generated(alphabet, plus, 0, rows, max_vertical=max_vertical)
     hom.keys = tuple(keys)
-    return alg, hom
+    return hom.target, hom
 
 
 def alpha1(alphabet):

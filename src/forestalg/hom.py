@@ -4,14 +4,19 @@ A homomorphism is fixed by assigning a vertical element to each letter.
 This module provides evaluation of forests and contexts, the exact
 reachable-pair closure used for factoring tests, image restriction,
 syntactic quotients of recognizers, and witness-term realization.
+
+generated() builds every generated algebra in the package from a sum table
+and letter rows.  Image restriction and the syntactic quotient (partition
+refinement under letters and insertions) work on H and never build the
+input's vertical monoid.
 """
 
 import heapq
 from dataclasses import dataclass, field
 
 from . import terms
-from .algebra import (AlgebraMorphism, ForestAlgebra, close_vertical,
-                      horizontal_monoid)
+from .algebra import (DEFAULT_MAX_VERTICAL, ForestAlgebra, _canonical_names,
+                      close_vertical, horizontal_monoid)
 from .errors import AlphabetMismatchError, UnknownLetterError
 from .joint import HomEvaluator, closure, determines, joint_image
 
@@ -151,7 +156,39 @@ def factors_through(beta, alpha):
 
 
 # ---------------------------------------------------------------------------
-# Image restriction
+# Generated algebras, image restriction and the syntactic quotient
+
+def generated(alphabet, plus, zero, rows, names=None,
+              max_vertical=DEFAULT_MAX_VERTICAL):
+    """The homomorphism onto the algebra generated by the letter rows.
+
+    ``plus`` is the sum table with identity ``zero``; ``rows`` maps each
+    letter to its action row.  V is closed from the letters and insertions.
+    """
+    H = horizontal_monoid(plus, zero, names)
+    gens = {terms.print_label(a): rows[a] for a in alphabet}
+    alg, genmap = close_vertical(H, gens, max_vertical=max_vertical,
+                                 warn_on_merge=False)
+    assign = {a: genmap[terms.print_label(a)] for a in alphabet}
+    return Homomorphism(alphabet, alg, assign)
+
+
+def _image(hom):
+    """(carrier, plus, names, rows) of the image, with no vertical monoid.
+
+    ``carrier`` lists the reachable indices in increasing order; the sum
+    table, names and letter rows are on positions in it.
+    """
+    alg = hom.target
+    carrier = sorted(_reachable_values(hom))
+    pos = {h: i for i, h in enumerate(carrier)}
+    plus = [[pos[alg.plus(h, g)] for g in carrier] for h in carrier]
+    names = _canonical_names(plus, pos[alg.zero],
+                             [alg.hname(h) for h in carrier])
+    rows = {a: tuple(pos[alg.act(hom.letter(a), h)] for h in carrier)
+            for a in hom.alphabet}
+    return carrier, plus, names, rows
+
 
 def _restrict(hom):
     """Restriction onto the generated subalgebra; returns (hom, carrier).
@@ -159,20 +196,9 @@ def _restrict(hom):
     ``carrier`` lists the original horizontal indices in the order used by
     the restricted algebra.
     """
-    alg = hom.target
-    carrier = sorted(_reachable_values(hom))
-    pos = {h: i for i, h in enumerate(carrier)}
-    plus = [[pos[alg.plus(h, g)] for g in carrier] for h in carrier]
-    names = [alg.hname(h) for h in carrier]
-    H = horizontal_monoid(plus, pos[alg.zero], names)
-    gens = {}
-    for a in sorted(set(hom.alphabet), key=terms.label_key):
-        row = alg.action[hom.letter(a)]
-        gens[terms.print_label(a)] = tuple(pos[row[h]] for h in carrier)
-    sub, genmap = close_vertical(H, gens, add_insertions=True, faithful=True,
-                                 warn_on_merge=False)
-    assign = {a: genmap[terms.print_label(a)] for a in hom.alphabet}
-    return Homomorphism(hom.alphabet, sub, assign), carrier
+    carrier, plus, names, rows = _image(hom)
+    zero = carrier.index(hom.target.zero)
+    return generated(hom.alphabet, plus, zero, rows, names), carrier
 
 
 def image_restrict(hom):
@@ -186,52 +212,36 @@ def restrict_recognizer(rec):
     return Recognizer(hom, accept)
 
 
-# ---------------------------------------------------------------------------
-# Syntactic quotient
-
 def syntactic(rec):
-    """Minimal recognizer of the same language, with the projection morphism.
+    """Minimal recognizer of the same language, with the horizontal projection.
 
-    Two elements are identified when no vertical element separates them with
-    respect to the accepting set; since the vertical monoid is insertion
-    closed this is a congruence.  Any recognizer of the language factors
-    onto the result.
+    Two reachable elements are identified when no vertical element separates
+    them with respect to the accepting set.  The image's V is generated by
+    the letters and the insertions, so this is the coarsest partition that
+    refines accept/reject and that every letter and insertion maps into
+    itself (Moore's refinement, on H alone).  Classes are numbered by their
+    least member.  Any recognizer of the language factors onto the result.
+
+    Returns (recognizer, projection): the projection is a dict from each
+    reachable element of the input to its class.
     """
-    rec = restrict_recognizer(rec)
-    alg = rec.hom.target
-    X = rec.accept
-    n = alg.H.size
-    sigs = {}
-    for h in range(n):
-        sig = tuple(alg.act(v, h) in X for v in range(alg.V.size))
-        sigs.setdefault(sig, []).append(h)
-    classes = sorted(sigs.values(), key=min)
-    hmap = [0] * n
-    for i, cls in enumerate(classes):
-        for h in cls:
-            hmap[h] = i
-    reps = [min(cls) for cls in classes]
-    m = len(classes)
-    plus = [[hmap[alg.plus(reps[i], reps[j])] for j in range(m)] for i in range(m)]
-    names = [alg.hname(reps[i]) for i in range(m)]
-    H = horizontal_monoid(plus, hmap[alg.zero], names)
-    gens = {}
-    for a in sorted(set(rec.hom.alphabet), key=terms.label_key):
-        row = alg.action[rec.hom.letter(a)]
-        gens[terms.print_label(a)] = tuple(hmap[row[reps[i]]] for i in range(m))
-    syn, genmap = close_vertical(H, gens, add_insertions=True, faithful=True,
-                                 warn_on_merge=False)
-    assign = {a: genmap[terms.print_label(a)] for a in rec.hom.alphabet}
-    syn_hom = Homomorphism(rec.hom.alphabet, syn, assign)
-    syn_rec = Recognizer(syn_hom, frozenset(hmap[h] for h in X))
-
-    row_index = {syn.action[v]: v for v in range(syn.V.size)}
-    vmap = []
-    for v in range(alg.V.size):
-        induced = tuple(hmap[alg.act(v, reps[i])] for i in range(m))
-        vmap.append(row_index[induced])
-    proj = AlgebraMorphism(alg, syn, tuple(hmap), tuple(vmap))
-    return syn_rec, proj
+    carrier, plus, names, rows = _image(rec.hom)
+    # steps[h]: the images of h under every letter and insertion; inserting
+    # 0 is the identity, so each new block refines the old one.
+    steps = list(zip(*rows.values(), *plus))
+    block, count = [h in rec.accept for h in carrier], 0
+    while len(set(block)) > count:
+        count = len(set(block))
+        sigs = {}  # blocks numbered by first, hence least, member
+        block = [sigs.setdefault(tuple(block[x] for x in step), len(sigs))
+                 for step in steps]
+    reps = [block.index(c) for c in range(count)]
+    qplus = [[block[plus[r][s]] for s in reps] for r in reps]
+    qrows = {a: tuple(block[row[r]] for r in reps) for a, row in rows.items()}
+    zero = block[carrier.index(rec.hom.target.zero)]
+    hom = generated(rec.hom.alphabet, qplus, zero, qrows, [names[r] for r in reps])
+    accept = {c for c, h in zip(block, carrier) if h in rec.accept}
+    return Recognizer(hom, accept), dict(zip(carrier, block))
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,8 @@ root nodes.
 from dataclasses import dataclass
 
 from . import terms
-from .algebra import close_vertical, horizontal_monoid
 from .errors import ParseError, RoleError
-from .hom import Homomorphism, Recognizer
+from .hom import Recognizer, generated
 from .joint import closure
 
 
@@ -300,14 +299,7 @@ def to_recognizer(phi, alphabet):
     index = closure((0,), alphabet, letter_step, lambda x, z: x | z)
     masks = list(index)
 
-    n = len(masks)
-    plus = [[index[masks[i] | masks[j]] for j in range(n)] for i in range(n)]
-    H = horizontal_monoid(plus, 0)
-    gens = {a: tuple(index[letter_step(a, masks[i])] for i in range(n))
-            for a in alphabet}
-    alg, genmap = close_vertical(H, gens, add_insertions=True, faithful=True,
-                                 warn_on_merge=False)
-    assign = {a: genmap[a] for a in alphabet}
-    hom = Homomorphism(alphabet, alg, assign)
-    accept = frozenset(i for i in range(n) if forest_sat(masks[i], phi))
-    return Recognizer(hom, accept)
+    plus = [[index[x | y] for y in masks] for x in masks]
+    rows = {a: tuple(index[letter_step(a, x)] for x in masks) for a in alphabet}
+    accept = frozenset(i for i, x in enumerate(masks) if forest_sat(x, phi))
+    return Recognizer(generated(alphabet, plus, 0, rows), accept)

@@ -92,27 +92,31 @@ def _kind_contributions(alpha, tag_names, class_value_sets):
     return out
 
 
-def _class_value_sets(alpha, tag_names, k):
+def _class_value_sets(alpha, tag_names, k, cap):
     """Value sets of the realizable depth-k classes of tagged relabelings.
 
     Level 0 has a single class holding the whole image; a level j+1 class
     is a set of kinds and its value set the pointwise sum of one nonempty
     contribution per kind.  Only the collection of distinct value sets is
     kept, which is sound: equal value sets admit the same realizations.
+    At most ``cap`` value sets are held per level.
     """
     alg = alpha.target
     sets = {frozenset(_reachable_values(alpha))}
     for _ in range(k):
         kinds = _kind_contributions(alpha, tag_names, sets)
         closed = closure(kinds, kinds, lambda w2, w: _pointwise_sum(alg, w, w2),
-                         None)
+                         None, cap, "confused-pair value sets")
         sets = set(closed) | {frozenset({alg.zero})}
     return sets
 
 
 def brute_confused_pairs(alpha, ci, k, rs=None, max_pairs=DEFAULT_MAX_PAIRS):
     """Exact distinct same-class value pairs realized by depth-k equivalent
-    tagged forests, by the value-set recursion."""
+    tagged forests, by the value-set recursion.
+
+    ``max_pairs`` caps both the value sets held per level and the pairs.
+    """
     alg = alpha.target
     if rs is None:
         rs = reachability(alg)
@@ -121,10 +125,11 @@ def brute_confused_pairs(alpha, ci, k, rs=None, max_pairs=DEFAULT_MAX_PAIRS):
     if k <= 0:
         reached = members.intersection(_reachable_values(alpha))
         return {(h, g) for h in reached for g in reached if h != g}
-    level_sets = _class_value_sets(alpha, tag_names, k - 1)
+    level_sets = _class_value_sets(alpha, tag_names, k - 1, max_pairs)
     kinds = _kind_contributions(alpha, tag_names, level_sets)
     pairs = closure({(x, y) for w in kinds for x in w for y in w}, (), None,
-                    lambda p, q: (alg.plus(p[0], q[0]), alg.plus(p[1], q[1])))
+                    lambda p, q: (alg.plus(p[0], q[0]), alg.plus(p[1], q[1])),
+                    max_pairs, "confused-pair closure")
     return {(h, g) for (h, g) in pairs
             if h != g and h in members and g in members}
 

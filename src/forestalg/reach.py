@@ -10,6 +10,7 @@ element.
 from dataclasses import dataclass
 
 from .algebra import quotient_by_ideal
+from .errors import ForestAlgError
 from .hom import Homomorphism
 
 
@@ -63,8 +64,14 @@ def reachability(alg):
            for ci in range(m)]
     # leq[ci][cj]: ci <= cj, i.e. ci's members reachable from cj's
 
-    min_class = class_of[alg.absorbing()]
-    assert all(leq[min_class][c] for c in range(m)), "absorbing class not minimum"
+    absorbing = alg.absorbing()
+    min_class = class_of[absorbing]
+    for c in range(m):
+        if not leq[min_class][c]:
+            raise ForestAlgError(
+                "insertion-closure violated: the absorbing element %s is not "
+                "reachable from %s" % (alg.hname(absorbing),
+                                       alg.hname(classes[c][0])))
     subminimal = tuple(
         c for c in range(m)
         if c != min_class and leq[min_class][c]

@@ -197,6 +197,32 @@ def reference_closure(zero, alphabet, act, plus):
     return seen
 
 
+def reference_syntactic(rec):
+    """The syntactic recognizer by V-signatures: h and g are identified when
+    v.h and v.g agree on acceptance for every v of the image's vertical
+    monoid, which is closed in full.  Classes are numbered by least member."""
+    from forestalg.hom import restrict_recognizer
+
+    rec = restrict_recognizer(rec)
+    alg = rec.hom.target
+    sigs = {}
+    for h in range(alg.H.size):
+        sig = tuple(alg.act(v, h) in rec.accept for v in range(alg.V.size))
+        sigs.setdefault(sig, []).append(h)
+    classes = sorted(sigs.values(), key=min)
+    hmap = {h: i for i, cls in enumerate(classes) for h in cls}
+    reps = [min(cls) for cls in classes]
+    plus = [[hmap[alg.plus(r, s)] for s in reps] for r in reps]
+    H = horizontal_monoid(plus, hmap[alg.zero], [alg.hname(r) for r in reps])
+    letters = rec.hom.alphabet
+    gens = {terms.print_label(a): tuple(hmap[alg.act(rec.hom.letter(a), r)]
+                                        for r in reps) for a in letters}
+    syn, genmap = close_vertical(H, gens, warn_on_merge=False)
+    hom = Homomorphism(letters, syn,
+                       {a: genmap[terms.print_label(a)] for a in letters})
+    return Recognizer(hom, frozenset(hmap[h] for h in rec.accept))
+
+
 def brute_isomorphism(rec1, rec2):
     """The first horizontal bijection, in permutation order, respecting 0,
     +, letter actions and acceptance, or None.  Factorial; |H| <= 7."""

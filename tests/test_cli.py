@@ -164,3 +164,24 @@ def test_input_error_exit_code(capsys, tmp_path):
     garbage.write_text("H: onlyone\n")
     code, _, err = run(capsys, "check", str(garbage))
     assert code == 2
+
+
+NO_INSERTIONS = "H: 0 inf\nplus:\n0 inf\ninf inf\nV: 1\ncompose:\n1\nact:\n0 inf\n"
+
+
+def test_reach_law_violation_is_input_error(tmp_path, capsys):
+    code, out, _ = run(capsys, "reach", fx("u1.fa"))
+    assert code == 0 and "minimal" in out
+    bad = tmp_path / "noins.fa"
+    bad.write_text(NO_INSERTIONS)
+    code, out, err = run(capsys, "reach", str(bad))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: insertion-closure violated")
+
+
+def test_deep_input_is_input_error(capsys):
+    deep = "a(" * 2000 + ")" * 2000
+    code, out, err = run(capsys, "eval", fx("u1_efa.fa"), deep)
+    assert code == 2 and out == ""
+    assert err == "error: input nested too deeply\n"

@@ -10,8 +10,8 @@ from forestalg.decompose import (ONE_DEFINITE_STAGE, U1_STAGE,
                                  decompose_kdefinite, tensor_cascade,
                                  wreath_compose)
 from forestalg.defk import alpha1, definiteness_degree
-from forestalg.errors import (AlphabetMismatchError, NotEFAlgebra,
-                              NotKDefinite, NotNonconfusing)
+from forestalg.errors import (AlphabetMismatchError, InternalError,
+                              NotEFAlgebra, NotKDefinite, NotNonconfusing)
 from forestalg.hom import (Homomorphism, factors_through, image_restrict,
                            relabeled, syntactic)
 from forestalg.joint import evaluate
@@ -120,6 +120,18 @@ def test_decompose_ef_chain():
 def test_decompose_ef_rejects_non_ef():
     with pytest.raises(NotEFAlgebra):
         decompose_ef(four_element_algebra().hom)
+
+
+def test_ef_recursion_checks_trivial_subminimal_class():
+    # a swaps h1 and h2, so {h1, h2} is one subminimal class; the EF
+    # identities exclude this, and the recursion reports it as a bug.
+    from forestalg.decompose import Cascade, _ef_rec
+    from forestalg.hom import generated
+
+    plus = [[0, 1, 2, 3], [1, 1, 3, 3], [2, 3, 2, 3], [3, 3, 3, 3]]
+    hom = generated(("a",), plus, 0, {"a": (1, 2, 1, 3)})
+    with pytest.raises(InternalError, match="trivial classes"):
+        _ef_rec(Cascade(hom.alphabet), hom)
 
 
 def test_decompose_ef_trivial():

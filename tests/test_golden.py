@@ -16,7 +16,9 @@ import pytest
 
 from forestalg import cli
 from forestalg import io as fio
+from forestalg import logic
 from forestalg.defk import free_kdefinite
+from forestalg.hom import syntactic
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN = os.path.join(HERE, "golden")
@@ -72,6 +74,25 @@ def printed_outputs():
     return out
 
 
+def syntactic_outputs():
+    """{golden file name: text} for the syntactic recognizers of every
+    fixture with a letters: section and of the compiled formulas."""
+    out = {}
+    for name in FIXTURE_NAMES:
+        path = os.path.join(FIXTURES, name)
+        if fio.load_algebra(path)[1] is None:
+            continue
+        code, text = _run(("syntactic", path))
+        assert code == 0
+        out["syntactic_" + name] = text
+    for fname, (formula, alphabet) in COMPILED.items():
+        syn = syntactic(logic.to_recognizer(logic.parse_formula(formula),
+                                            alphabet.split(",")))[0]
+        out["syntactic_" + fname[len("compile_"):]] = fio.print_algebra(
+            syn.hom.target, letters=dict(syn.hom.assign), accept=syn.accept)
+    return out
+
+
 def _report_path(name):
     return os.path.join(GOLDEN, "reports_%s.json" % name[:-len(".fa")])
 
@@ -95,12 +116,17 @@ def test_printed_algebras_match_golden():
         assert text == _read(os.path.join(GOLDEN, fname)), fname
 
 
+def test_syntactic_algebras_match_golden():
+    for fname, text in syntactic_outputs().items():
+        assert text == _read(os.path.join(GOLDEN, fname)), fname
+
+
 def _write():
     os.makedirs(GOLDEN, exist_ok=True)
     files = {_report_path(n): _dump_reports(fixture_reports(n))
              for n in FIXTURE_NAMES}
-    files.update({os.path.join(GOLDEN, f): t
-                  for f, t in printed_outputs().items()})
+    for outputs in (printed_outputs(), syntactic_outputs()):
+        files.update({os.path.join(GOLDEN, f): t for f, t in outputs.items()})
     for path, text in files.items():
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)

@@ -1,16 +1,19 @@
 import random
 
-from forestalg import terms
+from forestalg import logic, terms
 from forestalg.algebra import u2
-from forestalg.hom import (Homomorphism, Recognizer, constant_letter_realizers,
-                           factors_through, image_restrict, reachable_pairs,
-                           realize, recognizers_isomorphic, relabeled,
+from forestalg.hom import (Homomorphism, Recognizer, _reachable_values,
+                           constant_letter_realizers, factors_through,
+                           image_restrict, reachable_pairs, realize,
+                           recognizers_isomorphic, relabeled,
                            restrict_recognizer, syntactic)
+from forestalg.io import print_algebra
 from forestalg.oracle import random_forest
 from forestalg.reach import quotient_hom
 
 from helpers import (brute_isomorphism, four_element_algebra, permuted_copy,
-                     random_recognizer, u2_example_recognizer)
+                     random_big_recognizer, random_recognizer,
+                     reference_syntactic, u2_example_recognizer)
 
 
 def F(text):
@@ -122,16 +125,58 @@ def test_syntactic_trivial_cases():
         assert syn.hom.target.H.size == 1
 
 
+def _check_projection(rec, syn, proj):
+    """proj is onto and respects 0, +, every letter and acceptance."""
+    src, tgt = rec.hom.target, syn.hom.target
+    assert set(proj) == set(_reachable_values(rec.hom))
+    assert set(proj.values()) == set(range(tgt.H.size))
+    assert proj[src.zero] == tgt.zero
+    for h in proj:
+        assert (h in rec.accept) == (proj[h] in syn.accept)
+        for a in rec.hom.alphabet:
+            assert (proj[src.act(rec.hom.letter(a), h)]
+                    == tgt.act(syn.hom.letter(a), proj[h]))
+        for g in proj:
+            assert proj[src.plus(h, g)] == tgt.plus(proj[h], proj[g])
+
+
 def test_syntactic_is_minimal_and_equivalent():
     rec = four_element_algebra()
     syn, proj = syntactic(rec)
     assert syn.hom.target.H.size == 4
-    assert proj.validate() == []
-    assert proj.is_surjective()
+    _check_projection(rec, syn, proj)
     rng = random.Random(9)
     for _ in range(1000):
         s = random_forest(rng, ("a", "b"), 4, 3)
         assert rec.accepts(s) == syn.accepts(s)
+
+
+def _printed(rec):
+    return print_algebra(rec.hom.target, letters=dict(rec.hom.assign),
+                         accept=rec.accept)
+
+
+def test_syntactic_matches_signature_reference():
+    rng = random.Random(41)
+    recs = [random_recognizer(rng, max_h=6) for _ in range(200)]
+    recs += [random_big_recognizer(random.Random(i), atoms=4, nletters=3)
+             for i in range(4)]
+    # nested modalities need one refinement round per level
+    for n in range(2, 6):
+        phi = logic.parse_formula("EX(" * n + "a" + ")" * n)
+        recs.append(logic.to_recognizer(phi, ("a", "b")))
+    for text in ("EF(a & EF(b & EF c))", "EX(a & EF(b & EX c)) | EF(c & EX b)"):
+        recs.append(logic.to_recognizer(logic.parse_formula(text),
+                                        ("a", "b", "c")))
+    merged = 0
+    for rec in recs:
+        syn, proj = syntactic(rec)
+        ref = reference_syntactic(rec)
+        assert _printed(syn) == _printed(ref)
+        assert syn.accept == ref.accept
+        _check_projection(rec, syn, proj)
+        merged += syn.hom.target.H.size < len(proj)
+    assert merged > 20
 
 
 def test_syntactic_idempotent():

@@ -78,6 +78,17 @@ def test_tagged_closure_cap():
         tagged_class_closure(hom, 0, 1, max_pairs=6)
 
 
+def test_brute_confused_pairs_cap_names_phase():
+    hom = image_restrict(u2_example_recognizer().hom)
+    assert brute_confused_pairs(hom, 0, 2, max_pairs=4) == {(0, 1), (1, 0)}
+    with pytest.raises(SizeLimitError) as exc:
+        brute_confused_pairs(hom, 0, 1, max_pairs=3)
+    assert exc.value.what == "confused-pair closure"
+    with pytest.raises(SizeLimitError) as exc:
+        brute_confused_pairs(hom, 0, 2, max_pairs=2)
+    assert exc.value.what == "confused-pair value sets"
+
+
 def test_brute_confused_pairs_fixtures():
     hom = image_restrict(u2_example_recognizer().hom)
     assert brute_confused_pairs(hom, 0, 1) == {(0, 1), (1, 0)}
