@@ -15,6 +15,7 @@ algebraic law violations are reported by check_axioms() instead.
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import IdealViolation, SizeLimitError, StructuralError
 from .joint import closure
@@ -84,9 +85,6 @@ class FiniteMonoid:
     def mul(self, i, j):
         return self.row(i)[j]
 
-    def index_of(self, name):
-        return self.names.index(name)
-
     def check(self):
         """Return law violations (associativity, identity) as Violation list."""
         out = []
@@ -124,11 +122,15 @@ class Violation:
 
 
 class ForestAlgebra:
-    """H, V and the action of V on H, all as explicit tables."""
+    """H, V and the action of V on H, all as explicit tables.
 
-    __slots__ = ("H", "V", "action", "faithful", "inserted")
+    ``generators`` holds the action rows of vertical elements that generate
+    V, and they are V's first elements: all of ``action`` for an algebra
+    given by its tables.  An algebra made by generated_algebra() holds only
+    H and its generators, and closes V and ``action`` on first read.
+    """
 
-    def __init__(self, H, V, action, faithful=False, inserted=()):
+    def __init__(self, H, V, action, faithful=False):
         if not isinstance(H, FiniteMonoid) or not isinstance(V, FiniteMonoid):
             raise StructuralError("H and V must be FiniteMonoid instances")
         action = tuple(tuple(row) for row in action)
@@ -136,8 +138,21 @@ class ForestAlgebra:
         self.H = H
         self.V = V
         self.action = action
+        self.generators = action
         self.faithful = faithful
-        self.inserted = tuple(inserted)
+
+    @cached_property
+    def V(self):
+        return self._close().V
+
+    @cached_property
+    def action(self):
+        return self._close().action
+
+    def _close(self):
+        alg = close_vertical(self.H, self._named, warn_on_merge=False)[0]
+        self.__dict__.update(V=alg.V, action=alg.action)
+        return alg
 
     # -- basic operations ---------------------------------------------------
 
@@ -171,14 +186,6 @@ class ForestAlgebra:
             h = self.plus(h, g)
         return h
 
-    def insertion(self, g):
-        """Index of a vertical element acting as h -> g + h, or None."""
-        want = tuple(self.plus(g, h) for h in range(self.H.size))
-        for v in range(self.V.size):
-            if self.action[v] == want:
-                return v
-        return None
-
     def summary(self):
         return "|H|=%d |V|=%d" % (self.H.size, self.V.size)
 
@@ -206,31 +213,31 @@ class ForestAlgebra:
                                          "h+g != g+h"))
             if plus[h][h] != h:
                 out.append(Violation("H-idempotence", (hn[h],), "h+h != h"))
-        one = self.V.identity
+        V, action = self.V, self.action
+        one = V.identity
         for h in range(n):
-            if self.act(one, h) != h:
+            if action[one][h] != h:
                 out.append(Violation("action-identity", (vn[one], hn[h]), "1.h != h"))
-        for v in range(self.V.size):
-            for w in range(self.V.size):
-                vw = self.times(v, w)
-                for h in range(n):
-                    if self.act(vw, h) != self.act(v, self.act(w, h)):
-                        out.append(Violation("action-composition", (vn[v], vn[w], hn[h]),
-                                             "(vw).h != v.(w.h)"))
-                        break
+        for v, row_v in enumerate(action):
+            times_v = V.row(v)
+            for w, row_w in enumerate(action):
+                row_vw = action[times_v[w]]
+                if row_vw != tuple(map(row_v.__getitem__, row_w)):
+                    h = next(h for h in range(n) if row_vw[h] != row_v[row_w[h]])
+                    out.append(Violation("action-composition", (vn[v], vn[w], hn[h]),
+                                         "(vw).h != v.(w.h)"))
+        first = {}  # action row -> least vertical element acting so
+        for v, row in enumerate(action):
+            first.setdefault(row, v)
         for g in range(n):
-            if self.insertion(g) is None:
+            if plus[g] not in first:
                 out.append(Violation("insertion-closure", (hn[g],),
                                      "no vertical element acts as h -> %s+h" % hn[g]))
         if self.faithful:
-            seen = {}
-            for v in range(self.V.size):
-                row = self.action[v]
-                if row in seen:
-                    out.append(Violation("faithfulness", (vn[seen[row]], vn[v]),
+            for v, row in enumerate(action):
+                if first[row] != v:
+                    out.append(Violation("faithfulness", (vn[first[row]], vn[v]),
                                          "distinct elements act identically"))
-                else:
-                    seen[row] = v
         return out
 
 
@@ -266,6 +273,50 @@ def horizontal_monoid(plus_table, identity, names=None):
     return FiniteMonoid(plus_table, identity, _canonical_names(plus_table, identity, names))
 
 
+def _generator_prefix(hmonoid, generators, max_vertical):
+    """V's first elements: the identity, the distinct generator rows in
+    sorted-name order, then the insertions not among them.  Returns (rows,
+    names, genmap, merged names)."""
+    n = hmonoid.size
+    rows = [tuple(range(n))]
+    index = {rows[0]: 0}
+    names = ["1"]
+    genmap = {}
+    merged = []
+
+    def intern(row, name):
+        if row in index:
+            merged.append(name)
+            return index[row]
+        if len(rows) >= max_vertical:
+            raise SizeLimitError("vertical closure", max_vertical)
+        index[row] = len(rows)
+        rows.append(row)
+        names.append(name)
+        return index[row]
+
+    for name in sorted(generators, key=str):
+        row = tuple(generators[name])
+        if len(row) != n or any(not (0 <= x < n) for x in row):
+            raise StructuralError("generator %r is not an action row" % (name,))
+        genmap[name] = intern(row, str(name))
+    for g, row in enumerate(hmonoid.op):
+        if row not in index:
+            intern(row, "ins_%s" % hmonoid.names[g])
+    return rows, names, genmap, merged
+
+
+def generated_algebra(hmonoid, generators):
+    """What close_vertical returns with warn_on_merge=False, but holding only
+    H and the generator prefix until V or the action table is read."""
+    rows, _, genmap, _ = _generator_prefix(hmonoid, generators,
+                                           DEFAULT_MAX_VERTICAL)
+    alg = ForestAlgebra.__new__(ForestAlgebra)
+    alg.H, alg.generators, alg.faithful = hmonoid, tuple(rows), True
+    alg._named = generators
+    return alg, genmap
+
+
 def close_vertical(hmonoid, generators, max_vertical=DEFAULT_MAX_VERTICAL,
                    warn_on_merge=True):
     """Close a set of action functions into a vertical monoid.
@@ -278,37 +329,8 @@ def close_vertical(hmonoid, generators, max_vertical=DEFAULT_MAX_VERTICAL,
     Returns (ForestAlgebra, genmap) where genmap sends each generator name to
     its vertical index.
     """
-    n = hmonoid.size
-    plus = hmonoid.op
-    ident_row = tuple(range(n))
-    rows = [ident_row]
-    index = {ident_row: 0}
-    names = ["1"]
-    genmap = {}
-    inserted = []
-    merged = []
-
-    def intern(row, name):
-        if row in index:
-            merged.append(name)
-            return index[row]
-        if len(rows) >= max_vertical:
-            raise SizeLimitError("vertical closure", max_vertical)
-        idx = len(rows)
-        rows.append(row)
-        index[row] = idx
-        names.append(name)
-        return idx
-
-    for name in sorted(generators, key=str):
-        row = tuple(generators[name])
-        if len(row) != n or any(not (0 <= x < n) for x in row):
-            raise StructuralError("generator %r is not an action row" % (name,))
-        genmap[name] = intern(row, str(name))
-    for g in range(n):
-        if plus[g] not in index:
-            inserted.append(intern(plus[g], "ins_%s" % hmonoid.names[g]))
-
+    rows, names, genmap, merged = _generator_prefix(hmonoid, generators,
+                                                    max_vertical)
     index = closure(rows, list(rows), lambda ra, rb: tuple(ra[x] for x in rb),
                     None, max_vertical, "vertical closure")
     rows = list(index)
@@ -337,7 +359,7 @@ def close_vertical(hmonoid, generators, max_vertical=DEFAULT_MAX_VERTICAL,
                      for b in range(len(all_rows)))
 
     V = FiniteMonoid(None, 0, final_names, row_fn=vrow, size=len(all_rows))
-    alg = ForestAlgebra(hmonoid, V, tuple(rows), faithful=True, inserted=inserted)
+    alg = ForestAlgebra(hmonoid, V, tuple(rows), faithful=True)
     return alg, genmap
 
 

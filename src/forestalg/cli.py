@@ -82,6 +82,14 @@ def _cmd_models(args):
     return EXIT_TRUE if sat else EXIT_FALSE
 
 
+def depth(text):
+    """A depth argument.  ForestAlgError passes through argparse to main()."""
+    k = int(text)
+    if k < 0:
+        raise ForestAlgError("a depth cannot be negative, got %d" % k)
+    return k
+
+
 def _parse_alphabet(text):
     letters = tuple(sorted({a.strip() for a in text.split(",") if a.strip()}))
     if not letters:
@@ -320,7 +328,7 @@ def build_parser():
     sp.add_argument("--dot", action="store_true")
 
     sp = add("simk", _cmd_simk, help="depth-k equivalence of two forests")
-    sp.add_argument("--k", type=int, required=True)
+    sp.add_argument("--k", type=depth, required=True)
     sp.add_argument("s")
     sp.add_argument("t")
 
@@ -352,15 +360,14 @@ def build_parser():
     sp = add("oracle-check", _cmd_oracle_check,
              help="compare the pair fixpoint against the exact closure")
     sp.add_argument("file")
-    sp.add_argument("--max-k", type=int, default=2)
+    sp.add_argument("--max-k", type=depth, default=2)
 
     return p
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except SizeLimitError as exc:
         print("error: %s" % exc, file=sys.stderr)

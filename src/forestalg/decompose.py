@@ -26,7 +26,7 @@ from .defk import KdefEvaluator, definiteness_degree
 from .errors import (AlphabetMismatchError, InternalError, NotEFAlgebra,
                      NotKDefinite, NotNonconfusing, SizeLimitError)
 from .hom import generated, image_restrict
-from .joint import HomEvaluator, TensorEvaluator, determines, image
+from .joint import TensorEvaluator, determines, evaluate, image
 from .oracle import key_value_sets
 from .reach import quotient_hom, reachability
 
@@ -77,12 +77,7 @@ class Cascade:
             out.append(st.target.act(v, state[i]))
         return tuple(out)
 
-    def eval(self, forest):
-        state = self.zero_state()
-        for label, children in forest:
-            state = self.plus_state(state, self.letter_action(
-                label, self.eval(children)))
-        return state
+    eval = evaluate
 
     def reachable_states(self):
         if self._states is None:
@@ -95,7 +90,7 @@ class Cascade:
         if tuple(sorted(set(hom.alphabet), key=terms.label_key)) != self.alphabet:
             raise AlphabetMismatchError("cascade and homomorphism alphabets differ")
         cap = self.max_size * hom.target.H.size
-        return image(TensorEvaluator(self, HomEvaluator(hom), lambda a, x: a),
+        return image(TensorEvaluator(self, hom, lambda a, x: a),
                      self.alphabet, cap, "cascade joint image")
 
     def factors(self, hom):
@@ -189,7 +184,7 @@ def _ef_rec(casc, alpha):
         inf = alg.absorbing()
         letters = {}
         for a in casc.alphabet:
-            fires = alg.act(alpha.letter(a), alg.zero) == inf
+            fires = alpha.row(a)[alg.zero] == inf
             letters[(a,)] = cinf if fires else one
         casc.append(Stage(U1_STAGE, target, 0, letters))
         return
@@ -213,13 +208,10 @@ def _ef_rec(casc, alpha):
     prefix = len(casc.stages)
     letters = {}
     for a in casc.alphabet:
-        va = alpha.letter(a)
+        row = alpha.row(a)
         for state in casc.reachable_states():
             hq = rho[state]
-            if hq != qinf:
-                fires = alg.act(va, back[hq]) == inf
-            else:
-                fires = alg.act(va, hstar) == inf
+            fires = row[back[hq] if hq != qinf else hstar] == inf
             letters[(a,) + tuple(state)] = cinf if fires else one
     casc.append(Stage(U1_STAGE, target, prefix, letters))
 
@@ -384,13 +376,12 @@ def _append_alarm_stage(casc, alpha, rs, cj, k, qhom, proj, view, max_size):
                         for key in tags.values() for root_tree in key},
                        key=lambda key: terms.tree_key(("r", key)))
     tree_values = key_value_sets(alpha, cj, k, tree_keys, rs)
-    qletter = {a: qhom.letter(a) for a in casc.alphabet}
     qname_index = {qalg.hname(h): h for h in range(qalg.H.size)}
     qname_index["inf"] = qinf
 
     def resolve_component(root_tree):
         b, tagname = root_tree[0]
-        q1 = qalg.act(qletter[b], qname_index[tagname])
+        q1 = qhom.row(b)[qname_index[tagname]]
         if q1 != qinf:
             return back[q1]
         candidates = sorted(
@@ -412,9 +403,9 @@ def _append_alarm_stage(casc, alpha, rs, cj, k, qhom, proj, view, max_size):
     prefix = len(casc.stages)
     letters = {}
     for a in casc.alphabet:
-        va = alpha.letter(a)
+        row = alpha.row(a)
         for state in casc.reachable_states():
             h_q = resolve_sum(tags[state])
-            fires = h_q == inf or alg.act(va, h_q) == inf
+            fires = h_q == inf or row[h_q] == inf
             letters[(a,) + tuple(state)] = cinf if fires else one
     casc.append(Stage(U1_STAGE, target, prefix, letters))

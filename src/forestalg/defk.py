@@ -15,7 +15,6 @@ h -> g + letter.h.
 from dataclasses import dataclass
 
 from . import terms
-from .algebra import DEFAULT_MAX_VERTICAL
 from .hom import generated, image_restrict
 from .joint import closure, image
 
@@ -81,22 +80,21 @@ class KdefEvaluator:
         return key_letter(a, x, self.k)
 
 
-def free_kdefinite(alphabet, k, max_classes=DEFAULT_MAX_CLASSES,
-                   max_vertical=DEFAULT_MAX_VERTICAL):
+def free_kdefinite(alphabet, k, max_classes=DEFAULT_MAX_CLASSES):
     """The quotient by depth-k equivalence, with the canonical homomorphism.
 
     Horizontal elements are the canonical keys; every key is reachable from
     the empty forest by letters and sums, so a worklist closure enumerates
-    exactly the classes.  The vertical monoid is materialized, so this is
-    desk scale only; factoring tests at larger sizes go through
-    KdefEvaluator instead.
+    exactly the classes.  The sum table is |H|^2 and the vertical monoid is
+    closed when first read (printing, law checks), so this is desk scale
+    only; factoring tests at larger sizes go through KdefEvaluator instead.
     """
     alphabet = tuple(sorted(set(alphabet), key=terms.label_key))
     index = image(KdefEvaluator(k), alphabet, max_classes, "depth-%d classes" % k)
     keys = list(index)
     plus = [[index[key_sum(x, y)] for y in keys] for x in keys]
     rows = {a: tuple(index[key_letter(a, x, k)] for x in keys) for a in alphabet}
-    hom = generated(alphabet, plus, 0, rows, max_vertical=max_vertical)
+    hom = generated(alphabet, plus, 0, rows)
     hom.keys = tuple(keys)
     return hom.target, hom
 
@@ -121,7 +119,7 @@ def guarded_semigroup(hom):
     n = alg.H.size
     gens = set()
     for a in sorted(set(hom.alphabet), key=terms.label_key):
-        row = alg.action[hom.letter(a)]
+        row = hom.row(a)
         for g in range(n):
             gens.add(tuple(alg.plus(g, row[h]) for h in range(n)))
     return sorted(closure(gens, gens, lambda ra, rb: tuple(ra[x] for x in rb),

@@ -1,24 +1,25 @@
 """Homomorphisms out of the free forest algebra.
 
-A homomorphism is fixed by assigning a vertical element to each letter.
-This module provides evaluation of forests and contexts, the exact
-reachable-pair closure used for factoring tests, image restriction,
-syntactic quotients of recognizers, and witness-term realization.
+A homomorphism assigns to each letter a generator of the target's V and is
+an evaluator (see joint) that acts by those letter rows.  This module
+provides evaluation of forests and contexts, the exact reachable-pair
+closure used for factoring tests, image restriction, syntactic quotients
+of recognizers, and witness-term realization.
 
 generated() builds every generated algebra in the package from a sum table
-and letter rows.  Image restriction and the syntactic quotient (partition
-refinement under letters and insertions) work on H and never build the
-input's vertical monoid.
+and letter rows; its vertical monoid is closed only when first read.  Image
+restriction and the syntactic quotient (partition refinement under letters
+and insertions) work on H and the rows and never build a vertical monoid.
 """
 
 import heapq
 from dataclasses import dataclass, field
 
 from . import terms
-from .algebra import (DEFAULT_MAX_VERTICAL, ForestAlgebra, _canonical_names,
-                      close_vertical, horizontal_monoid)
+from .algebra import (ForestAlgebra, _canonical_names, generated_algebra,
+                      horizontal_monoid)
 from .errors import AlphabetMismatchError, UnknownLetterError
-from .joint import HomEvaluator, closure, determines, joint_image
+from .joint import determines, evaluate, image, joint_image
 
 
 @dataclass
@@ -39,13 +40,20 @@ class Homomorphism:
         except KeyError:
             raise UnknownLetterError("letter %r not in alphabet" % (a,)) from None
 
-    def eval(self, forest):
-        """Value of a forest in the target's horizontal monoid."""
-        alg = self.target
-        h = alg.zero
-        for label, children in forest:
-            h = alg.plus(h, alg.act(self.letter(label), self.eval(children)))
-        return h
+    def row(self, a):
+        """The action row of a letter on H."""
+        return self.target.generators[self.letter(a)]
+
+    def zero_state(self):
+        return self.target.zero
+
+    def plus_state(self, x, y):
+        return self.target.plus(x, y)
+
+    def letter_action(self, a, x):
+        return self.row(a)[x]
+
+    eval = evaluate     # value of a forest in the target's horizontal monoid
 
     def eval_context(self, ctx):
         """Action of a context as a function row on H."""
@@ -60,11 +68,10 @@ class Homomorphism:
                 continue
             if terms.count_holes(children):
                 inner = self.eval_context(children)
-                v = self.letter(label)
-                row = tuple(alg.act(v, x) for x in inner)
+                row = tuple(self.row(label)[x] for x in inner)
                 seen_hole = True
             else:
-                val = alg.act(self.letter(label), self.eval(children))
+                val = self.row(label)[self.eval(children)]
                 if seen_hole:
                     post = alg.plus(post, val)
                 else:
@@ -118,7 +125,7 @@ def relabeled(forest, hom, tag_names=None):
         for label, children in f:
             nc, cv = go(children)
             out.append(((label, tag_names[cv]), nc))
-            val = alg.plus(val, alg.act(hom.letter(label), cv))
+            val = alg.plus(val, hom.row(label)[cv])
         return tuple(out), val
 
     return go(forest)[0]
@@ -126,12 +133,6 @@ def relabeled(forest, hom, tag_names=None):
 
 # ---------------------------------------------------------------------------
 # Exact closures
-
-def _reachable_values(hom):
-    alg = hom.target
-    letters = [alg.action[hom.letter(a)] for a in hom.alphabet]
-    return closure((alg.zero,), letters, lambda row, h: row[h], alg.plus)
-
 
 def reachable_pairs(alpha, beta):
     """Exact set {(alpha(s), beta(s)) : s a forest} via the worklist closure.
@@ -141,8 +142,7 @@ def reachable_pairs(alpha, beta):
     """
     if tuple(alpha.alphabet) != tuple(beta.alphabet):
         raise AlphabetMismatchError("homomorphisms must share an alphabet")
-    return set(joint_image(HomEvaluator(alpha), HomEvaluator(beta),
-                           alpha.alphabet, None))
+    return set(joint_image(alpha, beta, alpha.alphabet, None))
 
 
 def factors_through(beta, alpha):
@@ -158,17 +158,16 @@ def factors_through(beta, alpha):
 # ---------------------------------------------------------------------------
 # Generated algebras, image restriction and the syntactic quotient
 
-def generated(alphabet, plus, zero, rows, names=None,
-              max_vertical=DEFAULT_MAX_VERTICAL):
+def generated(alphabet, plus, zero, rows, names=None):
     """The homomorphism onto the algebra generated by the letter rows.
 
     ``plus`` is the sum table with identity ``zero``; ``rows`` maps each
-    letter to its action row.  V is closed from the letters and insertions.
+    letter to its action row.  V is closed from the letters and insertions
+    on its first read.
     """
     H = horizontal_monoid(plus, zero, names)
     gens = {terms.print_label(a): rows[a] for a in alphabet}
-    alg, genmap = close_vertical(H, gens, max_vertical=max_vertical,
-                                 warn_on_merge=False)
+    alg, genmap = generated_algebra(H, gens)
     assign = {a: genmap[terms.print_label(a)] for a in alphabet}
     return Homomorphism(alphabet, alg, assign)
 
@@ -180,13 +179,12 @@ def _image(hom):
     table, names and letter rows are on positions in it.
     """
     alg = hom.target
-    carrier = sorted(_reachable_values(hom))
+    carrier = sorted(image(hom, hom.alphabet))
     pos = {h: i for i, h in enumerate(carrier)}
     plus = [[pos[alg.plus(h, g)] for g in carrier] for h in carrier]
     names = _canonical_names(plus, pos[alg.zero],
                              [alg.hname(h) for h in carrier])
-    rows = {a: tuple(pos[alg.act(hom.letter(a), h)] for h in carrier)
-            for a in hom.alphabet}
+    rows = {a: tuple(pos[hom.row(a)[h]] for h in carrier) for a in hom.alphabet}
     return carrier, plus, names, rows
 
 
@@ -262,7 +260,7 @@ def realize(hom):
             continue
         done[h] = forest
         for a in sorted(set(hom.alphabet), key=terms.label_key):
-            val = alg.act(hom.letter(a), h)
+            val = hom.row(a)[h]
             if val not in done:
                 f = (terms.tree(a, forest),)
                 heapq.heappush(heap, (size + 1, terms.print_forest(f), val, f))
@@ -281,11 +279,9 @@ def constant_letter_realizers(hom):
     Used for confusion certificates: a root letter with constant action pins
     the value regardless of what hangs below it.
     """
-    alg = hom.target
     out = {}
     for a in sorted(set(hom.alphabet), key=terms.label_key):
-        row = alg.action[hom.letter(a)]
-        vals = set(row)
+        vals = set(hom.row(a))
         if len(vals) == 1:
             h = next(iter(vals))
             if h not in out:

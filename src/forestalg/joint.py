@@ -11,10 +11,11 @@ relation into a function or the least conflict, which is what every
 factoring check asks.
 
 An evaluator exposes zero_state(), plus_state(x, y) and letter_action(a, x).
-Cascades implement the protocol; homomorphisms and depth-k keys get small
-wrappers, and tensoring is an evaluator combinator.  None of this
-materializes a vertical monoid, which is what makes mutual-factoring checks
-cheap even when the corresponding algebras would be enormous.
+Homomorphisms (by their letter rows) and cascades implement the protocol,
+depth-k keys get a small evaluator, and tensoring is an evaluator
+combinator.  None of this materializes a vertical monoid, which is what
+makes mutual-factoring checks cheap even when the corresponding algebras
+would be enormous.
 """
 
 import itertools
@@ -81,21 +82,6 @@ def determines(pairs):
     return None, (x, y1, y2)
 
 
-class HomEvaluator:
-    def __init__(self, hom):
-        self.hom = hom
-        self.alg = hom.target
-
-    def zero_state(self):
-        return self.alg.zero
-
-    def plus_state(self, x, y):
-        return self.alg.plus(x, y)
-
-    def letter_action(self, a, x):
-        return self.alg.act(self.hom.letter(a), x)
-
-
 class TensorEvaluator:
     """The pairing (first value, second value of the relabeled forest).
 
@@ -108,7 +94,6 @@ class TensorEvaluator:
         if view is None:
             alg = first.target
             view = lambda a, x1: (a, alg.hname(x1))
-            first = HomEvaluator(first)
         self.first = first
         self.second = second
         self.view = view
@@ -126,6 +111,7 @@ class TensorEvaluator:
 
 
 def evaluate(ev, forest):
+    """Value of a forest under an evaluator."""
     state = ev.zero_state()
     for label, children in forest:
         state = ev.plus_state(state, ev.letter_action(label, evaluate(ev, children)))

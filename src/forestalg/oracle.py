@@ -24,8 +24,7 @@ from dataclasses import dataclass
 
 from . import terms
 from .defk import KdefEvaluator
-from .hom import _reachable_values
-from .joint import HomEvaluator, TensorEvaluator, closure, image
+from .joint import TensorEvaluator, closure, image
 from .reach import class_tag_names, reachability
 
 DEFAULT_MAX_PAIRS = 200_000
@@ -57,7 +56,7 @@ def tagged_class_closure(alpha, ci, k, rs=None, max_pairs=DEFAULT_MAX_PAIRS):
     if rs is None:
         rs = reachability(alg)
     tag_names = class_tag_names(alpha, ci, rs)
-    tensor = TensorEvaluator(HomEvaluator(alpha), KdefEvaluator(k),
+    tensor = TensorEvaluator(alpha, KdefEvaluator(k),
                              lambda a, h: (a, tag_names[h]))
     pairs = image(tensor, sorted(set(alpha.alphabet), key=terms.label_key),
                   max_pairs, "tagged class closure")
@@ -86,7 +85,7 @@ def _kind_contributions(alpha, tag_names, class_value_sets):
         for h in w:
             by_tag.setdefault(tag_names[h], set()).add(h)
         for a in set(alpha.alphabet):
-            row = alg.action[alpha.letter(a)]
+            row = alpha.row(a)
             for tag, members in by_tag.items():
                 out.add(_plus_closure(alg, {row[h] for h in members}))
     return out
@@ -102,7 +101,7 @@ def _class_value_sets(alpha, tag_names, k, cap):
     At most ``cap`` value sets are held per level.
     """
     alg = alpha.target
-    sets = {frozenset(_reachable_values(alpha))}
+    sets = {frozenset(image(alpha, alpha.alphabet))}
     for _ in range(k):
         kinds = _kind_contributions(alpha, tag_names, sets)
         closed = closure(kinds, kinds, lambda w2, w: _pointwise_sum(alg, w, w2),
@@ -123,7 +122,7 @@ def brute_confused_pairs(alpha, ci, k, rs=None, max_pairs=DEFAULT_MAX_PAIRS):
     members = set(rs.classes[ci])
     tag_names = class_tag_names(alpha, ci, rs)
     if k <= 0:
-        reached = members.intersection(_reachable_values(alpha))
+        reached = members.intersection(image(alpha, alpha.alphabet))
         return {(h, g) for h in reached for g in reached if h != g}
     level_sets = _class_value_sets(alpha, tag_names, k - 1, max_pairs)
     kinds = _kind_contributions(alpha, tag_names, level_sets)
@@ -141,7 +140,7 @@ def key_value_sets(alpha, ci, k, keys, rs=None):
     if rs is None:
         rs = reachability(alg)
     tag_names = class_tag_names(alpha, ci, rs)
-    reached = frozenset(_reachable_values(alpha))
+    reached = frozenset(image(alpha, alpha.alphabet))
     cache = {}
 
     def values(key, j):
@@ -155,7 +154,7 @@ def key_value_sets(alpha, ci, k, keys, rs=None):
         total = None
         for (label, child_key) in key:
             a, tag = label
-            row = alg.action[alpha.letter(a)]
+            row = alpha.row(a)
             child = values(terms.ic_normalize(child_key), j - 1)
             contribution = _plus_closure(
                 alg, {row[h] for h in child if tag_names[h] == tag})

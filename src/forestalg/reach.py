@@ -1,10 +1,10 @@
 """Reachability preorder, classes, ideals and the associated quotients.
 
-h is reachable from g when some vertical element maps g to h.  Because V is
-a monoid containing all insertions, reachability is transitive in one step
-and h+g is always reachable from h.  The classes of mutual reachability
-carry a partial order whose unique minimum is the class of the absorbing
-element.
+h is reachable from g when some vertical element maps g to h: the
+transitive closure of one step under V's generators, which include the
+identity and all insertions, so h+g is always reachable from h.  The
+classes of mutual reachability carry a partial order whose unique minimum
+is the class of the absorbing element.
 """
 
 from dataclasses import dataclass
@@ -37,16 +37,18 @@ class ReachabilityStructure:
 
 
 def reachability(alg):
-    """Classes are the strongly connected components of one-step reachability."""
+    """Classes are the strongly connected components of reachability, the
+    one step under the generators closed by Warshall's algorithm on bit sets."""
     n = alg.H.size
-    reach = [set() for _ in range(n)]
-    for row in alg.action:
+    reach = [1 << h for h in range(n)]  # bit x of reach[y]: x reachable from y
+    for row in alg.generators:
         for h in range(n):
-            reach[h].add(row[h])
-    # one step suffices: V is composition closed, so v(w h) = (vw) h
-
-    leq_elem = [[x in reach[y] for x in range(n)] for y in range(n)]
-    # leq_elem[y][x]: x reachable from y
+            reach[h] |= 1 << row[h]
+    for k in range(n):
+        bit, via = 1 << k, reach[k]
+        for y in range(n):
+            if reach[y] & bit:
+                reach[y] |= via
 
     class_of = [None] * n
     classes = []
@@ -54,13 +56,13 @@ def reachability(alg):
         if class_of[h] is not None:
             continue
         members = tuple(g for g in range(n)
-                        if leq_elem[h][g] and leq_elem[g][h])
+                        if reach[h] >> g & 1 and reach[g] >> h & 1)
         idx = len(classes)
         classes.append(members)
         for g in members:
             class_of[g] = idx
     m = len(classes)
-    leq = [[leq_elem[classes[cj][0]][classes[ci][0]] for cj in range(m)]
+    leq = [[reach[classes[cj][0]] >> classes[ci][0] & 1 == 1 for cj in range(m)]
            for ci in range(m)]
     # leq[ci][cj]: ci <= cj, i.e. ci's members reachable from cj's
 

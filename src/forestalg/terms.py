@@ -31,10 +31,6 @@ def tree(label, children=()):
     return (label, tuple(children))
 
 
-def is_empty(forest):
-    return len(forest) == 0
-
-
 def node_count(forest):
     return sum(1 + node_count(children) for _, children in forest)
 

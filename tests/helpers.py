@@ -249,3 +249,40 @@ def brute_isomorphism(rec1, rec2):
         if ok:
             return perm
     return None
+
+
+def reference_reachability(alg):
+    """(classes, class order, minimal class, subminimal classes) by one step
+    over every element of V, which is transitive because V is closed under
+    composition.  order[ci][cj]: class ci is reachable from class cj."""
+    n = alg.H.size
+    reach = [set() for _ in range(n)]
+    for row in alg.action:
+        for h in range(n):
+            reach[h].add(row[h])
+    classes = []
+    for h in range(n):
+        if not any(h in members for members in classes):
+            classes.append(tuple(g for g in range(n)
+                                 if g in reach[h] and h in reach[g]))
+    m = len(classes)
+    order = [[classes[ci][0] in reach[classes[cj][0]] for cj in range(m)]
+             for ci in range(m)]
+    low = next(c for c in range(m) if alg.absorbing() in classes[c])
+    subminimal = tuple(
+        c for c in range(m)
+        if c != low and order[low][c]
+        and not any(c2 not in (low, c) and order[low][c2] and order[c2][c]
+                    for c2 in range(m)))
+    return classes, order, low, subminimal
+
+
+def reference_ef_violation(alg):
+    """The first (v, h) over all of V, in index order, with v.h + h != v.h,
+    or None."""
+    for v in range(alg.V.size):
+        for h in range(alg.H.size):
+            vh = alg.act(v, h)
+            if alg.plus(vh, h) != vh:
+                return v, h
+    return None

@@ -182,3 +182,12 @@ def test_random_instances_are_valid_algebras():
 
     hom = random_hom(random.Random(42))
     assert hom.target.check_axioms() == []
+
+
+def test_insertion_closure_reported_before_faithfulness():
+    H = FiniteMonoid(((0, 1), (1, 1)), 0, ("0", "inf"))
+    V = FiniteMonoid(((0, 1), (1, 1)), 0, ("1", "x"))
+    alg = ForestAlgebra(H, V, ((0, 1), (0, 1)), faithful=True)
+    assert [str(p) for p in alg.check_axioms()] == [
+        "insertion-closure violated at inf: no vertical element acts as h -> inf+h",
+        "faithfulness violated at 1/x: distinct elements act identically"]

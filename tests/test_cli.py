@@ -185,3 +185,11 @@ def test_deep_input_is_input_error(capsys):
     code, out, err = run(capsys, "eval", fx("u1_efa.fa"), deep)
     assert code == 2 and out == ""
     assert err == "error: input nested too deeply\n"
+
+
+def test_negative_depth_is_input_error(capsys):
+    for argv in (("simk", "--k", "-1", "a", "b"),
+                 ("oracle-check", fx("u2_abc.fa"), "--max-k", "-1")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == "error: a depth cannot be negative, got -1\n"

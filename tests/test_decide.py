@@ -2,16 +2,19 @@ import random
 
 import pytest
 
-from forestalg import logic, terms
-from forestalg.algebra import u1, u2
+from forestalg import algebra, logic, terms
+from forestalg.algebra import direct_product, u1, u2
 from forestalg.decide import (confusion_witness, decide, is_ef_algebra,
                               nonconfusion)
 from forestalg.defk import simk_equiv
-from forestalg.hom import image_restrict, relabeled
+from forestalg.hom import image_restrict, relabeled, syntactic
 from forestalg.reach import class_tag_names, quotient_hom, reachability
 
 from helpers import (example_language_recognizer, four_element_algebra,
-                     random_hom, u2_example_recognizer)
+                     random_big_recognizer, random_hom, random_recognizer,
+                     reference_ef_violation, u2_example_recognizer)
+
+CYCLE3 = "EF(a0 & EX a1) | EF(a1 & EX a2) | EF(a2 & EX a0)"
 
 
 def F(text):
@@ -187,3 +190,44 @@ def test_wreath_closure_of_nonconfusion():
                              {b: rng.choice((1, 2)) for b in B})
         gamma = wreath_compose(alpha, beta2)
         assert nonconfusion(image_restrict(gamma)).nonconfusing
+
+
+def test_is_ef_algebra_matches_full_vertical_scan():
+    rng = random.Random(4041)
+    algs = [u1(), u2(), direct_product(u1(), u2())[0],
+            four_element_algebra().hom.target]
+    recs = [random_recognizer(rng) for _ in range(80)]
+    recs += [random_big_recognizer(rng, atoms=4) for _ in range(4)]
+    for text in ("EF a & EF b", "EF(a & EF b) | EF b", "!EF(a & !EF b)",
+                 "EX a", CYCLE3):
+        alphabet = sorted(logic.formula_letters(logic.parse_formula(text)))
+        recs.append(logic.to_recognizer(logic.parse_formula(text), alphabet))
+    for rec in recs:
+        algs += [rec.hom.target, syntactic(rec)[0].hom.target]
+    verdicts = set()
+    for alg in algs:
+        ok, violation = is_ef_algebra(alg)
+        expected = reference_ef_violation(alg)
+        verdicts.add(ok)
+        assert ok == (expected is None)
+        if violation is not None:
+            assert (violation.v, violation.h) == expected
+    assert verdicts == {True, False}
+
+
+def test_deciders_close_vertical_only_to_name_an_ef_violation(monkeypatch):
+    """Only the negative EF certificate names a vertical element."""
+    calls = []
+    close_vertical = algebra.close_vertical
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return close_vertical(*args, **kwargs)
+
+    monkeypatch.setattr(algebra, "close_vertical", counted)
+    phi = logic.parse_formula(CYCLE3)
+    for fragment, closures in (("ex", 0), ("efex", 0), ("ef", 1)):
+        calls.clear()
+        decision = decide(logic.to_recognizer(phi, ("a0", "a1", "a2")), fragment)
+        assert len(calls) == closures, fragment
+        assert decision.definable == (fragment == "efex")

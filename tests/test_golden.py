@@ -61,6 +61,19 @@ def fixture_reports(name):
     return out
 
 
+def formula_reports():
+    """{command line: {"exit": code, "stdout": text}} for ``decide
+    --formula`` under every logic, on each compiled formula."""
+    out = {}
+    for formula, alphabet in COMPILED.values():
+        for logic_name in ("ef", "ex", "efex"):
+            cmd = ("decide", "--logic", logic_name, "--certificate", "--json",
+                   "--formula", formula, "--alphabet", alphabet)
+            code, text = _run(cmd)
+            out[" ".join(cmd)] = {"exit": code, "stdout": text}
+    return out
+
+
 def printed_outputs():
     """{golden file name: text} for the compiled and printed algebras."""
     out = {}
@@ -97,6 +110,9 @@ def _report_path(name):
     return os.path.join(GOLDEN, "reports_%s.json" % name[:-len(".fa")])
 
 
+FORMULA_REPORTS = os.path.join(GOLDEN, "reports_formulas.json")
+
+
 def _read(path):
     with open(path, "r", encoding="utf-8", newline="") as fh:
         return fh.read()
@@ -109,6 +125,10 @@ def _dump_reports(reports):
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_fixture_reports_match_golden(name):
     assert _dump_reports(fixture_reports(name)) == _read(_report_path(name))
+
+
+def test_formula_reports_match_golden():
+    assert _dump_reports(formula_reports()) == _read(FORMULA_REPORTS)
 
 
 def test_printed_algebras_match_golden():
@@ -125,6 +145,7 @@ def _write():
     os.makedirs(GOLDEN, exist_ok=True)
     files = {_report_path(n): _dump_reports(fixture_reports(n))
              for n in FIXTURE_NAMES}
+    files[FORMULA_REPORTS] = _dump_reports(formula_reports())
     for outputs in (printed_outputs(), syntactic_outputs()):
         files.update({os.path.join(GOLDEN, f): t for f, t in outputs.items()})
     for path, text in files.items():

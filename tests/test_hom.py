@@ -1,18 +1,20 @@
 import random
 
 from forestalg import logic, terms
-from forestalg.algebra import u2
-from forestalg.hom import (Homomorphism, Recognizer, _reachable_values,
+from forestalg.algebra import close_vertical, horizontal_monoid, u2
+from forestalg.hom import (Homomorphism, Recognizer,
                            constant_letter_realizers, factors_through,
-                           image_restrict, reachable_pairs, realize,
+                           generated, image_restrict, reachable_pairs, realize,
                            recognizers_isomorphic, relabeled,
                            restrict_recognizer, syntactic)
 from forestalg.io import print_algebra
+from forestalg.joint import image
 from forestalg.oracle import random_forest
 from forestalg.reach import quotient_hom
 
 from helpers import (brute_isomorphism, four_element_algebra, permuted_copy,
                      random_big_recognizer, random_recognizer,
+                     random_semilattice,
                      reference_syntactic, u2_example_recognizer)
 
 
@@ -128,7 +130,7 @@ def test_syntactic_trivial_cases():
 def _check_projection(rec, syn, proj):
     """proj is onto and respects 0, +, every letter and acceptance."""
     src, tgt = rec.hom.target, syn.hom.target
-    assert set(proj) == set(_reachable_values(rec.hom))
+    assert set(proj) == set(image(rec.hom, rec.hom.alphabet))
     assert set(proj.values()) == set(range(tgt.H.size))
     assert proj[src.zero] == tgt.zero
     for h in proj:
@@ -271,3 +273,36 @@ def test_u2_example_is_onto():
     hom = image_restrict(u2_example_recognizer().hom)
     assert hom.target.H.size == 2
     assert hom.target.V.size == 3
+
+
+def test_generated_matches_eager_closure():
+    """Same letter indices, generators as V's first rows, and the same
+    printed algebra once V is read.  Letters may repeat a row, act as the
+    identity or act as an insertion."""
+    rng = random.Random(4042)
+    letters = ("a", "b", "c", "d")
+    for _ in range(150):
+        H = random_semilattice(rng)
+        n = H.size
+        rows = {}
+        for a in letters:
+            roll = rng.random()
+            if roll < 0.2:
+                rows[a] = tuple(range(n))
+            elif roll < 0.4:
+                rows[a] = H.op[rng.randrange(n)]
+            elif roll < 0.6 and rows:
+                rows[a] = rows[rng.choice(sorted(rows))]
+            else:
+                rows[a] = tuple(rng.randrange(n) for _ in range(n))
+        hom = generated(letters, H.op, H.identity, rows)
+        alg = hom.target
+        assert "V" not in vars(alg) and "action" not in vars(alg)
+        assert all(hom.row(a) == rows[a] for a in letters)
+        eager, genmap = close_vertical(horizontal_monoid(H.op, H.identity),
+                                       rows, warn_on_merge=False)
+        assert hom.assign == genmap
+        assert alg.generators == eager.action[:len(alg.generators)]
+        assert (print_algebra(alg, letters=hom.assign)
+                == print_algebra(eager, letters=genmap))
+        assert alg.action == eager.action

@@ -1,12 +1,15 @@
 import random
 
-from forestalg.algebra import direct_product, u1
-from forestalg.hom import Homomorphism, factors_through, image_restrict
+from forestalg.algebra import direct_product, u1, u2
+from forestalg.hom import (Homomorphism, factors_through, image_restrict,
+                           syntactic)
 from forestalg.reach import (class_tag_names, dot_export, ideal_below,
                              ideal_not_above, quotient_hom, reachability,
                              subminimal_factorization)
 
-from helpers import four_element_algebra, random_hom, u2_example_recognizer
+from helpers import (four_element_algebra, random_big_recognizer, random_hom,
+                     random_recognizer, reference_reachability,
+                     u2_example_recognizer)
 
 
 def test_chain_classes():
@@ -155,3 +158,30 @@ def test_dot_export_shapes():
     qhom, _ = quotient_hom(hom, 0, "strict")
     dot0 = dot_export(reachability(qhom.target))
     assert dot0.count("->") == 0
+
+
+def _algebras_for_reachability(rng):
+    """Explicit algebras, random recognizers' targets, their image
+    restrictions and their syntactic quotients."""
+    yield u1()
+    yield u2()
+    yield direct_product(u1(), u2())[0]
+    yield four_element_algebra().hom.target
+    recs = [random_recognizer(rng) for _ in range(60)]
+    recs += [random_big_recognizer(rng, atoms=4) for _ in range(4)]
+    for rec in recs:
+        yield rec.hom.target
+        yield image_restrict(rec.hom).target
+        yield syntactic(rec)[0].hom.target
+
+
+def test_reachability_matches_full_vertical_reference():
+    rng = random.Random(4040)
+    for alg in _algebras_for_reachability(rng):
+        rs = reachability(alg)
+        classes, order, low, subminimal = reference_reachability(alg)
+        m = len(classes)
+        assert list(rs.classes) == classes
+        assert [[rs.leq(ci, cj) for cj in range(m)] for ci in range(m)] == order
+        assert rs.min_class == low
+        assert rs.subminimal == subminimal
