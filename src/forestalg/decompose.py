@@ -39,10 +39,22 @@ OTHER_STAGE = "other"
 
 @dataclass
 class Stage:
+    """One cascade stage.  ``letters`` maps (letter, values of the first
+    ``prefix_len`` stages) to a vertical index of ``target``.  Indices below
+    ``len(target.generators)`` are read from the generator rows, so a stage
+    that assigns generators, as every produced stage does, never closes
+    the target's V."""
+
     kind: str
     target: object
     prefix_len: int
     letters: dict = field(repr=False)
+
+    def rows(self):
+        """The letters as action rows, keyed like ``letters``."""
+        gens = self.target.generators
+        return {key: gens[v] if v < len(gens) else self.target.action[v]
+                for key, v in self.letters.items()}
 
     def describe(self):
         return "%s stage (%s), reads %d earlier coordinates" % (
@@ -50,32 +62,39 @@ class Stage:
 
 
 class Cascade:
+    """A list of stages, evaluated as one evaluator (see joint).
+
+    Stages are added with append(), which records the stage's sum table
+    and its letters as action rows, so a state step is one table lookup
+    per stage.
+    """
+
     def __init__(self, alphabet, max_size=DEFAULT_MAX_SIZE):
         self.alphabet = tuple(sorted(set(alphabet), key=terms.label_key))
         self.stages = []
         self.max_size = max_size
         self._states = None
+        self._sums = []      # per stage: target.H.op
+        self._rows = []      # per stage: (prefix_len, Stage.rows())
 
     def __len__(self):
         return len(self.stages)
 
     def append(self, stage):
         self.stages.append(stage)
+        self._sums.append(stage.target.H.op)
+        self._rows.append((stage.prefix_len, stage.rows()))
         self._states = None
 
     def zero_state(self):
         return tuple(st.target.zero for st in self.stages)
 
     def plus_state(self, x, y):
-        return tuple(st.target.plus(x[i], y[i])
-                     for i, st in enumerate(self.stages))
+        return tuple([t[a][b] for t, a, b in zip(self._sums, x, y)])
 
     def letter_action(self, a, state):
-        out = []
-        for i, st in enumerate(self.stages):
-            v = st.letters[(a,) + tuple(state[:st.prefix_len])]
-            out.append(st.target.act(v, state[i]))
-        return tuple(out)
+        return tuple([rows[(a,) + state[:n]][h]
+                      for (n, rows), h in zip(self._rows, state)])
 
     eval = evaluate
 
@@ -372,8 +391,8 @@ def _append_alarm_stage(casc, alpha, rs, cj, k, qhom, proj, view, max_size):
     members = set(rs.classes[cj])
     inf = alg.absorbing()
     tags = _class_tag_map(casc, view, k, max_size)
-    tree_keys = sorted({terms.ic_normalize((root_tree,))
-                        for key in tags.values() for root_tree in key},
+    tree_keys = sorted({(root_tree,) for key in tags.values()
+                        for root_tree in key},
                        key=lambda key: terms.tree_key(("r", key)))
     tree_values = key_value_sets(alpha, cj, k, tree_keys, rs)
     qname_index = {qalg.hname(h): h for h in range(qalg.H.size)}
@@ -384,8 +403,7 @@ def _append_alarm_stage(casc, alpha, rs, cj, k, qhom, proj, view, max_size):
         q1 = qhom.row(b)[qname_index[tagname]]
         if q1 != qinf:
             return back[q1]
-        candidates = sorted(
-            tree_values[terms.ic_normalize((root_tree,))] & members)
+        candidates = sorted(tree_values[(root_tree,)] & members)
         if len(candidates) > 1:
             raise InternalError("nonconfusion left an ambiguous class value")
         if candidates:

@@ -53,8 +53,19 @@ def simk_tset(forest, k):
 # ---------------------------------------------------------------------------
 # Free k-definite algebra
 
-def key_sum(c1, c2):
-    return terms.ic_normalize(c1 + c2)
+def key_sum(c1, c2, order=terms.tree_key):
+    """Canonical key of the sum of two canonical keys.
+
+    A canonical key is a tuple of distinct canonical trees sorted by
+    terms.tree_key, so the key of the sum is their sorted union: exactly
+    ic_normalize(c1 + c2), with no tree normalized again.  ``order`` is
+    terms.tree_key or a memo of it.
+    """
+    if not c1 or c1 == c2:
+        return c2
+    if not c2:
+        return c1
+    return tuple(sorted(set(c1).union(c2), key=order))
 
 
 def key_letter(label, c, k):
@@ -63,21 +74,40 @@ def key_letter(label, c, k):
     return terms.ic_normalize((terms.tree(label, terms.truncate(c, k - 1)),))
 
 
+class _TreeKeys(dict):
+    """terms.tree_key memoized per tree."""
+
+    def __missing__(self, t):
+        key = self[t] = terms.tree_key(t)
+        return key
+
+
 class KdefEvaluator:
     """Evaluates forests to their canonical depth-k keys, without building
-    the quotient algebra; accepts any letters."""
+    the quotient algebra; accepts any letters.
+
+    States are canonical keys (nested tuples, as simk_key returns).  Sums
+    merge two keys by key_sum, ordered by a per-tree memo of tree_key, and
+    each key_letter result is memoized per (letter, key).  Both memos live
+    on the instance and are freed with it.
+    """
 
     def __init__(self, k):
         self.k = k
+        self._order = _TreeKeys().__getitem__
+        self._letters = {}
 
     def zero_state(self):
         return ()
 
     def plus_state(self, x, y):
-        return key_sum(x, y)
+        return key_sum(x, y, self._order)
 
     def letter_action(self, a, x):
-        return key_letter(a, x, self.k)
+        got = self._letters.get((a, x))
+        if got is None:
+            got = self._letters[(a, x)] = key_letter(a, x, self.k)
+        return got
 
 
 def free_kdefinite(alphabet, k, max_classes=DEFAULT_MAX_CLASSES):
@@ -90,10 +120,12 @@ def free_kdefinite(alphabet, k, max_classes=DEFAULT_MAX_CLASSES):
     only; factoring tests at larger sizes go through KdefEvaluator instead.
     """
     alphabet = tuple(sorted(set(alphabet), key=terms.label_key))
-    index = image(KdefEvaluator(k), alphabet, max_classes, "depth-%d classes" % k)
+    ev = KdefEvaluator(k)
+    index = image(ev, alphabet, max_classes, "depth-%d classes" % k)
     keys = list(index)
-    plus = [[index[key_sum(x, y)] for y in keys] for x in keys]
-    rows = {a: tuple(index[key_letter(a, x, k)] for x in keys) for a in alphabet}
+    plus = [[index[ev.plus_state(x, y)] for y in keys] for x in keys]
+    rows = {a: tuple(index[ev.letter_action(a, x)] for x in keys)
+            for a in alphabet}
     hom = generated(alphabet, plus, 0, rows)
     hom.keys = tuple(keys)
     return hom.target, hom

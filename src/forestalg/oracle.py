@@ -135,7 +135,11 @@ def brute_confused_pairs(alpha, ci, k, rs=None, max_pairs=DEFAULT_MAX_PAIRS):
 
 def key_value_sets(alpha, ci, k, keys, rs=None):
     """Exact value sets {alpha(s) : tagged class of s is the key}, for the
-    given concrete keys, by the same group decomposition."""
+    given concrete keys, by the same group decomposition.
+
+    The keys must be canonical (as simk_key and the depth-k closures
+    return them); they are not normalized again.
+    """
     alg = alpha.target
     if rs is None:
         rs = reachability(alg)
@@ -155,7 +159,7 @@ def key_value_sets(alpha, ci, k, keys, rs=None):
         for (label, child_key) in key:
             a, tag = label
             row = alpha.row(a)
-            child = values(terms.ic_normalize(child_key), j - 1)
+            child = values(child_key, j - 1)
             contribution = _plus_closure(
                 alg, {row[h] for h in child if tag_names[h] == tag})
             if total is None:
@@ -168,7 +172,7 @@ def key_value_sets(alpha, ci, k, keys, rs=None):
         cache[(key, j)] = total
         return total
 
-    return {key: values(terms.ic_normalize(key), k) for key in keys}
+    return {key: values(key, k) for key in keys}
 
 
 # ---------------------------------------------------------------------------

@@ -2,19 +2,19 @@ import random
 
 import pytest
 
-from forestalg import logic
+from forestalg import algebra, logic
 from forestalg.algebra import u1, u2
 from forestalg.decide import nonconfusion
 from forestalg.decompose import (ONE_DEFINITE_STAGE, U1_STAGE,
                                  decompose_ef, decompose_efex,
                                  decompose_kdefinite, tensor_cascade,
                                  wreath_compose)
-from forestalg.defk import alpha1, definiteness_degree
+from forestalg.defk import alpha1, definiteness_degree, free_kdefinite
 from forestalg.errors import (AlphabetMismatchError, InternalError,
                               NotEFAlgebra, NotKDefinite, NotNonconfusing)
 from forestalg.hom import (Homomorphism, factors_through, image_restrict,
                            relabeled, syntactic)
-from forestalg.joint import evaluate
+from forestalg.joint import TensorEvaluator, evaluate, mutually_determine
 from forestalg.oracle import random_forest
 
 from helpers import (example_language_recognizer, four_element_algebra,
@@ -75,6 +75,25 @@ def test_wreath_compose_first_coordinate_is_alpha():
         if name not in ("0", "inf"):
             assert name.startswith("(%s," % alpha.target.hname(alpha.eval(s)))
         assert gamma.eval(s + s) == gamma.eval(s)
+
+
+def test_wreath_compose_of_generated_algebras_closes_no_vertical_monoid(
+        monkeypatch):
+    """Stage letters that are generator indices act by generator rows."""
+    calls = []
+    close_vertical = algebra.close_vertical
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return close_vertical(*args, **kwargs)
+
+    monkeypatch.setattr(algebra, "close_vertical", counted)
+    alpha = alpha1(("a", "b"))
+    beta = free_kdefinite(_tagged_alphabet(alpha), 1)[1]
+    gamma = wreath_compose(alpha, beta)
+    assert mutually_determine(gamma, TensorEvaluator(alpha, beta),
+                              alpha.alphabet)
+    assert calls == []
 
 
 def test_product_factors_through_wreath():

@@ -5,11 +5,11 @@ import pytest
 from forestalg import logic, terms
 from forestalg.defk import (KdefEvaluator, alpha1, definiteness_degree,
                             definiteness_oracle, ex_definable_by_idempotents,
-                            free_kdefinite, guarded_semigroup, simk_equiv,
-                            simk_tset)
+                            free_kdefinite, guarded_semigroup, key_sum,
+                            simk_equiv, simk_key, simk_tset)
 from forestalg.errors import SizeLimitError
 from forestalg.hom import factors_through, image_restrict, syntactic
-from forestalg.joint import TensorEvaluator, mutually_determine
+from forestalg.joint import TensorEvaluator, evaluate, mutually_determine
 from forestalg.oracle import enumerate_forests, random_forest
 
 from helpers import u2_example_recognizer
@@ -55,6 +55,48 @@ def test_simk_refinement():
         for k in range(4):
             if simk_equiv(s, t, k + 1):
                 assert simk_equiv(s, t, k)
+
+
+def _random_canonical_trees(rng, labels, depth, count):
+    """``count`` canonical trees of depth at most ``depth``; children are
+    drawn from the trees made before, so keys built from them share
+    subtrees."""
+    trees = []
+    for _ in range(count):
+        below = [t for t in trees if terms.forest_depth((t,)) < depth]
+        children = ()
+        if below:
+            children = terms.ic_normalize(
+                tuple(rng.choice(below) for _ in range(rng.randint(0, 3))))
+        trees.append(terms.tree(rng.choice(labels), children))
+    return trees
+
+
+def test_key_sum_is_normalized_concatenation():
+    rng = random.Random(4)
+    for depth in (1, 2, 3):
+        for _ in range(60):
+            letters = ("a", "b", "c")[:rng.randint(1, 3)]
+            labels = list(letters) + [(a, rng.choice(("0", "h1", "inf")))
+                                      for a in letters]
+            trees = _random_canonical_trees(rng, labels, depth, 12)
+            keys = [terms.ic_normalize(tuple(rng.sample(trees, rng.randint(
+                0, min(4, len(trees)))))) for _ in range(6)]
+            ev = KdefEvaluator(depth)
+            for c1 in keys:
+                for c2 in keys:
+                    want = terms.ic_normalize(c1 + c2)
+                    assert key_sum(c1, c2) == want
+                    assert ev.plus_state(c1, c2) == want
+
+
+def test_kdef_evaluator_matches_simk_key():
+    rng = random.Random(5)
+    evaluators = [KdefEvaluator(k) for k in range(4)]
+    for _ in range(150):
+        s = random_forest(rng, ("a", "b", "c"), 4, 3)
+        for k, ev in enumerate(evaluators):
+            assert evaluate(ev, s) == simk_key(s, k).key
 
 
 def test_free_kdefinite_sizes():

@@ -43,12 +43,27 @@ COMPILED = {
     "compile_ex_ex_a.fa": ("EX(EX a)", "a,b"),
 }
 
+CYCLE2 = ("EF(a & EX b) | EF(b & EX a)", "a,b")
+
+# golden file name -> (formula, alphabet, extra decompose options); the
+# first two print every stage letter, the last is the default-cap refusal.
+DECOMPOSED = {
+    "decompose_cycle2_65536.txt": CYCLE2 + (("--letters", "--max-size", "65536"),),
+    "decompose_ex_ex_a.txt": ("EX(EX a)", "a,b", ("--letters",)),
+    "decompose_cycle2_refusal.json": CYCLE2 + ((),),
+}
+
 
 def _run(argv):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    return _run_both(argv)[:2]
+
+
+def _run_both(argv):
+    """(exit code, stdout, stderr) of one in-process CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(list(argv))
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 def fixture_reports(name):
@@ -106,6 +121,22 @@ def syntactic_outputs():
     return out
 
 
+def decomposed_outputs():
+    """{golden file name: text} for ``decompose --logic efex --formula``:
+    the printed cascades, and the exit code and error of the refusal."""
+    out = {}
+    for fname, (formula, alphabet, options) in DECOMPOSED.items():
+        code, text, err = _run_both(
+            ("decompose", "--logic", "efex", "--formula", formula,
+             "--alphabet", alphabet) + options)
+        if fname.endswith(".json"):
+            text = _dump_reports({"exit": code, "stdout": text, "stderr": err})
+        else:
+            assert (code, err) == (0, ""), fname
+        out[fname] = text
+    return out
+
+
 def _report_path(name):
     return os.path.join(GOLDEN, "reports_%s.json" % name[:-len(".fa")])
 
@@ -141,12 +172,18 @@ def test_syntactic_algebras_match_golden():
         assert text == _read(os.path.join(GOLDEN, fname)), fname
 
 
+def test_decomposed_cascades_match_golden():
+    for fname, text in decomposed_outputs().items():
+        assert text == _read(os.path.join(GOLDEN, fname)), fname
+
+
 def _write():
     os.makedirs(GOLDEN, exist_ok=True)
     files = {_report_path(n): _dump_reports(fixture_reports(n))
              for n in FIXTURE_NAMES}
     files[FORMULA_REPORTS] = _dump_reports(formula_reports())
-    for outputs in (printed_outputs(), syntactic_outputs()):
+    for outputs in (printed_outputs(), syntactic_outputs(),
+                    decomposed_outputs()):
         files.update({os.path.join(GOLDEN, f): t for f, t in outputs.items()})
     for path, text in files.items():
         with open(path, "w", encoding="utf-8", newline="") as fh:

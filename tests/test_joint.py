@@ -2,14 +2,16 @@ import random
 
 import pytest
 
-from forestalg.defk import key_letter, key_sum
+from forestalg import terms
+from forestalg.decompose import tensor_cascade
 from forestalg.errors import SizeLimitError
-from forestalg.hom import reachable_pairs
+from forestalg.hom import generated, reachable_pairs
 from forestalg.joint import closure, determines
 from forestalg.oracle import tagged_class_closure
 from forestalg.reach import class_tag_names, reachability
 
-from helpers import random_cascade, random_hom, reference_closure
+from helpers import (random_cascade, random_hom, random_semilattice,
+                     reference_closure)
 
 
 def test_closure_discovery_order():
@@ -81,13 +83,52 @@ def test_reachable_pairs_match_reference():
         assert reachable_pairs(alpha, beta) == want
 
 
+def _reference_cascade(casc):
+    """(zero, letter step, sum) of a cascade, from each stage's target."""
+    stages = casc.stages
+
+    def act(a, state):
+        return tuple(st.target.act(st.letters[(a,) + state[:st.prefix_len]],
+                                   state[i])
+                     for i, st in enumerate(stages))
+
+    def plus(x, y):
+        return tuple(st.target.plus(x[i], y[i]) for i, st in enumerate(stages))
+
+    return tuple(st.target.zero for st in stages), act, plus
+
+
+def _random_tagged_hom(rng, alpha):
+    """A random generated homomorphism over alpha's letter/value pairs."""
+    H = random_semilattice(rng, 4)
+    n = H.size
+    letters = [(a, alpha.target.hname(h)) for a in alpha.alphabet
+               for h in range(alpha.target.H.size)]
+    rows = {b: tuple(rng.randrange(n) for _ in range(n)) for b in letters}
+    return generated(letters, H.op, H.identity, rows)
+
+
+def _check_against_reference(casc):
+    zero, act, plus = _reference_cascade(casc)
+    want = reference_closure(zero, casc.alphabet, act, plus)
+    assert casc.reachable_states() == sorted(want)
+    for x in want:
+        for a in casc.alphabet:
+            assert casc.letter_action(a, x) == act(a, x)
+        for y in want:
+            assert casc.plus_state(x, y) == plus(x, y)
+
+
 def test_cascade_states_match_reference():
     rng = random.Random(32)
     for _ in range(25):
-        casc = random_cascade(rng, max_h=4)
-        want = reference_closure(casc.zero_state(), casc.alphabet,
-                                 casc.letter_action, casc.plus_state)
-        assert casc.reachable_states() == sorted(want)
+        # second-stage letters are arbitrary vertical indices
+        _check_against_reference(random_cascade(rng, max_h=4))
+    for _ in range(25):
+        # generated algebras on both stages; letters are generator indices
+        alpha = random_hom(rng, max_h=4)
+        _check_against_reference(
+            tensor_cascade(alpha, _random_tagged_hom(rng, alpha)))
 
 
 def test_tagged_class_closure_matches_reference():
@@ -103,8 +144,12 @@ def test_tagged_class_closure_matches_reference():
             for k in range(2):
                 want = reference_closure(
                     (alg.zero, ()), alpha.alphabet,
-                    lambda a, p: (alg.act(alpha.letter(a), p[0]),
-                                  key_letter((a, tags[p[0]]), p[1], k)),
-                    lambda p, q: (alg.plus(p[0], q[0]), key_sum(p[1], q[1])))
+                    lambda a, p: (
+                        alg.act(alpha.letter(a), p[0]),
+                        terms.ic_normalize((terms.tree(
+                            (a, tags[p[0]]), terms.truncate(p[1], k - 1)),))
+                        if k > 0 else ()),
+                    lambda p, q: (alg.plus(p[0], q[0]),
+                                  terms.ic_normalize(p[1] + q[1])))
                 got = tagged_class_closure(alpha, ci, k, rs)
                 assert got.pairs == want

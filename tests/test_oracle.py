@@ -139,6 +139,8 @@ def test_key_value_sets_match_tagged_closure():
     rs = reachability(hom.target)
     closure = tagged_class_closure(hom, 0, 1, rs)
     by_key = closure.values_by_key()
+    # key_value_sets takes canonical keys, which the closure yields
+    assert all(key == terms.ic_normalize(key) for key in by_key)
     values = key_value_sets(hom, 0, 1, list(by_key), rs)
     for key, want in by_key.items():
         assert values[key] == frozenset(want)
@@ -153,6 +155,7 @@ def test_key_value_sets_against_enumeration():
     for s in enumerate_forests(("a", "b"), 3, 2):
         key = simk_key(relabeled(s, hom, tags), 2).key
         observed.setdefault(key, set()).add(hom.eval(s))
+    assert all(key == terms.ic_normalize(key) for key in observed)
     exact = key_value_sets(hom, sub, 2, list(observed), rs)
     for key, seen in observed.items():
         assert seen <= exact[key]
