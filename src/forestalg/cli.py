@@ -22,13 +22,17 @@ EXIT_INPUT = 2
 EXIT_SIZE = 3
 
 
+def _require_laws(path, alg):
+    problems = alg.check_axioms()
+    if problems:
+        raise ForestAlgError("%s: invalid algebra: %s" % (path, problems[0]))
+
+
 def _load_recognizer(path):
     alg, letters, accept = io.load_algebra(path)
     if letters is None:
         raise ForestAlgError("%s: missing letters: section" % path)
-    problems = alg.check_axioms()
-    if problems:
-        raise ForestAlgError("%s: invalid algebra: %s" % (path, problems[0]))
+    _require_laws(path, alg)
     hom = Homomorphism(tuple(sorted(letters)), alg, dict(letters))
     return Recognizer(hom, accept if accept is not None else frozenset())
 
@@ -101,8 +105,7 @@ def _cmd_compile(args):
     phi = logic.parse_formula(args.formula, require=logic.FOREST)
     alphabet = _parse_alphabet(args.alphabet)
     rec = logic.to_recognizer(phi, alphabet)
-    text = io.print_algebra(rec.hom.target,
-                            letters=dict(rec.hom.assign), accept=rec.accept)
+    text = io.print_recognizer(rec)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -118,8 +121,7 @@ def _cmd_compile(args):
 def _cmd_syntactic(args):
     rec = _load_recognizer(args.file)
     syn, _ = syntactic(rec)
-    text = io.print_algebra(syn.hom.target,
-                            letters=dict(syn.hom.assign), accept=syn.accept)
+    text = io.print_recognizer(syn)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -133,7 +135,8 @@ def _cmd_syntactic(args):
 
 def _cmd_reach(args):
     alg, letters, accept = io.load_algebra(args.file)
-    rs = reach.reachability(alg)
+    rs = reach.reachability(alg)  # reports a missing insertion itself
+    _require_laws(args.file, alg)
     if args.dot:
         sys.stdout.write(reach.dot_export(rs))
         return EXIT_TRUE

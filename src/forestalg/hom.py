@@ -6,8 +6,10 @@ provides evaluation of forests and contexts, the exact reachable-pair
 closure used for factoring tests, image restriction, syntactic quotients
 of recognizers, and witness-term realization.
 
-generated() builds every generated algebra in the package from a sum table
-and letter rows; its vertical monoid is closed only when first read.  Image
+generated() builds every generated algebra the package computes from a
+sum table and letter rows (io loads recognizer files through the same
+algebra.generated_algebra, keeping the file's element names); its vertical
+monoid is closed only when first read.  Image
 restriction and the syntactic quotient (partition refinement under letters
 and insertions) work on H and the rows and never build a vertical monoid.
 """

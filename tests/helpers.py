@@ -4,7 +4,7 @@ algorithms for the test suite."""
 import itertools
 import random
 
-from forestalg.algebra import close_vertical, horizontal_monoid
+from forestalg.algebra import Violation, close_vertical, horizontal_monoid
 from forestalg.hom import Homomorphism, Recognizer
 from forestalg import logic, terms
 
@@ -53,6 +53,32 @@ def u2_example_recognizer():
               "c": alg.V.names.index("cinf")}
     hom = Homomorphism(("a", "b", "c"), alg, assign)
     return Recognizer(hom, frozenset({alg.H.names.index("inf")}))
+
+
+# u1 with an accepting set, as printed by io.print_algebra(u1())
+U1_ACCEPTING = ("H: 0 inf\nplus:\n0 inf\ninf inf\nV: 1 cinf\ncompose:\n1 cinf\n"
+                "cinf cinf\nact:\n0 inf\ninf inf\naccept: inf\n")
+
+# Files whose letters, letter rows or sections are malformed, by what is wrong.
+BAD_LETTER_FILES = {
+    "duplicate letter": U1_ACCEPTING + "letters: a=cinf a=1\n",
+    "empty letter": U1_ACCEPTING + "letters: =cinf\n",
+    "letter ending in a colon": U1_ACCEPTING + "letters: a:=cinf\n",
+    "second letters section": U1_ACCEPTING + "letters: a=cinf\nletters: b=1\n",
+    "row: duplicate letter": "H: 0 inf\nplus:\n0 inf\ninf inf\n"
+                             "letter: a\ninf inf\nletter: a\n0 inf\naccept: inf\n",
+    "row: empty letter": "H: 0 inf\nplus:\n0 inf\ninf inf\nletter:\naccept: inf\n",
+    "row: ragged, short": "H: 0 inf\nplus:\n0 inf\ninf inf\nletter: a\ninf\naccept:\n",
+    "row: ragged, long": "H: 0 inf\nplus:\n0 inf\ninf inf\nletter: a\ninf inf 0\n"
+                         "accept:\n",
+    "row: unknown H name": "H: 0 inf\nplus:\n0 inf\ninf inf\nletter: a\ninf zz\n"
+                           "accept:\n",
+    "row: letters section": "H: 0 inf\nplus:\n0 inf\ninf inf\nletters: a=1\naccept:\n",
+    "row: no 0": "H: z inf\nplus:\nz inf\ninf inf\nletter: a\ninf inf\naccept:\n",
+    "row: no accept": "H: 0 inf\nplus:\n0 inf\ninf inf\nletter: a\ninf inf\n",
+    "row: letter after accept": "H: 0 inf\nplus:\n0 inf\ninf inf\naccept:\n"
+                                "letter: a\ninf inf\n",
+}
 
 
 # ---------------------------------------------------------------------------
@@ -286,3 +312,71 @@ def reference_ef_violation(alg):
             if alg.plus(vh, h) != vh:
                 return v, h
     return None
+
+
+def reference_monoid_check(monoid):
+    """Identity and associativity violations by the triple loop over the
+    table, at most 21 of them, in (x, y, z) order."""
+    out = []
+    op = monoid.op
+    n = monoid.size
+    e = monoid.identity
+    names = monoid.names
+    for i in range(n):
+        if op[e][i] != i or op[i][e] != i:
+            out.append(Violation("identity", (names[e], names[i]),
+                                 "identity is not neutral"))
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if op[op[i][j]][k] != op[i][op[j][k]]:
+                    out.append(Violation("associativity",
+                                         (names[i], names[j], names[k]),
+                                         "(xy)z != x(yz)"))
+                    if len(out) > 20:
+                        return out
+    return out
+
+
+def reference_check_axioms(alg):
+    """Every law of the algebra by a full scan over its tables, V's
+    associativity included, in the order check_axioms reports them.
+    Reads V, so it closes the vertical monoid of a generated algebra."""
+    out = []
+    for violation in reference_monoid_check(alg.H):
+        out.append(Violation("H-" + violation.law, violation.witness, violation.detail))
+    for violation in reference_monoid_check(alg.V):
+        out.append(Violation("V-" + violation.law, violation.witness, violation.detail))
+    hn, vn = alg.H.names, alg.V.names
+    plus = alg.H.op
+    n = alg.H.size
+    for h in range(n):
+        for g in range(n):
+            if plus[h][g] != plus[g][h]:
+                out.append(Violation("H-commutativity", (hn[h], hn[g]),
+                                     "h+g != g+h"))
+        if plus[h][h] != h:
+            out.append(Violation("H-idempotence", (hn[h],), "h+h != h"))
+    V, action = alg.V, alg.action
+    one = V.identity
+    for h in range(n):
+        if action[one][h] != h:
+            out.append(Violation("action-identity", (vn[one], hn[h]), "1.h != h"))
+    for v in range(V.size):
+        for w in range(V.size):
+            for h in range(n):
+                if action[V.mul(v, w)][h] != action[v][action[w][h]]:
+                    out.append(Violation("action-composition", (vn[v], vn[w], hn[h]),
+                                         "(vw).h != v.(w.h)"))
+                    break
+    for g in range(n):
+        if not any(action[v] == plus[g] for v in range(V.size)):
+            out.append(Violation("insertion-closure", (hn[g],),
+                                 "no vertical element acts as h -> %s+h" % hn[g]))
+    if alg.faithful:
+        for v in range(V.size):
+            least = next(w for w in range(V.size) if action[w] == action[v])
+            if least != v:
+                out.append(Violation("faithfulness", (vn[least], vn[v]),
+                                     "distinct elements act identically"))
+    return out

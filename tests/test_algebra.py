@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from forestalg.algebra import (AlgebraMorphism, FiniteMonoid, ForestAlgebra,
@@ -191,3 +193,111 @@ def test_insertion_closure_reported_before_faithfulness():
     assert [str(p) for p in alg.check_axioms()] == [
         "insertion-closure violated at inf: no vertical element acts as h -> inf+h",
         "faithfulness violated at 1/x: distinct elements act identically"]
+
+
+def _law_check_bases():
+    """Small valid algebras: u1, u2 and compiled recognizers' algebras."""
+    from forestalg import logic
+
+    bases = [u1(), u2(), four_element_algebra().hom.target]
+    for text, alphabet in (("EX(EX a)", "ab"), ("EF a & EF b", "ab"),
+                           ("EF(a & EX b) | EX(b & !EF a)", "ab")):
+        rec = logic.to_recognizer(logic.parse_formula(text), tuple(alphabet))
+        bases.append(rec.hom.target)
+    return bases
+
+
+def _mutated_tables(rng, alg):
+    """An explicit algebra from alg's tables after up to three random edits:
+    an entry of plus, compose or act, a copied action row, or a twin of a
+    vertical element that acts like it and takes over some of its products
+    (the action laws then still hold)."""
+    plus = [list(r) for r in alg.H.op]
+    compose = [list(r) for r in alg.V.op]
+    act = [list(r) for r in alg.action]
+    vnames = list(alg.V.names)
+    n = len(plus)
+    for _ in range(rng.randint(0, 3)):
+        kind = rng.choice(("plus", "compose", "act", "copy", "twin"))
+        m = len(compose)
+        if kind == "plus":
+            plus[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
+        elif kind == "compose":
+            compose[rng.randrange(m)][rng.randrange(m)] = rng.randrange(m)
+        elif kind == "act":
+            act[rng.randrange(m)][rng.randrange(n)] = rng.randrange(n)
+        elif kind == "copy":
+            act[rng.randrange(m)] = list(act[rng.randrange(m)])
+        else:
+            x = rng.randrange(m)
+            for row in compose:
+                row.append(row[x])
+            compose.append(list(compose[x]))
+            act.append(list(act[x]))
+            vnames.append("t%d" % m)
+            for row in compose:
+                for j, y in enumerate(row):
+                    if y == x and rng.random() < 0.5:
+                        row[j] = m
+    H = FiniteMonoid(plus, alg.H.identity, alg.H.names)
+    V = FiniteMonoid(compose, alg.V.identity, vnames)
+    return ForestAlgebra(H, V, act, faithful=rng.random() < 0.5)
+
+
+def test_check_axioms_matches_full_scan():
+    """The law check that skips V's laws when the action implies them
+    reports exactly what the full scan reports, in order."""
+    from helpers import reference_check_axioms
+
+    rng = random.Random(20261018)
+    bases = _law_check_bases()
+    gated = skipped = 0
+    for trial in range(2000):
+        alg = _mutated_tables(rng, bases[trial % len(bases)])
+        got = alg.check_axioms()
+        assert got == reference_check_axioms(alg), trial
+        laws = {v.law for v in got}
+        if any(law.startswith("V-") for law in laws):
+            gated += not laws & {"action-identity", "action-composition"}
+        skipped += not got
+    # V's own violations behind each gate, and valid tables that skip V.check
+    assert gated and skipped
+
+
+def test_generated_law_check_reads_only_H():
+    """A generated algebra's law check equals the full scan of its closed
+    tables, also when H itself breaks its laws, and never builds V."""
+    from forestalg.algebra import generated_algebra
+    from helpers import reference_check_axioms
+
+    rng = random.Random(7)
+    for trial in range(150):
+        n = rng.randint(1, 3)  # V is at most the 27 maps on 3 points
+        plus = [[rng.randrange(n) if rng.random() < 0.3 else max(i, j)
+                 for j in range(n)] for i in range(n)]
+        H = FiniteMonoid(plus, 0, ["0"] + ["h%d" % i for i in range(1, n)])
+        gens = {a: tuple(rng.randrange(n) for _ in range(n)) for a in "ab"}
+        alg = generated_algebra(H, gens)[0]
+        got = alg.check_axioms()
+        assert "V" not in vars(alg)
+        assert got == reference_check_axioms(alg), trial
+
+
+def test_valid_explicit_file_skips_vertical_laws(monkeypatch):
+    from forestalg import io, logic
+
+    rec = logic.to_recognizer(logic.parse_formula("EF(a & EX b) | EX(b & !EF a)"),
+                              ("a", "b"))
+    text = io.print_algebra(rec.hom.target, letters=dict(rec.hom.assign),
+                            accept=rec.accept)
+    alg = io.parse_algebra(text)[0]
+    checked = []
+    original = FiniteMonoid.check
+
+    def counting(monoid):
+        checked.append(monoid)
+        return original(monoid)
+
+    monkeypatch.setattr(FiniteMonoid, "check", counting)
+    assert alg.check_axioms() == []
+    assert checked == [alg.H]

@@ -1,7 +1,10 @@
 import json
 import os
+import random
 
 from forestalg.cli import main
+
+from helpers import BAD_LETTER_FILES
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
@@ -193,3 +196,108 @@ def test_negative_depth_is_input_error(capsys):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err == "error: a depth cannot be negative, got -1\n"
+
+
+def test_reach_validates_like_every_command(tmp_path, capsys):
+    bad = tmp_path / "u1_z2.fa"  # cinf.cinf = 1, while cinf.(cinf.0) = inf
+    bad.write_text(open(fx("u1.fa")).read().replace("cinf cinf\nact:",
+                                                    "cinf 1\nact:"))
+    code, out, _ = run(capsys, "check", str(bad))
+    assert code == 1 and out.startswith("action-composition violated at cinf/cinf/0")
+    for argv in (("reach", str(bad)), ("reach", str(bad), "--dot"),
+                 ("reach", str(bad), "--json")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == ("error: %s: invalid algebra: action-composition violated "
+                       "at cinf/cinf/0: (vw).h != v.(w.h)\n" % bad)
+
+
+def test_bad_letter_names_are_input_errors(tmp_path, capsys):
+    path = tmp_path / "bad.fa"
+    for case, text in sorted(BAD_LETTER_FILES.items()):
+        path.write_text(text)
+        for argv in (("decide", "--logic", "ef", str(path)),
+                     ("decompose", "--logic", "ef", str(path))):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, ""), case
+            assert err.startswith("error: ") and err.count("\n") == 1, case
+
+
+# Every subcommand that reads a file, with the file's place marked.
+FILE_COMMANDS = (
+    ("check", "{}"), ("eval", "{}", "a+b(a)"), ("eval", "{}", "a([])", "--context"),
+    ("syntactic", "{}"), ("reach", "{}"), ("reach", "{}", "--dot"),
+    ("definiteness", "{}"), ("decide", "--logic", "ef", "{}"),
+    ("decide", "--logic", "ex", "{}"), ("decide", "--logic", "efex", "{}", "--certificate"),
+    ("witness", "{}"), ("decompose", "--logic", "ef", "{}"),
+    ("decompose", "--logic", "efex", "{}", "--json"), ("oracle-check", "{}"),
+)
+
+
+def _file_forms():
+    """The explicit and the recognizer form of every fixture with letters."""
+    from forestalg import io
+    from forestalg.hom import Homomorphism, Recognizer
+
+    forms = []
+    for name in ("chain4.fa", "u1_efa.fa", "u2_abc.fa"):
+        text = open(fx(name)).read()
+        alg, letters, accept = io.parse_algebra(text)
+        hom = Homomorphism(tuple(sorted(letters)), alg, letters)
+        forms += [text, io.print_recognizer(Recognizer(hom, accept))]
+    return forms
+
+
+MUTATIONS = ("truncate", "unknown", "duplicate", "no-zero", "drop-row",
+             "extra-row", "huge")
+
+
+def _mutate(rng, text, kind):
+    """One structural defect: a table cut short, an unknown name, a
+    duplicate name or letter, no element 0, a row too many or too few, or
+    a huge declared H.  Table rows are the lines without a colon."""
+    lines = text.splitlines()
+    rows = [i for i, line in enumerate(lines) if ":" not in line]
+    i = rng.choice(rows)
+    toks = lines[i].split()
+    if kind == "truncate":
+        lines = lines[:i] + [" ".join(toks[:rng.randrange(len(toks))])]
+    elif kind == "unknown":
+        toks[rng.randrange(len(toks))] = "zz"
+        lines[i] = " ".join(toks)
+    elif kind == "duplicate":
+        choices = [j for j, line in enumerate(lines)
+                   if line.startswith(("H:", "V:", "letters:", "letter:"))]
+        j = rng.choice(choices)
+        if lines[j].startswith("letter:"):
+            lines[j:j] = lines[j:j + 2]
+        elif lines[j].startswith("letters:"):
+            lines[j] += " " + lines[j].split()[1]
+        else:
+            head, *names = lines[j].split()
+            names[-1] = names[0]
+            lines[j] = " ".join([head] + names)
+    elif kind == "no-zero":
+        lines = [" ".join("zero" if t == "0" else t for t in line.split())
+                 for line in lines]
+    elif kind == "drop-row":
+        del lines[i]
+    elif kind == "extra-row":
+        lines.insert(i, lines[i])
+    else:
+        lines[0] += "".join(" x%d" % k for k in range(10_000))
+    return "\n".join(lines) + "\n"
+
+
+def test_malformed_file_sweep(tmp_path, capsys):
+    rng = random.Random(6)
+    path = tmp_path / "mutant.fa"
+    for base in _file_forms():
+        for kind in MUTATIONS:
+            text = _mutate(rng, base, kind)
+            path.write_text(text)
+            for cmd in FILE_COMMANDS:
+                argv = [str(path) if a == "{}" else a for a in cmd]
+                code, out, err = run(capsys, *argv)
+                assert code in (2, 3), (argv, text[:300])
+                assert "Traceback" not in err and err.count("\n") == 1, argv

@@ -14,11 +14,12 @@ import sys
 
 import pytest
 
-from forestalg import cli
+from forestalg import algebra, cli
 from forestalg import io as fio
 from forestalg import logic
 from forestalg.defk import free_kdefinite
-from forestalg.hom import syntactic
+from forestalg.hom import (Homomorphism, Recognizer, recognizers_isomorphic,
+                           syntactic)
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN = os.path.join(HERE, "golden")
@@ -175,6 +176,79 @@ def test_syntactic_algebras_match_golden():
 def test_decomposed_cascades_match_golden():
     for fname, text in decomposed_outputs().items():
         assert text == _read(os.path.join(GOLDEN, fname)), fname
+
+
+# The files that compile and syntactic write in the recognizer form.
+RECAPTURED = tuple(sorted(COMPILED)) + tuple(
+    "syntactic_" + name for name in ("chain4.fa", "u1_efa.fa", "u2_abc.fa"))
+
+
+def _recaptured_recognizers():
+    """{golden file name: the recognizer the CLI writes there}."""
+    out = {}
+    for fname, (formula, alphabet) in COMPILED.items():
+        out[fname] = logic.to_recognizer(logic.parse_formula(formula),
+                                         tuple(sorted(alphabet.split(","))))
+    for fname in RECAPTURED[len(COMPILED):]:
+        out[fname] = syntactic(_load(os.path.join(
+            FIXTURES, fname[len("syntactic_"):])))[0]
+    return out
+
+
+def _load(path):
+    alg, letters, accept = fio.load_algebra(path)
+    return Recognizer(Homomorphism(tuple(sorted(letters)), alg, letters), accept)
+
+
+def _algebra_form(rec):
+    return fio.print_algebra(rec.hom.target, letters=dict(rec.hom.assign),
+                             accept=rec.accept)
+
+
+def test_recaptured_files_hold_the_algebra_form(tmp_path):
+    """Each recognizer-form golden file loads to a recognizer isomorphic to
+    the algebra-form file the CLI used to write, and its V, once built,
+    prints as exactly that file."""
+    for fname, rec in _recaptured_recognizers().items():
+        old = tmp_path / fname
+        old.write_text(_algebra_form(rec))
+        new = _load(os.path.join(GOLDEN, fname))
+        assert recognizers_isomorphic(_load(str(old)), new) is not None, fname
+        assert _algebra_form(new) == _read(str(old)), fname
+
+
+def test_reports_identical_on_both_forms(tmp_path):
+    """Every report on a compiled formula's file is the same in either form."""
+    recognizers = _recaptured_recognizers()
+    for fname, (_, alphabet) in COMPILED.items():
+        rec = recognizers[fname]
+        paths = (tmp_path / ("tables_" + fname), tmp_path / ("rows_" + fname))
+        paths[0].write_text(_algebra_form(rec))
+        paths[1].write_text(fio.print_recognizer(rec))
+        for cmd in REPORTS:
+            tables, rows = (_run(cmd + ("--json", str(p))) for p in paths)
+            assert tables == rows, (fname, cmd)
+        context = alphabet.split(",")[0] + "([])"
+        tables, rows = (_run(("eval", "--context", "--json", str(p), context))
+                        for p in paths)
+        assert tables == rows and tables[0] == 0, fname
+
+
+def test_recognizer_files_never_build_V(monkeypatch):
+    closed = []
+    original = algebra.close_vertical
+
+    def counting(*args, **kwargs):
+        closed.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(algebra, "close_vertical", counting)
+    for fname in COMPILED:
+        path = os.path.join(GOLDEN, fname)
+        assert _run(("check", path))[0] == 0
+        for logic_name in ("ex", "efex"):
+            _run(("decide", "--logic", logic_name, "--certificate", path))
+    assert closed == []
 
 
 def _write():

@@ -3,8 +3,9 @@ import pytest
 from forestalg import io
 from forestalg.algebra import u1, u2
 from forestalg.errors import ParseError, StructuralError
+from forestalg.hom import Homomorphism, Recognizer
 
-from helpers import four_element_algebra
+from helpers import BAD_LETTER_FILES, four_element_algebra
 
 
 def test_round_trip_bit_exact():
@@ -46,3 +47,53 @@ def test_identity_names_required():
     text = text.replace("0 inf\ninf inf", "z inf\ninf inf")
     with pytest.raises((StructuralError, ParseError)):
         io.parse_algebra(text)
+
+
+def _recognizer_text():
+    rec = four_element_algebra()
+    return rec, io.print_recognizer(rec)
+
+
+def test_recognizer_round_trip_bit_exact():
+    rec, text = _recognizer_text()
+    assert "V:" not in text and "letter: a\n" in text
+    alg, letters, accept = io.parse_algebra(text)
+    assert "V" not in vars(alg)  # loading builds no vertical monoid
+    hom = Homomorphism(tuple(sorted(letters)), alg, letters)
+    assert io.print_recognizer(Recognizer(hom, accept)) == text
+    assert accept == rec.accept
+    assert {a: hom.row(a) for a in "ab"} == {a: rec.hom.row(a) for a in "ab"}
+    assert alg.check_axioms() == []
+    assert "V" not in vars(alg)
+    # the algebra form of what was loaded is what the tables print
+    assert (io.print_algebra(alg, letters=letters, accept=accept)
+            == io.print_algebra(rec.hom.target, letters=dict(rec.hom.assign),
+                                accept=rec.accept))
+
+
+def test_recognizer_comments_and_whitespace_ignored():
+    _, text = _recognizer_text()
+    noisy = "# header\n" + text.replace("letter: b\n", "letter:   b   # second\n\n")
+    alg, letters, accept = io.parse_algebra(noisy)
+    hom = Homomorphism(tuple(sorted(letters)), alg, letters)
+    assert io.print_recognizer(Recognizer(hom, accept)) == text
+
+
+def test_recognizer_without_letters_round_trips():
+    text = "H: 0\nplus:\n0\naccept:\n"  # the syntactic recognizer of a letterless file
+    alg, letters, accept = io.parse_algebra(text)
+    assert letters == {} and accept == frozenset()
+    assert io.print_recognizer(Recognizer(Homomorphism((), alg, {}), accept)) == text
+
+
+@pytest.mark.parametrize("case", sorted(BAD_LETTER_FILES))
+def test_bad_letters_and_rows_rejected(case):
+    with pytest.raises((ParseError, StructuralError)):
+        io.parse_algebra(BAD_LETTER_FILES[case])
+
+
+def test_unwritable_letter_refused():
+    rec = four_element_algebra()
+    hom = Homomorphism(("a b",), rec.hom.target, {"a b": rec.hom.letter("a")})
+    with pytest.raises(StructuralError):
+        io.print_recognizer(Recognizer(hom, rec.accept))
