@@ -1,8 +1,7 @@
 """Finite forest algebras, temporal-logic definability, wreath decompositions."""
 
-from .algebra import (AlgebraMorphism, FiniteMonoid, ForestAlgebra,
-                      check_axioms, direct_product, quotient_by_ideal, u1, u2,
-                      wreath)
+from .algebra import (FiniteMonoid, ForestAlgebra, check_axioms, direct_product,
+                      quotient_by_ideal, u1, u2)
 from .decide import (confusion_witness, decide, is_ef_algebra, nonconfusion)
 from .decompose import (Cascade, decompose_ef, decompose_efex,
                         decompose_kdefinite, tensor_cascade, wreath_compose)

@@ -11,6 +11,11 @@ V and makes syntactic quotients work.
 Tables are plain nested tuples of element indices.  Structural problems
 (ragged tables, out-of-range entries) raise StructuralError at construction;
 algebraic law violations are reported by check_axioms() instead.
+
+Besides the tables, the module builds generated algebras (H and the rows
+of V's generators, V closed on first read), the two building-block
+algebras, direct products, and the horizontal collapse of a reachability
+ideal from which reach builds quotients as generated algebras.
 """
 
 import warnings
@@ -22,7 +27,6 @@ from .errors import IdealViolation, SizeLimitError, StructuralError
 from .joint import closure
 
 DEFAULT_MAX_VERTICAL = 200_000
-DEFAULT_MAX_WREATH_VERTICAL = 300_000
 
 
 def _check_table(table, rows, cols, size, what):
@@ -415,52 +419,11 @@ def u2():
 
 
 # ---------------------------------------------------------------------------
-# Morphisms
-
-@dataclass(frozen=True)
-class AlgebraMorphism:
-    source: ForestAlgebra
-    target: ForestAlgebra
-    hmap: tuple
-    vmap: tuple
-
-    def validate(self):
-        """Return law violations of morphism-ness (empty list if valid)."""
-        out = []
-        src, tgt = self.source, self.target
-        hm, vm = self.hmap, self.vmap
-        if len(hm) != src.H.size or len(vm) != src.V.size:
-            raise StructuralError("morphism maps have wrong length")
-        if hm[src.zero] != tgt.zero:
-            out.append(Violation("morphism-zero", ()))
-        if vm[src.one] != tgt.one:
-            out.append(Violation("morphism-one", ()))
-        for h in range(src.H.size):
-            for g in range(src.H.size):
-                if hm[src.plus(h, g)] != tgt.plus(hm[h], hm[g]):
-                    out.append(Violation("morphism-plus",
-                                         (src.hname(h), src.hname(g))))
-        for v in range(src.V.size):
-            for w in range(src.V.size):
-                if vm[src.times(v, w)] != tgt.times(vm[v], vm[w]):
-                    out.append(Violation("morphism-times",
-                                         (src.vname(v), src.vname(w))))
-            for h in range(src.H.size):
-                if hm[src.act(v, h)] != tgt.act(vm[v], hm[h]):
-                    out.append(Violation("morphism-action",
-                                         (src.vname(v), src.hname(h))))
-        return out
-
-    def is_surjective(self):
-        return (len(set(self.hmap)) == self.target.H.size
-                and len(set(self.vmap)) == self.target.V.size)
-
-
-# ---------------------------------------------------------------------------
 # Products
 
 def direct_product(a, b, max_vertical=DEFAULT_MAX_VERTICAL):
-    """Componentwise product; returns (algebra, projection_a, projection_b)."""
+    """Componentwise product.  Element (i, j) of its H is i * |H of b| + j,
+    and likewise in V."""
     nv = a.V.size * b.V.size
     if nv > max_vertical:
         raise SizeLimitError("direct product vertical monoid", max_vertical)
@@ -496,141 +459,35 @@ def direct_product(a, b, max_vertical=DEFAULT_MAX_VERTICAL):
     zero = hpair(a.zero, b.zero)
     H = FiniteMonoid(plus, zero, _canonical_names(plus, zero, hnames))
     V = FiniteMonoid(times, vpair(a.one, b.one), vnames)
-    prod = ForestAlgebra(H, V, action, faithful=a.faithful and b.faithful)
-    pa = AlgebraMorphism(prod, a,
-                         tuple(i // b.H.size for i in range(nh)),
-                         tuple(i // b.V.size for i in range(nv)))
-    pb = AlgebraMorphism(prod, b,
-                         tuple(i % b.H.size for i in range(nh)),
-                         tuple(i % b.V.size for i in range(nv)))
-    return prod, pa, pb
-
-
-def wreath(left, right, max_vertical=DEFAULT_MAX_WREATH_VERTICAL):
-    """Wreath product; vertical elements are pairs (v, f) with f: H_left -> V_right.
-
-    The action is (v,f).(h1,h2) = (v.h1, f(h1).h2).  Returns the product
-    algebra together with the projection morphism onto the left factor.
-    The vertical monoid has size |V1| * |V2|^|H1| and is materialized here,
-    so this is only for small operands; the decision procedures work with
-    cascades instead and never build this table.
-    """
-    nv = left.V.size * right.V.size ** left.H.size
-    if nv > max_vertical:
-        raise SizeLimitError("wreath product vertical monoid", max_vertical)
-    nh = left.H.size * right.H.size
-
-    def hpair(i, j):
-        return i * right.H.size + j
-
-    hnames = [None] * nh
-    plus = [[0] * nh for _ in range(nh)]
-    for i in range(left.H.size):
-        for j in range(right.H.size):
-            hnames[hpair(i, j)] = "(%s,%s)" % (left.hname(i), right.hname(j))
-            for k in range(left.H.size):
-                for l in range(right.H.size):
-                    plus[hpair(i, j)][hpair(k, l)] = hpair(left.plus(i, k),
-                                                           right.plus(j, l))
-
-    funcs = [()]
-    for _ in range(left.H.size):
-        funcs = [f + (w,) for f in funcs for w in range(right.V.size)]
-    velems = [(v, f) for v in range(left.V.size) for f in funcs]
-    vindex = {e: i for i, e in enumerate(velems)}
-
-    def vmul(x, y):
-        (v, f), (w, g) = x, y
-        return (left.times(v, w),
-                tuple(right.times(f[left.act(w, h1)], g[h1])
-                      for h1 in range(left.H.size)))
-
-    times = [[vindex[vmul(x, y)] for y in velems] for x in velems]
-    action = [
-        [hpair(left.act(v, i), right.act(f[i], j))
-         for i in range(left.H.size) for j in range(right.H.size)]
-        for (v, f) in velems
-    ]
-    vnames = ["(%s;%s)" % (left.vname(v), ",".join(right.vname(w) for w in f))
-              for (v, f) in velems]
-    one = vindex[(left.one, tuple(right.one for _ in range(left.H.size)))]
-    zero = hpair(left.zero, right.zero)
-    H = FiniteMonoid(plus, zero, _canonical_names(plus, zero, hnames))
-    V = FiniteMonoid(times, one, vnames)
-    prod = ForestAlgebra(H, V, action, faithful=False)
-    proj = AlgebraMorphism(prod, left,
-                           tuple(i // right.H.size for i in range(nh)),
-                           tuple(velems[i][0] for i in range(nv)))
-    return prod, proj
+    return ForestAlgebra(H, V, action, faithful=a.faithful and b.faithful)
 
 
 # ---------------------------------------------------------------------------
 # Quotients by reachability ideals
 
 def quotient_by_ideal(alg, ideal):
-    """Collapse a reachability ideal to the absorbing element.
+    """Collapse a reachability ideal to one absorbing element, on H alone.
 
-    ``ideal`` is a set of horizontal indices closed under the action of every
-    vertical element (that is, downward closed for reachability).  Returns
-    (quotient algebra, projection morphism).  Raises IdealViolation if the
-    set is not an ideal.
+    ``ideal`` is a set of horizontal indices closed under the action of
+    every vertical element.  It is tested against V's generators, which
+    include the identity, the letters and every insertion, so closure
+    under them is closure under V.  Returns (reps, hmap): ``hmap`` sends
+    each element of H to its quotient element and ``reps[i]`` is an
+    element sent to i.  The kept elements come first, in order; the
+    collapsed ideal, if any, is the last, represented by its least member.
+    reach.quotient_hom builds the quotient algebra from these.  Raises
+    IdealViolation if the set is not an ideal.
     """
     ideal = frozenset(ideal)
-    for h in ideal:
-        for v in range(alg.V.size):
-            img = alg.act(v, h)
-            if img not in ideal:
-                raise IdealViolation(alg.hname(h), alg.vname(v), alg.hname(img))
-
-    if alg.zero in ideal:
-        ideal = frozenset(range(alg.H.size))  # 0 reachable from all: collapse all
-
+    for h in sorted(ideal):
+        for v, row in enumerate(alg.generators):
+            if row[h] not in ideal:
+                raise IdealViolation(alg.hname(h), alg.vname(v), alg.hname(row[h]))
     n = alg.H.size
+    if alg.zero in ideal:
+        ideal = frozenset(range(n))  # 0 reachable from all: collapse all
     keep = [h for h in range(n) if h not in ideal]
-    if ideal:
-        new_names = [alg.hname(h) for h in keep] + ["inf"]
-        sink = len(keep)
-    else:
-        new_names = [alg.hname(h) for h in keep]
-        sink = None
-    hmap = [0] * n
+    hmap = [len(keep)] * n
     for i, h in enumerate(keep):
         hmap[h] = i
-    for h in ideal:
-        hmap[h] = sink
-    m = len(keep) + (1 if ideal else 0)
-
-    def rep(i):
-        # some original element mapping to quotient index i
-        if sink is not None and i == sink:
-            return next(iter(sorted(ideal)))
-        return keep[i]
-
-    plus = [[hmap[alg.plus(rep(i), rep(j))] for j in range(m)] for i in range(m)]
-    # well-definedness of + and the action follows from the ideal property
-    vrows = {}
-    vmap = [0] * alg.V.size
-    vnames = []
-    vreps = []
-    for v in range(alg.V.size):
-        row = tuple(hmap[alg.act(v, rep(i))] for i in range(m))
-        if row not in vrows:
-            vrows[row] = len(vreps)
-            vreps.append(v)
-            vnames.append(alg.vname(v))
-        vmap[v] = vrows[row]
-    times = [[vrows[tuple(hmap[alg.act(alg.times(vreps[a], vreps[b]), rep(i))]
-                          for i in range(m))]
-              for b in range(len(vreps))] for a in range(len(vreps))]
-    action = sorted(vrows, key=vrows.get)
-    zero = hmap[alg.zero]
-    seen = set()
-    for i, name in enumerate(vnames):
-        if name in seen:
-            vnames[i] = "v%d" % i
-        seen.add(vnames[i])
-    H = FiniteMonoid(plus, zero, _canonical_names(plus, zero, new_names))
-    V = FiniteMonoid(times, vmap[alg.one], vnames)
-    q = ForestAlgebra(H, V, action, faithful=True)
-    proj = AlgebraMorphism(alg, q, tuple(hmap), tuple(vmap))
-    return q, proj
+    return keep + sorted(ideal)[:1], tuple(hmap)

@@ -94,6 +94,14 @@ def depth(text):
     return k
 
 
+def size_cap(text):
+    """A size cap argument, at least 1; passes through argparse like depth."""
+    n = int(text)
+    if n < 1:
+        raise ForestAlgError("a size cap must be at least 1, got %d" % n)
+    return n
+
+
 def _parse_alphabet(text):
     letters = tuple(sorted({a.strip() for a in text.split(",") if a.strip()}))
     if not letters:
@@ -356,7 +364,7 @@ def build_parser():
     sp.add_argument("--logic", choices=("ef", "efex"), required=True)
     sp.add_argument("--formula")
     sp.add_argument("--alphabet")
-    sp.add_argument("--max-size", type=int, default=DEFAULT_MAX_SIZE)
+    sp.add_argument("--max-size", type=size_cap, default=DEFAULT_MAX_SIZE)
     sp.add_argument("--letters", action="store_true",
                     help="print full stage letter assignments")
 

@@ -217,12 +217,10 @@ def _ef_rec(casc, alpha):
     if len(rs.classes[cj]) != 1:
         raise InternalError("EF identities force trivial classes")
     hstar = rs.classes[cj][0]
-    qhom, proj = quotient_hom(alpha, cj, "strict", rs)
+    qhom, (reps, _) = quotient_hom(alpha, cj, "strict", rs)
     _ef_rec(casc, qhom)
     rho = casc.factor_map(qhom)
-    qalg = qhom.target
-    qinf = qalg.absorbing()
-    back = {proj.hmap[h]: h for h in range(alg.H.size) if proj.hmap[h] != qinf}
+    qinf = qhom.target.absorbing()
     inf = alg.absorbing()
     prefix = len(casc.stages)
     letters = {}
@@ -230,7 +228,7 @@ def _ef_rec(casc, alpha):
         row = alpha.row(a)
         for state in casc.reachable_states():
             hq = rho[state]
-            fires = row[back[hq] if hq != qinf else hstar] == inf
+            fires = row[reps[hq] if hq != qinf else hstar] == inf
             letters[(a,) + tuple(state)] = cinf if fires else one
     casc.append(Stage(U1_STAGE, target, prefix, letters))
 
@@ -369,14 +367,14 @@ def _efex_rec(casc, alpha, max_size):
         raise InternalError("nontrivial algebra without subminimal classes")
     cj = rs.subminimal[0]
     k = max(1, report.traces[cj].k)
-    qhom, proj = quotient_hom(alpha, cj, "strict", rs)
+    qhom, (reps, _) = quotient_hom(alpha, cj, "strict", rs)
     _efex_rec(casc, qhom, max_size)
     view = _quotient_view(casc, qhom)
     _append_kdef_group(casc, view, k, max_size)
-    _append_alarm_stage(casc, alpha, rs, cj, k, qhom, proj, view, max_size)
+    _append_alarm_stage(casc, alpha, rs, cj, k, qhom, reps, view, max_size)
 
 
-def _append_alarm_stage(casc, alpha, rs, cj, k, qhom, proj, view, max_size):
+def _append_alarm_stage(casc, alpha, rs, cj, k, qhom, reps, view, max_size):
     """Two-element stage firing at nodes whose tree must map to absorbing.
 
     A node's children classes determine the children values: above the
@@ -387,7 +385,6 @@ def _append_alarm_stage(casc, alpha, rs, cj, k, qhom, proj, view, max_size):
     alg = alpha.target
     qalg = qhom.target
     qinf = qalg.absorbing()
-    back = {proj.hmap[h]: h for h in range(alg.H.size) if proj.hmap[h] != qinf}
     members = set(rs.classes[cj])
     inf = alg.absorbing()
     tags = _class_tag_map(casc, view, k, max_size)
@@ -402,7 +399,7 @@ def _append_alarm_stage(casc, alpha, rs, cj, k, qhom, proj, view, max_size):
         b, tagname = root_tree[0]
         q1 = qhom.row(b)[qname_index[tagname]]
         if q1 != qinf:
-            return back[q1]
+            return reps[q1]
         candidates = sorted(tree_values[(root_tree,)] & members)
         if len(candidates) > 1:
             raise InternalError("nonconfusion left an ambiguous class value")

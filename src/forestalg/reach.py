@@ -5,13 +5,17 @@ transitive closure of one step under V's generators, which include the
 identity and all insertions, so h+g is always reachable from h.  The
 classes of mutual reachability carry a partial order whose unique minimum
 is the class of the absorbing element.
+
+The quotient collapsing an ideal is, like every computed algebra, a
+generated algebra: the collapsed sum table and letter rows, with no
+vertical monoid built.
 """
 
 from dataclasses import dataclass
 
 from .algebra import quotient_by_ideal
 from .errors import ForestAlgError
-from .hom import Homomorphism
+from .hom import generated
 
 
 @dataclass
@@ -100,7 +104,12 @@ def ideal_not_above(rs, ci):
 
 def quotient_hom(alpha, ci, mode="strict", rs=None):
     """Compose alpha with the quotient collapsing I_Gamma (strict) or the
-    not-above ideal (weak).  Returns (hom, projection morphism)."""
+    not-above ideal (weak).
+
+    The quotient is generated by alpha's letter rows on the collapsed sum
+    table; kept elements keep their names, the collapsed ideal is ``inf``.
+    Returns (hom, (reps, hmap)), the pair as quotient_by_ideal gives it.
+    """
     if rs is None:
         rs = reachability(alpha.target)
     if mode == "strict":
@@ -109,9 +118,15 @@ def quotient_hom(alpha, ci, mode="strict", rs=None):
         ideal = ideal_not_above(rs, ci)
     else:
         raise ValueError("mode must be strict or weak")
-    q, proj = quotient_by_ideal(alpha.target, ideal)
-    assign = {a: proj.vmap[alpha.letter(a)] for a in alpha.alphabet}
-    return Homomorphism(alpha.alphabet, q, assign), proj
+    alg = alpha.target
+    reps, hmap = quotient_by_ideal(alg, ideal)
+    plus = [[hmap[alg.plus(r, s)] for s in reps] for r in reps]
+    rows = {a: tuple(hmap[alpha.row(a)[r]] for r in reps) for a in alpha.alphabet}
+    names = [alg.hname(r) for r in reps]
+    if ideal:
+        names[-1] = "inf"
+    qhom = generated(alpha.alphabet, plus, hmap[alg.zero], rows, names)
+    return qhom, (reps, hmap)
 
 
 def class_tag_names(alpha, ci, rs=None):

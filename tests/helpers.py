@@ -3,8 +3,12 @@ algorithms for the test suite."""
 
 import itertools
 import random
+from dataclasses import dataclass
 
-from forestalg.algebra import Violation, close_vertical, horizontal_monoid
+from forestalg.algebra import (FiniteMonoid, ForestAlgebra, Violation,
+                               _canonical_names, close_vertical,
+                               horizontal_monoid)
+from forestalg.errors import IdealViolation, StructuralError
 from forestalg.hom import Homomorphism, Recognizer
 from forestalg import logic, terms
 
@@ -380,3 +384,114 @@ def reference_check_axioms(alg):
                 out.append(Violation("faithfulness", (vn[least], vn[v]),
                                      "distinct elements act identically"))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Morphisms and the quotient by an ideal over all of V
+
+@dataclass(frozen=True)
+class AlgebraMorphism:
+    source: ForestAlgebra
+    target: ForestAlgebra
+    hmap: tuple
+    vmap: tuple
+
+    def validate(self):
+        """Return law violations of morphism-ness (empty list if valid)."""
+        out = []
+        src, tgt = self.source, self.target
+        hm, vm = self.hmap, self.vmap
+        if len(hm) != src.H.size or len(vm) != src.V.size:
+            raise StructuralError("morphism maps have wrong length")
+        if hm[src.zero] != tgt.zero:
+            out.append(Violation("morphism-zero", ()))
+        if vm[src.one] != tgt.one:
+            out.append(Violation("morphism-one", ()))
+        for h in range(src.H.size):
+            for g in range(src.H.size):
+                if hm[src.plus(h, g)] != tgt.plus(hm[h], hm[g]):
+                    out.append(Violation("morphism-plus",
+                                         (src.hname(h), src.hname(g))))
+        for v in range(src.V.size):
+            for w in range(src.V.size):
+                if vm[src.times(v, w)] != tgt.times(vm[v], vm[w]):
+                    out.append(Violation("morphism-times",
+                                         (src.vname(v), src.vname(w))))
+            for h in range(src.H.size):
+                if hm[src.act(v, h)] != tgt.act(vm[v], hm[h]):
+                    out.append(Violation("morphism-action",
+                                         (src.vname(v), src.hname(h))))
+        return out
+
+    def is_surjective(self):
+        return (len(set(self.hmap)) == self.target.H.size
+                and len(set(self.vmap)) == self.target.V.size)
+
+
+def reference_quotient_by_ideal(alg, ideal):
+    """Collapse a reachability ideal to the absorbing element, over all of V.
+
+    Tests the ideal against every vertical element, builds one action row
+    per element and the |V'|^2 times table of the quotient.  Returns
+    (quotient algebra, projection morphism); raises IdealViolation if the
+    set is not an ideal.
+    """
+    ideal = frozenset(ideal)
+    for h in ideal:
+        for v in range(alg.V.size):
+            img = alg.act(v, h)
+            if img not in ideal:
+                raise IdealViolation(alg.hname(h), alg.vname(v), alg.hname(img))
+
+    if alg.zero in ideal:
+        ideal = frozenset(range(alg.H.size))  # 0 reachable from all: collapse all
+
+    n = alg.H.size
+    keep = [h for h in range(n) if h not in ideal]
+    if ideal:
+        new_names = [alg.hname(h) for h in keep] + ["inf"]
+        sink = len(keep)
+    else:
+        new_names = [alg.hname(h) for h in keep]
+        sink = None
+    hmap = [0] * n
+    for i, h in enumerate(keep):
+        hmap[h] = i
+    for h in ideal:
+        hmap[h] = sink
+    m = len(keep) + (1 if ideal else 0)
+
+    def rep(i):
+        # some original element mapping to quotient index i
+        if sink is not None and i == sink:
+            return next(iter(sorted(ideal)))
+        return keep[i]
+
+    plus = [[hmap[alg.plus(rep(i), rep(j))] for j in range(m)] for i in range(m)]
+    # well-definedness of + and the action follows from the ideal property
+    vrows = {}
+    vmap = [0] * alg.V.size
+    vnames = []
+    vreps = []
+    for v in range(alg.V.size):
+        row = tuple(hmap[alg.act(v, rep(i))] for i in range(m))
+        if row not in vrows:
+            vrows[row] = len(vreps)
+            vreps.append(v)
+            vnames.append(alg.vname(v))
+        vmap[v] = vrows[row]
+    times = [[vrows[tuple(hmap[alg.act(alg.times(vreps[a], vreps[b]), rep(i))]
+                          for i in range(m))]
+              for b in range(len(vreps))] for a in range(len(vreps))]
+    action = sorted(vrows, key=vrows.get)
+    zero = hmap[alg.zero]
+    seen = set()
+    for i, name in enumerate(vnames):
+        if name in seen:
+            vnames[i] = "v%d" % i
+        seen.add(vnames[i])
+    H = FiniteMonoid(plus, zero, _canonical_names(plus, zero, new_names))
+    V = FiniteMonoid(times, vmap[alg.one], vnames)
+    q = ForestAlgebra(H, V, action, faithful=True)
+    proj = AlgebraMorphism(alg, q, tuple(hmap), tuple(vmap))
+    return q, proj

@@ -139,7 +139,7 @@ def test_criterion_5_ef_decomposition():
 def test_criterion_6_definiteness_chain():
     A = ("a", "b")
     a1 = alpha1(A)
-    prod, _, _ = direct_product(u2(), u2())
+    prod = direct_product(u2(), u2())
     cinf = u2().V.names.index("cinf")
     c0 = u2().V.names.index("c0")
     beta = Homomorphism(A, prod, {"a": cinf * 3 + c0, "b": c0 * 3 + cinf})

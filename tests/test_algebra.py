@@ -2,12 +2,12 @@ import random
 
 import pytest
 
-from forestalg.algebra import (AlgebraMorphism, FiniteMonoid, ForestAlgebra,
-                               direct_product, quotient_by_ideal, u1, u2,
-                               wreath)
-from forestalg.errors import IdealViolation, SizeLimitError, StructuralError
+from forestalg.algebra import (FiniteMonoid, ForestAlgebra, direct_product,
+                               quotient_by_ideal, u1, u2)
+from forestalg.errors import IdealViolation, StructuralError
+from forestalg.reach import quotient_hom, reachability
 
-from helpers import four_element_algebra
+from helpers import AlgebraMorphism, four_element_algebra
 
 
 def test_u1_valid():
@@ -66,55 +66,36 @@ def test_absorbing_is_sum_of_all():
             assert alg.plus(inf, h) == inf
 
 
-def test_wreath_sizes_and_axioms():
-    w, proj = wreath(u1(), u1())
-    assert w.H.size == 4 and w.V.size == 2 * 2 ** 2
-    assert w.check_axioms() == []
-    assert proj.validate() == []
-    w2, _ = wreath(u1(), u2())
-    assert w2.check_axioms() == []
-
-
-def test_wreath_preserves_ef_identities():
-    w, _ = wreath(u1(), u1())
-    for v in range(w.V.size):
-        for h in range(w.H.size):
-            vh = w.act(v, h)
-            assert w.plus(vh, h) == vh
-    for h in range(w.H.size):
-        for g in range(w.H.size):
-            assert w.plus(h, g) == w.plus(g, h)
-
-
-def test_wreath_size_cap():
-    with pytest.raises(SizeLimitError):
-        wreath(u2(), u2(), max_vertical=10)
-
-
 def test_direct_product():
-    p, pa, pb = direct_product(u1(), u1())
-    assert p.V.size == 4
+    a, b = u1(), u2()
+    p = direct_product(a, b)
+    assert (p.H.size, p.V.size) == (4, 6)
     assert p.check_axioms() == []
-    assert pa.validate() == [] and pb.validate() == []
-    assert pa.is_surjective() and pb.is_surjective()
+    pa = AlgebraMorphism(p, a, tuple(i // b.H.size for i in range(p.H.size)),
+                         tuple(i // b.V.size for i in range(p.V.size)))
+    pb = AlgebraMorphism(p, b, tuple(i % b.H.size for i in range(p.H.size)),
+                         tuple(i % b.V.size for i in range(p.V.size)))
+    for proj in (pa, pb):
+        assert proj.validate() == []
+        assert proj.is_surjective()
 
 
-def test_product_embeds_in_wreath():
-    p, _, _ = direct_product(u1(), u1())
-    w, _ = wreath(u1(), u1())
-    # (v1, v2) -> (v1, constant-v2 function); on H both act componentwise
-    left = u1()
-    for v1 in range(2):
-        for v2 in range(2):
-            vp = v1 * 2 + v2
-            wf = v1 * 4 + (v2 * 2 + v2)  # function tuple (v2, v2)
-            for h in range(4):
-                assert p.act(vp, h) == w.act(wf, h)
+def _chain_quotient(pick):
+    """The chain's strict quotient at the class ``pick`` chooses, with the
+    projection morphism whose vertical map is read off the collapsed rows."""
+    hom = four_element_algebra().hom
+    alg = hom.target
+    qhom, (reps, hmap) = quotient_hom(hom, pick(reachability(alg)), "strict")
+    q = qhom.target
+    vmap = tuple(q.action.index(tuple(hmap[row[r]] for r in reps))
+                 for row in alg.action)
+    return q, AlgebraMorphism(alg, q, hmap, vmap)
 
 
 def test_quotient_singleton_absorbing_is_iso():
     alg = four_element_algebra().hom.target
-    q, proj = quotient_by_ideal(alg, {3})
+    assert quotient_by_ideal(alg, {3}) == ([0, 1, 2, 3], (0, 1, 2, 3))
+    q, proj = _chain_quotient(lambda rs: rs.min_class)
     assert q.H.size == alg.H.size
     assert proj.validate() == []
     assert q.check_axioms() == []
@@ -123,7 +104,8 @@ def test_quotient_singleton_absorbing_is_iso():
 def test_quotient_collapses_ideal():
     alg = four_element_algebra().hom.target
     # h2 and inf form the ideal below the subminimal class {h2}
-    q, proj = quotient_by_ideal(alg, {2, 3})
+    assert quotient_by_ideal(alg, {2, 3}) == ([0, 1, 2], (0, 1, 2, 2))
+    q, proj = _chain_quotient(lambda rs: rs.subminimal[0])
     assert q.H.size == 3
     assert sorted(q.H.names) == ["0", "h1", "inf"]
     assert proj.validate() == []
@@ -139,7 +121,7 @@ def test_quotient_rejects_non_ideal():
 
 def test_quotient_projection_identity_on_kept():
     alg = four_element_algebra().hom.target
-    q, proj = quotient_by_ideal(alg, {2, 3})
+    q, proj = _chain_quotient(lambda rs: rs.subminimal[0])
     kept = [h for h in range(alg.H.size) if h not in (2, 3)]
     assert len({proj.hmap[h] for h in kept}) == len(kept)
     for h in kept:
@@ -170,7 +152,7 @@ def test_merge_warning_for_duplicate_actions():
 
 
 def test_direct_product_preserves_ef_identities():
-    p, _, _ = direct_product(u1(), u1())
+    p = direct_product(u1(), u1())
     for v in range(p.V.size):
         for h in range(p.H.size):
             vh = p.act(v, h)

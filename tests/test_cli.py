@@ -198,6 +198,14 @@ def test_negative_depth_is_input_error(capsys):
         assert err == "error: a depth cannot be negative, got -1\n"
 
 
+def test_size_cap_below_one_is_input_error(capsys):
+    for cap in ("-5", "0"):
+        code, out, err = run(capsys, "decompose", "--logic", "efex",
+                             fx("chain4.fa"), "--max-size", cap)
+        assert code == 2 and out == ""
+        assert err == "error: a size cap must be at least 1, got %s\n" % cap
+
+
 def test_reach_validates_like_every_command(tmp_path, capsys):
     bad = tmp_path / "u1_z2.fa"  # cinf.cinf = 1, while cinf.(cinf.0) = inf
     bad.write_text(open(fx("u1.fa")).read().replace("cinf cinf\nact:",

@@ -194,7 +194,7 @@ def test_wreath_closure_of_nonconfusion():
 
 def test_is_ef_algebra_matches_full_vertical_scan():
     rng = random.Random(4041)
-    algs = [u1(), u2(), direct_product(u1(), u2())[0],
+    algs = [u1(), u2(), direct_product(u1(), u2()),
             four_element_algebra().hom.target]
     recs = [random_recognizer(rng) for _ in range(80)]
     recs += [random_big_recognizer(rng, atoms=4) for _ in range(4)]

@@ -252,7 +252,7 @@ def test_decompose_efex_fat_minimal_class():
 def test_decompose_efex_branching_subminimal():
     from forestalg.algebra import direct_product
 
-    prod, _, _ = direct_product(u1(), u1())
+    prod = direct_product(u1(), u1())
     names = prod.V.names
     hom = image_restrict(Homomorphism(
         ("a", "b"), prod,
@@ -345,3 +345,36 @@ def test_cascade_evaluator_protocol():
     for _ in range(30):
         s = random_forest(rng, ("a", "b"), 3, 2)
         assert casc.eval(s) == evaluate(casc, s)
+
+
+def test_decompositions_close_no_vertical_monoid(monkeypatch):
+    """Quotients are generated algebras, so only a negative EF certificate,
+    which names its vertical element, closes V."""
+    import os
+
+    from forestalg.cli import _load_recognizer
+
+    calls = []
+    close_vertical = algebra.close_vertical
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return close_vertical(*args, **kwargs)
+
+    chain4 = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures",
+                          "chain4.fa")
+    instances = (("EF a & EF b", _syn("EF a & EF b"), 0),
+                 ("EX(EX a)", _syn("EX(EX a)"), 1),
+                 ("chain4", syntactic(_load_recognizer(chain4))[0].hom, 1))
+    monkeypatch.setattr(algebra, "close_vertical", counted)
+    for name, alpha, certificate in instances:
+        calls.clear()
+        if certificate:
+            with pytest.raises(NotEFAlgebra):
+                decompose_ef(alpha)
+        else:
+            assert decompose_ef(alpha).factors(alpha)[0]
+        assert len(calls) == certificate, name
+        calls.clear()
+        assert decompose_efex(alpha).factors(alpha)[0]
+        assert calls == [], name

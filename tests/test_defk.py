@@ -144,7 +144,7 @@ def test_alpha1_mutual_with_constant_products():
     from forestalg.algebra import direct_product, u2
     from forestalg.hom import Homomorphism
 
-    prod, _, _ = direct_product(u2(), u2())
+    prod = direct_product(u2(), u2())
     cinf = u2().V.names.index("cinf")
     c0 = u2().V.names.index("c0")
     beta = Homomorphism(("a", "b"), prod,

@@ -1,6 +1,7 @@
 import random
 
-from forestalg.algebra import direct_product, u1, u2
+from forestalg.algebra import direct_product, quotient_by_ideal, u1, u2
+from forestalg.errors import IdealViolation
 from forestalg.hom import (Homomorphism, factors_through, image_restrict,
                            syntactic)
 from forestalg.reach import (class_tag_names, dot_export, ideal_below,
@@ -8,8 +9,8 @@ from forestalg.reach import (class_tag_names, dot_export, ideal_below,
                              subminimal_factorization)
 
 from helpers import (four_element_algebra, random_big_recognizer, random_hom,
-                     random_recognizer, reference_reachability,
-                     u2_example_recognizer)
+                     random_recognizer, reference_quotient_by_ideal,
+                     reference_reachability, u2_example_recognizer)
 
 
 def test_chain_classes():
@@ -56,7 +57,7 @@ def test_ideals():
 def test_quotient_hom_min_class_is_iso_for_chain():
     hom = four_element_algebra().hom
     rs = reachability(hom.target)
-    qhom, proj = quotient_hom(hom, rs.min_class, "strict", rs)
+    qhom, _ = quotient_hom(hom, rs.min_class, "strict", rs)
     assert qhom.target.H.size == hom.target.H.size
     ok, _ = factors_through(qhom, hom)
     assert ok
@@ -86,7 +87,7 @@ def test_subminimal_factorization_chain():
 
 
 def test_subminimal_factorization_product():
-    prod, _, _ = direct_product(u1(), u1())
+    prod = direct_product(u1(), u1())
     # letters generating all four elements: constants to (inf,0) and (0,inf)
     names = prod.V.names
     a = names.index("(cinf,1)")
@@ -98,7 +99,7 @@ def test_subminimal_factorization_product():
     assert len(factors) == 2
     # the min-collapsing quotient factors through the product of the factors
     qmin, _ = quotient_hom(hom, rs.min_class, "strict", rs)
-    prod_alg, pa, pb = direct_product(factors[0].target, factors[1].target)
+    prod_alg = direct_product(factors[0].target, factors[1].target)
     paired = Homomorphism(
         hom.alphabet, prod_alg,
         {x: factors[0].letter(x) * factors[1].target.V.size + factors[1].letter(x)
@@ -120,20 +121,20 @@ def test_quotient_images_of_classes():
         hom = random_hom(rng, max_h=5, max_letters=2)
         rs = reachability(hom.target)
         for ci in range(len(rs.classes)):
-            qhom, proj = quotient_hom(hom, ci, "strict", rs)
+            qhom, (_, hmap) = quotient_hom(hom, ci, "strict", rs)
             qrs = reachability(qhom.target)
             for cls in rs.classes:
-                images = {proj.hmap[h] for h in cls}
+                images = {hmap[h] for h in cls}
                 target_classes = {qrs.class_of[h] for h in images}
                 assert len(target_classes) == 1
             for cj, qcls in enumerate(qrs.classes):
                 preimage_classes = [
                     ci2 for ci2, cls in enumerate(rs.classes)
-                    if {qrs.class_of[proj.hmap[h]] for h in cls} == {cj}]
+                    if {qrs.class_of[hmap[h]] for h in cls} == {cj}]
                 minimal = [c for c in preimage_classes
                            if not any(rs.lt(c2, c) for c2 in preimage_classes)]
                 assert len(minimal) == 1
-                onto = {proj.hmap[h] for h in rs.classes[minimal[0]]}
+                onto = {hmap[h] for h in rs.classes[minimal[0]]}
                 assert onto == set(qcls)
 
 
@@ -165,7 +166,7 @@ def _algebras_for_reachability(rng):
     restrictions and their syntactic quotients."""
     yield u1()
     yield u2()
-    yield direct_product(u1(), u2())[0]
+    yield direct_product(u1(), u2())
     yield four_element_algebra().hom.target
     recs = [random_recognizer(rng) for _ in range(60)]
     recs += [random_big_recognizer(rng, atoms=4) for _ in range(4)]
@@ -185,3 +186,69 @@ def test_reachability_matches_full_vertical_reference():
         assert [[rs.leq(ci, cj) for cj in range(m)] for ci in range(m)] == order
         assert rs.min_class == low
         assert rs.subminimal == subminimal
+
+
+def _homs_for_quotients(rng):
+    """Explicit and random homomorphisms, random recognizers' homs, their
+    image restrictions and their syntactic quotients."""
+    yield four_element_algebra().hom
+    yield u2_example_recognizer().hom
+    for _ in range(25):
+        yield random_hom(rng, max_letters=2)
+    recs = [random_recognizer(rng) for _ in range(25)]
+    recs += [random_big_recognizer(rng, atoms=3, nletters=2) for _ in range(3)]
+    for rec in recs:
+        yield rec.hom
+        yield image_restrict(rec.hom)
+        yield syntactic(rec)[0].hom
+
+
+def _raises_ideal_violation(quotient, alg, subset):
+    try:
+        quotient(alg, subset)
+    except IdealViolation:
+        return True
+    return False
+
+
+def test_quotient_matches_full_vertical_reference():
+    """The quotient tested on the generators and built on H equals the one
+    tested on and built over all of V, and both refuse the same sets."""
+    rng = random.Random(20261018)
+    refused = {True: 0, False: 0}
+    letter_closed_refused = 0
+    for hom in _homs_for_quotients(rng):
+        alg = hom.target
+        rs = reachability(alg)
+        for ci in range(len(rs.classes)):
+            for mode, ideal in (("strict", ideal_below(rs, ci)),
+                                ("weak", ideal_not_above(rs, ci))):
+                qhom, (reps, hmap) = quotient_hom(hom, ci, mode, rs)
+                ref, proj = reference_quotient_by_ideal(alg, ideal)
+                q = qhom.target
+                assert (q.H.names, q.H.op, q.zero) == (ref.H.names, ref.H.op,
+                                                       ref.zero)
+                assert hmap == proj.hmap
+                assert [hmap[r] for r in reps] == list(range(len(reps)))
+                for a in hom.alphabet:
+                    assert qhom.row(a) == ref.action[proj.vmap[hom.letter(a)]]
+        n = alg.H.size
+        for _ in range(8):
+            subset = {h for h in range(n) if rng.random() < 0.5}
+            # closed under the letters alone, so only an insertion refuses it
+            closed, todo = set(subset), list(subset)
+            while todo:
+                h = todo.pop()
+                for g in (hom.row(a)[h] for a in hom.alphabet):
+                    if g not in closed:
+                        closed.add(g)
+                        todo.append(g)
+            for candidate in (subset, closed):
+                got = _raises_ideal_violation(quotient_by_ideal, alg, candidate)
+                assert got == _raises_ideal_violation(
+                    reference_quotient_by_ideal, alg, candidate), candidate
+                refused[got] += 1
+            letter_closed_refused += got
+    assert refused[True] and refused[False]
+    assert letter_closed_refused
+
