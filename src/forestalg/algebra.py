@@ -143,10 +143,11 @@ class ForestAlgebra:
     """H, V and the action of V on H, all as explicit tables.
 
     ``generators`` holds the action rows of vertical elements that generate
-    V, and they are V's first elements: all of ``action`` for an algebra
-    given by its tables.  An algebra made by generated_algebra() holds only
-    H and its generators, named in ``_named`` (None for tables), and closes
-    V and ``action`` on first read.
+    V, and they are V's first elements, named ``generator_names``: all of
+    ``action`` and ``V.names`` for an algebra given by its tables.  An
+    algebra made by generated_algebra() holds only H and its generators,
+    given in ``_named`` (None for tables), and closes V and ``action`` on
+    first read.
     """
 
     _named = None
@@ -160,6 +161,7 @@ class ForestAlgebra:
         self.V = V
         self.action = action
         self.generators = action
+        self.generator_names = V.names
         self.faithful = faithful
 
     @cached_property
@@ -309,14 +311,25 @@ def horizontal_monoid(plus_table, identity, names=None):
     return FiniteMonoid(plus_table, identity, _canonical_names(plus_table, identity, names))
 
 
+def _fresh(name, i, used):
+    """Name V's element i ``name``, or ``v<i>`` and then ``_``s if taken."""
+    if name in used:
+        name = "v%d" % i
+        while name in used:
+            name += "_"
+    used.add(name)
+    return name
+
+
 def _generator_prefix(hmonoid, generators, max_vertical):
     """V's first elements: the identity, the distinct generator rows in
-    sorted-name order, then the insertions not among them.  Returns (rows,
-    names, genmap, merged names)."""
+    sorted-name order, then the insertions not among them, named as in V.
+    Returns (rows, names, genmap, merged names, used names)."""
     n = hmonoid.size
     rows = [tuple(range(n))]
     index = {rows[0]: 0}
     names = ["1"]
+    used = {"1"}
     genmap = {}
     merged = []
 
@@ -327,8 +340,8 @@ def _generator_prefix(hmonoid, generators, max_vertical):
         if len(rows) >= max_vertical:
             raise SizeLimitError("vertical closure", max_vertical)
         index[row] = len(rows)
+        names.append(_fresh(name, len(rows), used))
         rows.append(row)
-        names.append(name)
         return index[row]
 
     for name in sorted(generators, key=str):
@@ -339,16 +352,18 @@ def _generator_prefix(hmonoid, generators, max_vertical):
     for g, row in enumerate(hmonoid.op):
         if row not in index:
             intern(row, "ins_%s" % hmonoid.names[g])
-    return rows, names, genmap, merged
+    return rows, names, genmap, merged, used
 
 
 def generated_algebra(hmonoid, generators):
     """What close_vertical returns with warn_on_merge=False, but holding only
-    H and the generator prefix until V or the action table is read."""
-    rows, _, genmap, _ = _generator_prefix(hmonoid, generators,
-                                           DEFAULT_MAX_VERTICAL)
+    H and the generators, with the names V gives them, until V or the action
+    table is read."""
+    rows, names, genmap, _, _ = _generator_prefix(hmonoid, generators,
+                                                  DEFAULT_MAX_VERTICAL)
     alg = ForestAlgebra.__new__(ForestAlgebra)
     alg.H, alg.generators, alg.faithful = hmonoid, tuple(rows), True
+    alg.generator_names = tuple(names)
     alg._named = generators
     return alg, genmap
 
@@ -360,42 +375,29 @@ def close_vertical(hmonoid, generators, max_vertical=DEFAULT_MAX_VERTICAL,
     ``generators`` maps names to action rows (tuples H -> H).  The identity
     action and every insertion h -> g + h are added, and the set is closed
     under composition.  The action rows are the elements, so the result is
-    faithful and generators with identical action are merged.
+    faithful and generators with identical action are merged.  Element i
+    is named by its generator, ``ins_<g>`` or ``v<i>``, renamed by _fresh().
 
     Returns (ForestAlgebra, genmap) where genmap sends each generator name to
     its vertical index.
     """
-    rows, names, genmap, merged = _generator_prefix(hmonoid, generators,
-                                                    max_vertical)
+    rows, names, genmap, merged, used = _generator_prefix(
+        hmonoid, generators, max_vertical)
     index = closure(rows, list(rows), lambda ra, rb: tuple(ra[x] for x in rb),
                     None, max_vertical, "vertical closure")
-    rows = list(index)
-    names += ["v%d" % i for i in range(len(names), len(rows))]
+    rows = tuple(index)
+    names += [_fresh("v%d" % i, i, used) for i in range(len(names), len(rows))]
 
     if merged and warn_on_merge:
         warnings.warn("merged vertical generators with duplicate actions: %s"
                       % ", ".join(sorted(set(merged))))
 
-    # dedupe auto names against generator names
-    seen = set()
-    final_names = []
-    for i, name in enumerate(names):
-        if name in seen:
-            name = "v%d" % i
-            while name in seen:
-                name += "_"
-        seen.add(name)
-        final_names.append(name)
-
-    all_rows = tuple(rows)
-
     def vrow(a):
-        ra = all_rows[a]
-        return tuple(index[tuple(ra[x] for x in all_rows[b])]
-                     for b in range(len(all_rows)))
+        ra = rows[a]
+        return tuple(index[tuple(ra[x] for x in rb)] for rb in rows)
 
-    V = FiniteMonoid(None, 0, final_names, row_fn=vrow, size=len(all_rows))
-    alg = ForestAlgebra(hmonoid, V, tuple(rows), faithful=True)
+    V = FiniteMonoid(None, 0, names, row_fn=vrow, size=len(rows))
+    alg = ForestAlgebra(hmonoid, V, rows, faithful=True)
     return alg, genmap
 
 
@@ -482,7 +484,8 @@ def quotient_by_ideal(alg, ideal):
     for h in sorted(ideal):
         for v, row in enumerate(alg.generators):
             if row[h] not in ideal:
-                raise IdealViolation(alg.hname(h), alg.vname(v), alg.hname(row[h]))
+                raise IdealViolation(alg.hname(h), alg.generator_names[v],
+                                     alg.hname(row[h]))
     n = alg.H.size
     if alg.zero in ideal:
         ideal = frozenset(range(n))  # 0 reachable from all: collapse all

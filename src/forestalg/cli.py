@@ -133,9 +133,10 @@ def _cmd_syntactic(args):
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
+        lines = [] if args.json else [  # |V| is read only to be printed
+            "wrote %s (%s)" % (args.output, syn.hom.target.summary())]
         _emit(args, {"command": "syntactic", "output": args.output,
-                     "horizontal": syn.hom.target.H.size},
-              ["wrote %s (%s)" % (args.output, syn.hom.target.summary())])
+                     "horizontal": syn.hom.target.H.size}, lines)
     else:
         sys.stdout.write(text)
     return EXIT_TRUE

@@ -39,8 +39,9 @@ def is_ef_algebra(alg):
 
     Maps with f(h) + h = f(h) are closed under composition, and the
     generators are V's first elements, so the first violation over the
-    generators is the first over all of V.  Commutativity of H is a law of
-    every valid algebra, reported by check_axioms().
+    generators is the first over all of V; ``generator_names`` names it
+    without building V.  Commutativity of H is a law of every valid
+    algebra, reported by check_axioms().
     """
     for v, row in enumerate(alg.generators):
         for h, vh in enumerate(row):
@@ -48,9 +49,9 @@ def is_ef_algebra(alg):
                 return False, EFViolation(
                     "absorption", v, h, vh,
                     "%s.%s + %s = %s != %s = %s.%s"
-                    % (alg.vname(v), alg.hname(h), alg.hname(h),
+                    % (alg.generator_names[v], alg.hname(h), alg.hname(h),
                        alg.hname(alg.plus(vh, h)), alg.hname(vh),
-                       alg.vname(v), alg.hname(h)))
+                       alg.generator_names[v], alg.hname(h)))
     return True, None
 
 

@@ -15,6 +15,7 @@ h -> g + letter.h.
 from dataclasses import dataclass
 
 from . import terms
+from .algebra import DEFAULT_MAX_VERTICAL
 from .hom import generated, image_restrict
 from .joint import closure, image
 
@@ -145,7 +146,7 @@ def guarded_semigroup(hom):
     Every guarded context factors into depth-1 pieces t + a[] + t', whose
     action is exactly such a generator, so the closure is the full image of
     the guarded contexts.  Rows act on the image algebra, so the result is
-    faithful by construction.
+    faithful by construction.  It lies inside V, so V's cap bounds it.
     """
     alg = hom.target
     n = alg.H.size
@@ -155,7 +156,7 @@ def guarded_semigroup(hom):
         for g in range(n):
             gens.add(tuple(alg.plus(g, row[h]) for h in range(n)))
     return sorted(closure(gens, gens, lambda ra, rb: tuple(ra[x] for x in rb),
-                          None))
+                          None, DEFAULT_MAX_VERTICAL, "guarded semigroup"))
 
 
 def _absorbs_right(products, semigroup):

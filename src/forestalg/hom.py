@@ -21,7 +21,7 @@ from . import terms
 from .algebra import (ForestAlgebra, _canonical_names, generated_algebra,
                       horizontal_monoid)
 from .errors import AlphabetMismatchError, UnknownLetterError
-from .joint import determines, evaluate, image, joint_image
+from .joint import DEFAULT_MAX_JOINT, determines, evaluate, image, joint_image
 
 
 @dataclass
@@ -58,30 +58,20 @@ class Homomorphism:
     eval = evaluate     # value of a forest in the target's horizontal monoid
 
     def eval_context(self, ctx):
-        """Action of a context as a function row on H."""
-        alg = self.target
-        row = tuple(range(alg.H.size))
-        pre = alg.zero
-        post = alg.zero
-        seen_hole = False
-        for label, children in ctx:
-            if label == terms.HOLE:
-                seen_hole = True
-                continue
-            if terms.count_holes(children):
-                inner = self.eval_context(children)
-                row = tuple(self.row(label)[x] for x in inner)
-                seen_hole = True
-            else:
-                val = self.row(label)[self.eval(children)]
-                if seen_hole:
-                    post = alg.plus(post, val)
-                else:
-                    pre = alg.plus(pre, val)
-        if not seen_hole:
+        """Action of a context as a function row on H: entry h is the value
+        of the context with a forest of value h in its hole."""
+        if not terms.count_holes(ctx):
             raise ValueError("not a context: no hole")
-        total = alg.plus(pre, post)
-        return tuple(alg.plus(total, x) for x in row)
+        alg = self.target
+
+        def value(forest, h):
+            total = alg.zero
+            for label, children in forest:
+                x = h if label == terms.HOLE else self.row(label)[value(children, h)]
+                total = alg.plus(total, x)
+            return total
+
+        return tuple(value(ctx, h) for h in range(alg.H.size))
 
     def context_element(self, ctx):
         """Vertical element with the context's action, when one exists."""
@@ -140,11 +130,12 @@ def reachable_pairs(alpha, beta):
     """Exact set {(alpha(s), beta(s)) : s a forest} via the worklist closure.
 
     Every forest is generated from 0 by letters and +, so the least set
-    containing (0,0) closed under both is exactly the joint image.
+    containing (0,0) closed under both is exactly the joint image.  It
+    holds at most DEFAULT_MAX_JOINT pairs, or SizeLimitError is raised.
     """
     if tuple(alpha.alphabet) != tuple(beta.alphabet):
         raise AlphabetMismatchError("homomorphisms must share an alphabet")
-    return set(joint_image(alpha, beta, alpha.alphabet, None))
+    return set(joint_image(alpha, beta, alpha.alphabet, DEFAULT_MAX_JOINT))
 
 
 def factors_through(beta, alpha):

@@ -33,9 +33,6 @@ class ReachabilityStructure:
     def lt(self, ci, cj):
         return ci != cj and self._leq[ci][cj]
 
-    def members(self, ci):
-        return self.classes[ci]
-
     def class_names(self, ci):
         return [self.alg.hname(h) for h in self.classes[ci]]
 

@@ -41,14 +41,6 @@ def forest_depth(forest):
     return 1 + max(forest_depth(children) for _, children in forest)
 
 
-def letters_of(forest):
-    out = set()
-    for label, children in forest:
-        out.add(label)
-        out |= letters_of(children)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Printing
 

@@ -307,6 +307,32 @@ def reference_reachability(alg):
     return classes, order, low, subminimal
 
 
+def reference_vertical_names(hmonoid, generators, size):
+    """The names of a closed V's ``size`` elements, renamed after the
+    closure: "1", the generators with distinct rows in sorted-name order,
+    ``ins_<g>`` for the insertions not among them, then ``v<i>``; a name
+    already seen becomes ``v<i>``, then gains ``_`` until new."""
+    raw, rows = ["1"], {tuple(range(hmonoid.size))}
+    named = [(str(name), tuple(generators[name]))
+             for name in sorted(generators, key=str)]
+    named += [("ins_" + hmonoid.names[g], row)
+              for g, row in enumerate(hmonoid.op)]
+    for name, row in named:
+        if row not in rows:
+            rows.add(row)
+            raw.append(name)
+    raw += ["v%d" % i for i in range(len(raw), size)]
+    seen, names = set(), []
+    for i, name in enumerate(raw):
+        if name in seen:
+            name = "v%d" % i
+            while name in seen:
+                name += "_"
+        seen.add(name)
+        names.append(name)
+    return names
+
+
 def reference_ef_violation(alg):
     """The first (v, h) over all of V, in index order, with v.h + h != v.h,
     or None."""

@@ -5,6 +5,7 @@ import pytest
 from forestalg.algebra import (FiniteMonoid, ForestAlgebra, direct_product,
                                quotient_by_ideal, u1, u2)
 from forestalg.errors import IdealViolation, StructuralError
+from forestalg.hom import generated
 from forestalg.reach import quotient_hom, reachability
 
 from helpers import AlgebraMorphism, four_element_algebra
@@ -115,8 +116,13 @@ def test_quotient_collapses_ideal():
 
 def test_quotient_rejects_non_ideal():
     alg = four_element_algebra().hom.target
-    with pytest.raises(IdealViolation):
-        quotient_by_ideal(alg, {1})  # b.h1 = h2 escapes the set
+    lazy = generated(("a", "b"), alg.H.op, alg.zero,
+                     {"a": alg.generators[1], "b": alg.generators[2]}).target
+    for target in (alg, lazy):
+        with pytest.raises(IdealViolation) as exc:
+            quotient_by_ideal(target, {1})  # b.h1 = h2 escapes the set
+        assert exc.value.v == "b"
+    assert "V" not in vars(lazy)
 
 
 def test_quotient_projection_identity_on_kept():

@@ -2,6 +2,7 @@ import json
 import os
 import random
 
+from forestalg import algebra
 from forestalg.cli import main
 
 from helpers import BAD_LETTER_FILES
@@ -74,6 +75,28 @@ def test_compile_and_syntactic(tmp_path, capsys):
     assert code == 0
     code, out, _ = run(capsys, "decide", str(syn_file), "--logic", "efex")
     assert code == 0
+
+
+def test_written_files_close_V_only_to_print_it(tmp_path, capsys,
+                                                monkeypatch):
+    """compile -o --json reports |V|; syntactic -o reports it in text only."""
+    calls = []
+    close_vertical = algebra.close_vertical
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return close_vertical(*args, **kwargs)
+
+    monkeypatch.setattr(algebra, "close_vertical", counted)
+    psi, syn = str(tmp_path / "psi.fa"), str(tmp_path / "syn.fa")
+    code, out, _ = run(capsys, "compile", "EF(a & EX b)", "--alphabet", "a,b",
+                       "-o", psi, "--json")
+    assert (code, len(calls)) == (0, 1) and json.loads(out)["vertical"] > 1
+    calls.clear()
+    code, out, _ = run(capsys, "syntactic", psi, "-o", syn, "--json")
+    assert (code, calls) == (0, []) and "vertical" not in json.loads(out)
+    code, out, _ = run(capsys, "syntactic", psi, "-o", syn)
+    assert (code, len(calls)) == (0, 1) and "|V|=" in out
 
 
 def test_reach_dot(capsys):

@@ -215,8 +215,8 @@ def test_is_ef_algebra_matches_full_vertical_scan():
     assert verdicts == {True, False}
 
 
-def test_deciders_close_vertical_only_to_name_an_ef_violation(monkeypatch):
-    """Only the negative EF certificate names a vertical element."""
+def test_deciders_close_no_vertical_monoid(monkeypatch):
+    """A negative EF certificate names its generator without closing V."""
     calls = []
     close_vertical = algebra.close_vertical
 
@@ -226,8 +226,8 @@ def test_deciders_close_vertical_only_to_name_an_ef_violation(monkeypatch):
 
     monkeypatch.setattr(algebra, "close_vertical", counted)
     phi = logic.parse_formula(CYCLE3)
-    for fragment, closures in (("ex", 0), ("efex", 0), ("ef", 1)):
+    for fragment in ("ex", "efex", "ef"):
         calls.clear()
         decision = decide(logic.to_recognizer(phi, ("a0", "a1", "a2")), fragment)
-        assert len(calls) == closures, fragment
+        assert calls == [], fragment
         assert decision.definable == (fragment == "efex")

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from forestalg import logic, terms
+from forestalg import defk, logic, terms
 from forestalg.defk import (KdefEvaluator, alpha1, definiteness_degree,
                             definiteness_oracle, ex_definable_by_idempotents,
                             free_kdefinite, guarded_semigroup, key_sum,
@@ -220,3 +220,16 @@ def test_guarded_semigroup_for_ef_a():
     n = hom.target.H.size
     assert tuple(range(n)) in S  # the identity action, from letter b
     assert any(len(set(row)) == 1 for row in S)  # a constant, from letter a
+
+
+def test_guarded_semigroup_is_capped_like_V(monkeypatch):
+    rec = logic.to_recognizer(logic.parse_formula("EX(EX a) & EF b"),
+                              ("a", "b"))
+    hom = image_restrict(rec.hom)
+    S = guarded_semigroup(hom)
+    monkeypatch.setattr(defk, "DEFAULT_MAX_VERTICAL", len(S))
+    assert guarded_semigroup(hom) == S
+    monkeypatch.setattr(defk, "DEFAULT_MAX_VERTICAL", len(S) - 1)
+    with pytest.raises(SizeLimitError) as exc:
+        guarded_semigroup(hom)
+    assert (exc.value.what, exc.value.limit) == ("guarded semigroup", len(S) - 1)

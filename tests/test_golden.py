@@ -11,6 +11,7 @@ import io
 import json
 import os
 import sys
+import tempfile
 
 import pytest
 
@@ -55,6 +56,33 @@ DECOMPOSED = {
 }
 
 
+# A recognizer whose letter names clash with the names V gives its own
+# elements: the letter 1 (V's identity is 1) breaks the EF identity, the
+# letter ins_h1 is not the insertion of h1, and v7 is an automatic name.
+NAME_CLASH = """\
+H: 0 h1 h2 inf
+plus:
+0 h1 h2 inf
+h1 h1 inf inf
+h2 inf h2 inf
+inf inf inf inf
+letter: 1
+h2 h2 h2 inf
+letter: ins_h1
+h1 h1 h2 inf
+letter: v7
+h1 h2 h1 inf
+accept: inf
+"""
+
+NAME_CLASH_COMMANDS = (
+    ("decide", "--logic", "ef", "--certificate", "--json", "name_clash.fa"),
+    ("decompose", "--logic", "ef", "--json", "name_clash.fa"),
+    ("eval", "--context", "--json", "name_clash.fa", "v7([])"),
+    ("eval", "--context", "--json", "name_clash.fa", "ins_h1([]+v7)"),
+)
+
+
 def _run(argv):
     return _run_both(argv)[:2]
 
@@ -87,6 +115,20 @@ def formula_reports():
                    "--formula", formula, "--alphabet", alphabet)
             code, text = _run(cmd)
             out[" ".join(cmd)] = {"exit": code, "stdout": text}
+    return out
+
+
+def name_clash_reports(directory):
+    """{command line: {"exit": code, "stdout": text}} on NAME_CLASH, written
+    to ``directory``."""
+    path = os.path.join(directory, "name_clash.fa")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(NAME_CLASH)
+    out = {}
+    for cmd in NAME_CLASH_COMMANDS:
+        code, text = _run([path if arg == "name_clash.fa" else arg
+                           for arg in cmd])
+        out[" ".join(cmd)] = {"exit": code, "stdout": text}
     return out
 
 
@@ -143,6 +185,7 @@ def _report_path(name):
 
 
 FORMULA_REPORTS = os.path.join(GOLDEN, "reports_formulas.json")
+NAME_CLASH_REPORTS = os.path.join(GOLDEN, "reports_name_clash.json")
 
 
 def _read(path):
@@ -161,6 +204,11 @@ def test_fixture_reports_match_golden(name):
 
 def test_formula_reports_match_golden():
     assert _dump_reports(formula_reports()) == _read(FORMULA_REPORTS)
+
+
+def test_name_clash_reports_match_golden(tmp_path):
+    assert (_dump_reports(name_clash_reports(str(tmp_path)))
+            == _read(NAME_CLASH_REPORTS))
 
 
 def test_printed_algebras_match_golden():
@@ -256,6 +304,8 @@ def _write():
     files = {_report_path(n): _dump_reports(fixture_reports(n))
              for n in FIXTURE_NAMES}
     files[FORMULA_REPORTS] = _dump_reports(formula_reports())
+    with tempfile.TemporaryDirectory() as directory:
+        files[NAME_CLASH_REPORTS] = _dump_reports(name_clash_reports(directory))
     for outputs in (printed_outputs(), syntactic_outputs(),
                     decomposed_outputs()):
         files.update({os.path.join(GOLDEN, f): t for f, t in outputs.items()})

@@ -1,5 +1,8 @@
 import random
 
+import pytest
+
+from forestalg import hom as hom_module
 from forestalg import logic, terms
 from forestalg.algebra import close_vertical, horizontal_monoid, u2
 from forestalg.hom import (Homomorphism, Recognizer,
@@ -7,6 +10,7 @@ from forestalg.hom import (Homomorphism, Recognizer,
                            generated, image_restrict, reachable_pairs, realize,
                            recognizers_isomorphic, relabeled,
                            restrict_recognizer, syntactic)
+from forestalg.errors import SizeLimitError
 from forestalg.io import print_algebra
 from forestalg.joint import image
 from forestalg.oracle import random_forest
@@ -14,8 +18,8 @@ from forestalg.reach import quotient_hom
 
 from helpers import (brute_isomorphism, four_element_algebra, permuted_copy,
                      random_big_recognizer, random_recognizer,
-                     random_semilattice,
-                     reference_syntactic, u2_example_recognizer)
+                     random_semilattice, reference_syntactic,
+                     reference_vertical_names, u2_example_recognizer)
 
 
 def F(text):
@@ -52,6 +56,8 @@ def test_eval_context_respects_apply_and_compose():
         composed = hom.eval_context(terms.compose(ctx, ctx2))
         inner = hom.eval_context(ctx2)
         assert composed == tuple(row[x] for x in inner)
+    with pytest.raises(ValueError):
+        hom.eval_context(terms.parse_forest("a(b) + b"))
 
 
 def test_context_element_exists_for_insertion_closed():
@@ -84,6 +90,19 @@ def test_reachable_pairs_with_trivial():
     pairs = reachable_pairs(hom, triv)
     assert {p[0] for p in pairs} == set(range(4))
     assert {p[1] for p in pairs} == {0}
+
+
+def test_reachable_pairs_are_capped(monkeypatch):
+    hom = four_element_algebra().hom
+    qhom, _ = quotient_hom(hom, 2, "strict")
+    pairs = reachable_pairs(hom, qhom)
+    monkeypatch.setattr(hom_module, "DEFAULT_MAX_JOINT", len(pairs))
+    assert reachable_pairs(hom, qhom) == pairs
+    monkeypatch.setattr(hom_module, "DEFAULT_MAX_JOINT", len(pairs) - 1)
+    for call in (reachable_pairs, factors_through):
+        with pytest.raises(SizeLimitError) as exc:
+            call(hom, qhom)
+        assert (exc.value.what, exc.value.limit) == ("joint image", len(pairs) - 1)
 
 
 def test_factors_through():
@@ -276,14 +295,19 @@ def test_u2_example_is_onto():
 
 
 def test_generated_matches_eager_closure():
-    """Same letter indices, generators as V's first rows, and the same
-    printed algebra once V is read.  Letters may repeat a row, act as the
-    identity or act as an insertion."""
+    """Same letter indices, generators as V's first rows and names, and the
+    same printed algebra once V is read.  Letters may repeat a row, act as
+    the identity or act as an insertion, and may be named like elements of
+    V: 1, an insertion, an automatic name v<i>, or v<i>_."""
     rng = random.Random(4042)
-    letters = ("a", "b", "c", "d")
+    renamed = {"prefix": 0, "closure": 0}
     for _ in range(150):
         H = random_semilattice(rng)
         n = H.size
+        i = rng.randrange(1, 10)
+        letters = tuple(sorted(rng.sample(
+            ("a", "b", "1", "ins_" + rng.choice(H.names), "v%d" % i,
+             "v%d_" % i), 4)))
         rows = {}
         for a in letters:
             roll = rng.random()
@@ -297,6 +321,7 @@ def test_generated_matches_eager_closure():
                 rows[a] = tuple(rng.randrange(n) for _ in range(n))
         hom = generated(letters, H.op, H.identity, rows)
         alg = hom.target
+        names = alg.generator_names
         assert "V" not in vars(alg) and "action" not in vars(alg)
         assert all(hom.row(a) == rows[a] for a in letters)
         eager, genmap = close_vertical(horizontal_monoid(H.op, H.identity),
@@ -306,3 +331,12 @@ def test_generated_matches_eager_closure():
         assert (print_algebra(alg, letters=hom.assign)
                 == print_algebra(eager, letters=genmap))
         assert alg.action == eager.action
+        reference = reference_vertical_names(H, rows, eager.V.size)
+        assert list(eager.V.names) == reference
+        assert alg.V.names[:len(names)] == names
+        renamed["prefix"] += any(
+            name not in letters + ("1",) and not name.startswith("ins_")
+            for name in names)
+        renamed["closure"] += any(name.endswith("_")
+                                  for name in reference[len(names):])
+    assert min(renamed.values()) >= 5  # 68 and 7 instances rename

@@ -1,22 +1,28 @@
-"""The bench tracer wraps library functions by name; every name it lists
-must resolve, or a rename would silently break a traced bench run."""
+"""The bench tracer wraps library functions by name, and the workloads call
+them by name; every name they use must resolve, or a rename would silently
+break a bench run."""
 
 import importlib
 import importlib.util
 import os
+import random
+import re
+import types
 
-TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "tracer.py")
+BENCH = os.path.join(os.path.dirname(__file__), os.pardir, "bench")
+TRACER = os.path.join(BENCH, "tracer.py")
+WORKLOADS = os.path.join(BENCH, "workloads.py")
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+def _load(path, name):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_tracer_tables_resolve_on_the_package():
-    tracer = _load_tracer()
+    tracer = _load(TRACER, "bench_tracer")
     for name in tracer.MODULES:
         importlib.import_module("forestalg." + name)
     entries = [row[:2] for row in tracer.SPANNED + tracer.COUNTED]
@@ -27,3 +33,37 @@ def test_tracer_tables_resolve_on_the_package():
             assert hasattr(target, part), "%s.%s" % (modname, attr)
             target = getattr(target, part)
         assert callable(target), "%s.%s" % (modname, attr)
+
+
+def _lib():
+    """What the workloads receive as ``lib``: the package's modules."""
+    tracer = _load(TRACER, "bench_tracer")
+    return types.SimpleNamespace(**{
+        name: importlib.import_module("forestalg." + name)
+        for name in tracer.MODULES})
+
+
+def test_workload_library_calls_resolve_on_the_package():
+    with open(WORKLOADS, encoding="utf-8") as fh:
+        used = set(re.findall(r"\blib\.(\w+)\.(\w+)", fh.read()))
+    assert ("algebra", "close_vertical") in used
+    lib = _lib()
+    for modname, attr in used:
+        assert hasattr(getattr(lib, modname), attr), "%s.%s" % (modname, attr)
+
+
+def test_workload_vertical_closures_run():
+    """The workloads build recognizers with close_vertical(H, gens,
+    warn_on_merge=False); run those builders on small instances."""
+    workloads = _load(WORKLOADS, "bench_workloads")
+    lib = _lib()
+    big = workloads.random_big_recognizer(lib, random.Random(1), ("a", "b"),
+                                          atoms=2)
+    assert big.hom.target.H.size == 4 and big.hom.target.V.size > 1
+    L = ("a", "b", "c")
+    power = lib.hom.syntactic(lib.logic.to_recognizer(
+        lib.logic.parse_formula("EX a"), L))[0]
+    xor = workloads.xor_recognizer(lib, power,
+                                   workloads.u2_recognizer(lib, L), L)
+    assert xor.hom.target.H.size == power.hom.target.H.size * 2
+    assert not lib.decide.decide(xor, "ex").definable
