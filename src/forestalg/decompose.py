@@ -167,13 +167,10 @@ def wreath_compose(alpha, beta, max_size=DEFAULT_MAX_SIZE):
     states = casc.reachable_states()
     if len(states) > max_size:
         raise SizeLimitError("wreath composition carrier", max_size)
-    pos = {s: i for i, s in enumerate(states)}
     names = ["(%s,%s)" % (alpha.target.hname(s[0]), beta.target.hname(s[1]))
              for s in states]
-    plus = [[pos[casc.plus_state(x, y)] for y in states] for x in states]
-    rows = {a: tuple(pos[casc.letter_action(a, x)] for x in states)
-            for a in casc.alphabet}
-    return generated(casc.alphabet, plus, pos[casc.zero_state()], rows, names)
+    return generated(casc.alphabet, states, casc.letter_action,
+                     casc.plus_state, casc.zero_state(), names)
 
 
 # ---------------------------------------------------------------------------
@@ -193,19 +190,29 @@ def decompose_ef(alpha, max_size=DEFAULT_MAX_SIZE):
     return casc
 
 
+def _append_u1_stage(casc, fires):
+    """Two-element stage over every reachable state: letter a at a node
+    whose strict descendants reach state s acts as cinf if fires(a, s),
+    and as the identity otherwise."""
+    target = u1()
+    one, cinf = target.one, target.V.names.index("cinf")
+    letters = {(a,) + tuple(s): cinf if fires(a, s) else one
+               for a in casc.alphabet for s in casc.reachable_states()}
+    casc.append(Stage(U1_STAGE, target, len(casc.stages), letters))
+
+
 def _ef_rec(casc, alpha):
     alg = alpha.target
     if alg.H.size == 1:
         return
-    target = u1()
-    one, cinf = target.one, target.V.names.index("cinf")
+    inf = alg.absorbing()
     if alg.H.size == 2:
-        inf = alg.absorbing()
-        letters = {}
-        for a in casc.alphabet:
-            fires = alpha.row(a)[alg.zero] == inf
-            letters[(a,)] = cinf if fires else one
-        casc.append(Stage(U1_STAGE, target, 0, letters))
+        # the letter alone decides, so the stage reads no coordinates
+        target = u1()
+        cinf = target.V.names.index("cinf")
+        casc.append(Stage(U1_STAGE, target, 0, {
+            (a,): cinf if alpha.row(a)[alg.zero] == inf else target.one
+            for a in casc.alphabet}))
         return
     rs = reachability(alg)
     if len(rs.subminimal) > 1:
@@ -221,16 +228,8 @@ def _ef_rec(casc, alpha):
     _ef_rec(casc, qhom)
     rho = casc.factor_map(qhom)
     qinf = qhom.target.absorbing()
-    inf = alg.absorbing()
-    prefix = len(casc.stages)
-    letters = {}
-    for a in casc.alphabet:
-        row = alpha.row(a)
-        for state in casc.reachable_states():
-            hq = rho[state]
-            fires = row[reps[hq] if hq != qinf else hstar] == inf
-            letters[(a,) + tuple(state)] = cinf if fires else one
-    casc.append(Stage(U1_STAGE, target, prefix, letters))
+    _append_u1_stage(casc, lambda a, s: alpha.row(a)[
+        reps[rho[s]] if rho[s] != qinf else hstar] == inf)
 
 
 # ---------------------------------------------------------------------------
@@ -263,33 +262,23 @@ def _append_kdef_group(casc, view, k, max_size):
     cinf = target.V.names.index("cinf")
     c0 = target.V.names.index("c0")
     for level in range(1, k + 1):
+        # a node's label: its viewed letter and the depth-(level-1) class
+        # of its children, which is () at level 1
         tags = _class_tag_map(casc, view, level - 1, max_size)
         states = casc.reachable_states()
-        if level == 1:
-            occurring = sorted({view(a, s) for a in casc.alphabet for s in states},
-                               key=terms.label_key)
-
-            def label_of(a, s):
-                return view(a, s)
-        else:
-            occurring = sorted({(view(a, s), tags[s])
-                                for a in casc.alphabet for s in states},
-                               key=lambda c: (terms.label_key(c[0]),
-                                              terms.tree_key(("r", c[1]))))
-
-            def label_of(a, s, _tags=tags):
-                return (view(a, s), _tags[s])
-
+        labels = {(a,) + tuple(s): (view(a, s), tags[s])
+                  for a in casc.alphabet for s in states}
+        occurring = sorted(set(labels.values()),
+                           key=lambda c: (terms.label_key(c[0]),
+                                          terms.tree_key(("r", c[1]))))
         if len(states) << len(occurring) > max_size:
             raise SizeLimitError(
                 "depth-%d definite level carrier" % level, max_size)
         prefix = len(casc.stages)
         for c in occurring:
-            letters = {}
-            for a in casc.alphabet:
-                for s in states:
-                    letters[(a,) + tuple(s)] = cinf if label_of(a, s) == c else c0
-            casc.append(Stage(ONE_DEFINITE_STAGE, target, prefix, letters))
+            casc.append(Stage(ONE_DEFINITE_STAGE, target, prefix,
+                              {key: cinf if label == c else c0
+                               for key, label in labels.items()}))
 
 
 def decompose_kdefinite(alpha, k, max_size=DEFAULT_MAX_SIZE):
@@ -413,14 +402,8 @@ def _append_alarm_stage(casc, alpha, rs, cj, k, qhom, reps, view, max_size):
             total = alg.plus(total, resolve_component(root_tree))
         return total
 
-    target = u1()
-    one, cinf = target.one, target.V.names.index("cinf")
-    prefix = len(casc.stages)
-    letters = {}
-    for a in casc.alphabet:
-        row = alpha.row(a)
-        for state in casc.reachable_states():
-            h_q = resolve_sum(tags[state])
-            fires = h_q == inf or row[h_q] == inf
-            letters[(a,) + tuple(state)] = cinf if fires else one
-    casc.append(Stage(U1_STAGE, target, prefix, letters))
+    def fires(a, state):
+        h_q = resolve_sum(tags[state])
+        return h_q == inf or alpha.row(a)[h_q] == inf
+
+    _append_u1_stage(casc, fires)

@@ -122,13 +122,9 @@ def free_kdefinite(alphabet, k, max_classes=DEFAULT_MAX_CLASSES):
     """
     alphabet = tuple(sorted(set(alphabet), key=terms.label_key))
     ev = KdefEvaluator(k)
-    index = image(ev, alphabet, max_classes, "depth-%d classes" % k)
-    keys = list(index)
-    plus = [[index[ev.plus_state(x, y)] for y in keys] for x in keys]
-    rows = {a: tuple(index[ev.letter_action(a, x)] for x in keys)
-            for a in alphabet}
-    hom = generated(alphabet, plus, 0, rows)
-    hom.keys = tuple(keys)
+    keys = tuple(image(ev, alphabet, max_classes, "depth-%d classes" % k))
+    hom = generated(alphabet, keys, ev.letter_action, ev.plus_state, ())
+    hom.keys = keys
     return hom.target, hom
 
 

@@ -6,20 +6,19 @@ provides evaluation of forests and contexts, the exact reachable-pair
 closure used for factoring tests, image restriction, syntactic quotients
 of recognizers, and witness-term realization.
 
-generated() builds every generated algebra the package computes from a
-sum table and letter rows (io loads recognizer files through the same
-algebra.generated_algebra, keeping the file's element names); its vertical
-monoid is closed only when first read.  Image
-restriction and the syntactic quotient (partition refinement under letters
-and insertions) work on H and the rows and never build a vertical monoid.
+generated() builds every algebra the package computes, from a state list
+closed under the letter steps and the sum; it alone tabulates states into
+sum tables and letter rows (io loads recognizer files through the same
+algebra.generated_algebra).  V is closed only when first read.  Image
+restriction and the syntactic quotient (partition refinement on H under
+letters and insertions) never build a vertical monoid.
 """
 
 import heapq
 from dataclasses import dataclass, field
 
 from . import terms
-from .algebra import (ForestAlgebra, _canonical_names, generated_algebra,
-                      horizontal_monoid)
+from .algebra import ForestAlgebra, generated_algebra, horizontal_monoid
 from .errors import AlphabetMismatchError, UnknownLetterError
 from .joint import DEFAULT_MAX_JOINT, determines, evaluate, image, joint_image
 
@@ -151,45 +150,35 @@ def factors_through(beta, alpha):
 # ---------------------------------------------------------------------------
 # Generated algebras, image restriction and the syntactic quotient
 
-def generated(alphabet, plus, zero, rows, names=None):
-    """The homomorphism onto the algebra generated by the letter rows.
+def generated(alphabet, states, act, plus, zero, names=None):
+    """The homomorphism onto the algebra generated by the letter steps.
 
-    ``plus`` is the sum table with identity ``zero``; ``rows`` maps each
-    letter to its action row.  V is closed from the letters and insertions
-    on its first read.
+    ``states`` holds ``zero`` and is closed under ``act(a, x)`` for every
+    letter a and under ``plus(x, y)``, as joint.closure leaves a set.
+    Element i is ``states[i]``, named ``names[i]`` as horizontal_monoid
+    canonicalizes them.  V is closed from the letters and insertions on
+    its first read.
     """
-    H = horizontal_monoid(plus, zero, names)
-    gens = {terms.print_label(a): rows[a] for a in alphabet}
+    pos = {x: i for i, x in enumerate(states)}
+    table = [[pos[plus(x, y)] for y in states] for x in states]
+    H = horizontal_monoid(table, pos[zero], names)
+    gens = {terms.print_label(a): tuple(pos[act(a, x)] for x in states)
+            for a in alphabet}
     alg, genmap = generated_algebra(H, gens)
     assign = {a: genmap[terms.print_label(a)] for a in alphabet}
     return Homomorphism(alphabet, alg, assign)
 
 
-def _image(hom):
-    """(carrier, plus, names, rows) of the image, with no vertical monoid.
-
-    ``carrier`` lists the reachable indices in increasing order; the sum
-    table, names and letter rows are on positions in it.
-    """
-    alg = hom.target
-    carrier = sorted(image(hom, hom.alphabet))
-    pos = {h: i for i, h in enumerate(carrier)}
-    plus = [[pos[alg.plus(h, g)] for g in carrier] for h in carrier]
-    names = _canonical_names(plus, pos[alg.zero],
-                             [alg.hname(h) for h in carrier])
-    rows = {a: tuple(pos[hom.row(a)[h]] for h in carrier) for a in hom.alphabet}
-    return carrier, plus, names, rows
-
-
 def _restrict(hom):
     """Restriction onto the generated subalgebra; returns (hom, carrier).
 
-    ``carrier`` lists the original horizontal indices in the order used by
-    the restricted algebra.
+    ``carrier`` lists the reachable horizontal indices in increasing order,
+    the order of the restricted algebra's elements.
     """
-    carrier, plus, names, rows = _image(hom)
-    zero = carrier.index(hom.target.zero)
-    return generated(hom.alphabet, plus, zero, rows, names), carrier
+    alg = hom.target
+    carrier = sorted(image(hom, hom.alphabet))
+    return generated(hom.alphabet, carrier, hom.letter_action, alg.plus,
+                     alg.zero, [alg.hname(h) for h in carrier]), carrier
 
 
 def image_restrict(hom):
@@ -211,28 +200,38 @@ def syntactic(rec):
     the letters and the insertions, so this is the coarsest partition that
     refines accept/reject and that every letter and insertion maps into
     itself (Moore's refinement, on H alone).  Classes are numbered by their
-    least member.  Any recognizer of the language factors onto the result.
+    least member, which represents the class; only the representatives are
+    tabulated.  Any recognizer of the language factors onto the result.
 
     Returns (recognizer, projection): the projection is a dict from each
     reachable element of the input to its class.
     """
-    carrier, plus, names, rows = _image(rec.hom)
-    # steps[h]: the images of h under every letter and insertion; inserting
-    # 0 is the identity, so each new block refines the old one.
-    steps = list(zip(*rows.values(), *plus))
+    hom, alg = rec.hom, rec.hom.target
+    carrier = sorted(image(hom, hom.alphabet))
+    # steps[i]: the images of carrier[i] under every letter and insertion;
+    # inserting 0 is the identity, so each new block refines the old one.
+    rows = [hom.row(a) for a in hom.alphabet]
+    op = alg.H.op
+    steps = [[row[h] for row in rows] + [op[g][h] for g in carrier]
+             for h in carrier]
     block, count = [h in rec.accept for h in carrier], 0
+    block_of = [None] * alg.H.size    # the block of each reachable element
     while len(set(block)) > count:
         count = len(set(block))
+        for h, b in zip(carrier, block):
+            block_of[h] = b
         sigs = {}  # blocks numbered by first, hence least, member
-        block = [sigs.setdefault(tuple(block[x] for x in step), len(sigs))
+        block = [sigs.setdefault(tuple([block_of[x] for x in step]), len(sigs))
                  for step in steps]
-    reps = [block.index(c) for c in range(count)]
-    qplus = [[block[plus[r][s]] for s in reps] for r in reps]
-    qrows = {a: tuple(block[row[r]] for r in reps) for a, row in rows.items()}
-    zero = block[carrier.index(rec.hom.target.zero)]
-    hom = generated(rec.hom.alphabet, qplus, zero, qrows, [names[r] for r in reps])
+    reps = [carrier[block.index(c)] for c in range(count)]
+    rep = [None] * alg.H.size   # the representative of each reachable element
+    for h, b in zip(carrier, block):
+        rep[h] = reps[b]
+    qhom = generated(hom.alphabet, reps, lambda a, h: rep[hom.row(a)[h]],
+                     lambda h, g: rep[op[h][g]], rep[alg.zero],
+                     [alg.hname(h) for h in reps])
     accept = {c for c, h in zip(block, carrier) if h in rec.accept}
-    return Recognizer(hom, accept), dict(zip(carrier, block))
+    return Recognizer(qhom, accept), dict(zip(carrier, block))
 
 
 # ---------------------------------------------------------------------------

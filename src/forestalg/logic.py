@@ -13,6 +13,7 @@ root nodes.
 """
 
 from dataclasses import dataclass
+from operator import or_
 
 from . import terms
 from .errors import ParseError, RoleError
@@ -296,10 +297,6 @@ def to_recognizer(phi, alphabet):
                 out |= 1 << i
         return out
 
-    index = closure((0,), alphabet, letter_step, lambda x, z: x | z)
-    masks = list(index)
-
-    plus = [[index[x | y] for y in masks] for x in masks]
-    rows = {a: tuple(index[letter_step(a, x)] for x in masks) for a in alphabet}
+    masks = list(closure((0,), alphabet, letter_step, or_))
     accept = frozenset(i for i, x in enumerate(masks) if forest_sat(x, phi))
-    return Recognizer(generated(alphabet, plus, 0, rows), accept)
+    return Recognizer(generated(alphabet, masks, letter_step, or_, 0), accept)

@@ -117,12 +117,12 @@ def quotient_hom(alpha, ci, mode="strict", rs=None):
         raise ValueError("mode must be strict or weak")
     alg = alpha.target
     reps, hmap = quotient_by_ideal(alg, ideal)
-    plus = [[hmap[alg.plus(r, s)] for s in reps] for r in reps]
-    rows = {a: tuple(hmap[alpha.row(a)[r]] for r in reps) for a in alpha.alphabet}
+    rep = [reps[q] for q in hmap]   # the representative of each element
     names = [alg.hname(r) for r in reps]
     if ideal:
         names[-1] = "inf"
-    qhom = generated(alpha.alphabet, plus, hmap[alg.zero], rows, names)
+    qhom = generated(alpha.alphabet, reps, lambda a, h: rep[alpha.row(a)[h]],
+                     lambda h, g: rep[alg.plus(h, g)], rep[alg.zero], names)
     return qhom, (reps, hmap)
 
 

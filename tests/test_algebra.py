@@ -116,8 +116,9 @@ def test_quotient_collapses_ideal():
 
 def test_quotient_rejects_non_ideal():
     alg = four_element_algebra().hom.target
-    lazy = generated(("a", "b"), alg.H.op, alg.zero,
-                     {"a": alg.generators[1], "b": alg.generators[2]}).target
+    rows = {"a": alg.generators[1], "b": alg.generators[2]}
+    lazy = generated(("a", "b"), range(alg.H.size), lambda a, h: rows[a][h],
+                     alg.plus, alg.zero).target
     for target in (alg, lazy):
         with pytest.raises(IdealViolation) as exc:
             quotient_by_ideal(target, {1})  # b.h1 = h2 escapes the set

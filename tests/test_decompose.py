@@ -148,7 +148,9 @@ def test_ef_recursion_checks_trivial_subminimal_class():
     from forestalg.hom import generated
 
     plus = [[0, 1, 2, 3], [1, 1, 3, 3], [2, 3, 2, 3], [3, 3, 3, 3]]
-    hom = generated(("a",), plus, 0, {"a": (1, 2, 1, 3)})
+    row = (1, 2, 1, 3)
+    hom = generated(("a",), range(4), lambda a, h: row[h],
+                    lambda h, g: plus[h][g], 0)
     with pytest.raises(InternalError, match="trivial classes"):
         _ef_rec(Cascade(hom.alphabet), hom)
 

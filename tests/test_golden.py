@@ -10,6 +10,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import sys
 import tempfile
 
@@ -17,10 +18,15 @@ import pytest
 
 from forestalg import algebra, cli
 from forestalg import io as fio
-from forestalg import logic
+from forestalg import logic, terms
+from forestalg.decompose import decompose_ef, decompose_efex, wreath_compose
 from forestalg.defk import free_kdefinite
+from forestalg.errors import ForestAlgError
 from forestalg.hom import (Homomorphism, Recognizer, recognizers_isomorphic,
-                           syntactic)
+                           restrict_recognizer, syntactic)
+from forestalg.reach import quotient_hom, reachability
+
+from helpers import random_formula, random_recognizer, random_semilattice
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN = os.path.join(HERE, "golden")
@@ -180,6 +186,127 @@ def decomposed_outputs():
     return out
 
 
+def _clash_recognizer(rng):
+    """A recognizer on the subsets of three atoms whose H names clash with
+    the canonical ones (0, inf, h<i>) and with V's (1).  Half the time the
+    names are kept as given, as a loaded file keeps them, so inf may name
+    a non-absorbing element.  The letters map into the subsets of a mask,
+    so the image misses the absorbing element unless the mask is full."""
+    n = 8
+    plus = [[i | j for j in range(n)] for i in range(n)]
+    names = ["0"] + rng.sample(("inf", "1", "h1", "h2", "h3", "x", "y", "0"), 7)
+    if rng.random() < 0.5 and "0" not in names[1:]:
+        H = algebra.FiniteMonoid(plus, 0, names)
+    else:
+        H = algebra.horizontal_monoid(plus, 0, names)
+    mask = rng.choice((3, 5, 6, 7))
+    inside = [h for h in range(n) if h & mask == h]
+    letters = ("a", "b", "c")[:rng.randint(1, 3)]
+    rows = {a: tuple(rng.choice(inside) for _ in range(n)) for a in letters}
+    alg, genmap = algebra.generated_algebra(H, rows)
+    hom = Homomorphism(letters, alg, genmap)
+    return Recognizer(hom, frozenset(h for h in range(n) if rng.random() < 0.4))
+
+
+def _tagged_hom(rng, alpha):
+    """A random homomorphism over alpha's letter/element-name pairs."""
+    H = random_semilattice(rng, 4)
+    letters = [(a, alpha.target.hname(h)) for a in alpha.alphabet
+               for h in range(alpha.target.H.size)]
+    rows = {terms.print_label(b): tuple(rng.randrange(H.size)
+                                        for _ in range(H.size))
+            for b in letters}
+    alg, genmap = algebra.generated_algebra(H, rows)
+    return Homomorphism(letters, alg,
+                        {b: genmap[terms.print_label(b)] for b in letters})
+
+
+def _printed(hom):
+    return fio.print_recognizer(Recognizer(hom, frozenset()))
+
+
+def generated_outputs():
+    """{golden file name: text} for the algebras that restriction, the
+    syntactic quotient, the ideal quotients and wreath composition build
+    on seeded recognizers with clashing names."""
+    rng = random.Random(2024)
+    lines = []
+    for i in range(60):
+        rec = _clash_recognizer(rng)
+        lines.append("== recognizer %d\n%s" % (i, fio.print_recognizer(rec)))
+        restricted = restrict_recognizer(rec)
+        lines.append("restricted:\n" + fio.print_recognizer(restricted))
+        syn, projection = syntactic(rec)
+        lines.append("syntactic:\n%sprojection: %s\n" % (
+            fio.print_recognizer(syn), sorted(projection.items())))
+        for which, alpha in (("target", rec.hom), ("image", restricted.hom)):
+            rs = reachability(alpha.target)
+            for ci in range(len(rs.classes)):
+                for mode in ("strict", "weak"):
+                    qhom, (reps, hmap) = quotient_hom(alpha, ci, mode, rs)
+                    lines.append("%s quotient %d %s: reps %s hmap %s\n%s" % (
+                        which, ci, mode, reps, list(hmap), _printed(qhom)))
+        beta = _tagged_hom(rng, restricted.hom)
+        lines.append("wreath:\n" + _printed(wreath_compose(restricted.hom, beta)))
+    return {"generated_clash.txt": "".join(lines)}
+
+
+# Formulas over {a, b} (or {a, b, c}) from the bench's families.
+CASCADE_FORMULAS = (
+    "EF(a & EX b) | EF(b & EX a)",
+    "EX(a & EF b) | EX(b & EF a)",
+    "(EX a | EF(b & EX a)) & (EX b | EF(a & EX b))",
+    "EF(a & EF(b))",
+    "EF a & EF b & EF c",
+    "EX(EX a)",
+    "EX(EX(EX a))",
+)
+
+
+def _cascade_text(mu):
+    """describe() and every stage's letters under both decompositions and
+    both caps, or the refusal."""
+    lines = []
+    for fn in (decompose_ef, decompose_efex):
+        for cap in (4096, 65536):
+            lines.append("-- %s cap %d" % (fn.__name__, cap))
+            try:
+                casc = fn(mu, cap)
+            except ForestAlgError as exc:
+                lines.append("refused: %s: %s" % (type(exc).__name__, exc))
+                continue
+            lines.append(casc.describe())
+            keys = None
+            for i, st in enumerate(casc.stages):
+                if sorted(st.letters, key=repr) != keys:
+                    keys = sorted(st.letters, key=repr)
+                    lines.append("  keys from stage %d: %s" % (i, " ".join(
+                        "%s;%s" % (key[0], ",".join(map(str, key[1:])))
+                        for key in keys)))
+                lines.append("  stage %d: %s" % (i, " ".join(
+                    st.target.vname(st.letters[key]) for key in keys)))
+    return "\n".join(lines) + "\n"
+
+
+def cascade_outputs():
+    """{golden file name: text} for the cascades of the formula families,
+    seeded random formulas and seeded random recognizers."""
+    rng = random.Random(77)
+    chunks = []
+    for text in CASCADE_FORMULAS:
+        rec = logic.to_recognizer(logic.parse_formula(text),
+                                  ("a", "b", "c") if " c" in text else ("a", "b"))
+        chunks.append("== %s\n%s" % (text, _cascade_text(syntactic(rec)[0].hom)))
+    for i in range(60):
+        phi = random_formula(rng, ("a", "b"), rng.randint(3, 6))
+        rec = logic.to_recognizer(phi, ("a", "b"))
+        chunks.append("== formula %d\n%s" % (i, _cascade_text(syntactic(rec)[0].hom)))
+    for i in range(40):
+        rec = random_recognizer(rng, max_h=8)
+        chunks.append("== recognizer %d\n%s" % (i, _cascade_text(syntactic(rec)[0].hom)))
+    return {"cascade_shapes.txt": "".join(chunks)}
+
+
 def _report_path(name):
     return os.path.join(GOLDEN, "reports_%s.json" % name[:-len(".fa")])
 
@@ -223,6 +350,16 @@ def test_syntactic_algebras_match_golden():
 
 def test_decomposed_cascades_match_golden():
     for fname, text in decomposed_outputs().items():
+        assert text == _read(os.path.join(GOLDEN, fname)), fname
+
+
+def test_generated_algebras_match_golden():
+    for fname, text in generated_outputs().items():
+        assert text == _read(os.path.join(GOLDEN, fname)), fname
+
+
+def test_cascade_shapes_match_golden():
+    for fname, text in cascade_outputs().items():
         assert text == _read(os.path.join(GOLDEN, fname)), fname
 
 
@@ -307,7 +444,8 @@ def _write():
     with tempfile.TemporaryDirectory() as directory:
         files[NAME_CLASH_REPORTS] = _dump_reports(name_clash_reports(directory))
     for outputs in (printed_outputs(), syntactic_outputs(),
-                    decomposed_outputs()):
+                    decomposed_outputs(), generated_outputs(),
+                    cascade_outputs()):
         files.update({os.path.join(GOLDEN, f): t for f, t in outputs.items()})
     for path, text in files.items():
         with open(path, "w", encoding="utf-8", newline="") as fh:

@@ -11,7 +11,7 @@ from forestalg.hom import (Homomorphism, Recognizer,
                            recognizers_isomorphic, relabeled,
                            restrict_recognizer, syntactic)
 from forestalg.errors import SizeLimitError
-from forestalg.io import print_algebra
+from forestalg.io import parse_algebra, print_algebra
 from forestalg.joint import image
 from forestalg.oracle import random_forest
 from forestalg.reach import quotient_hom
@@ -207,6 +207,19 @@ def test_syntactic_idempotent():
     assert recognizers_isomorphic(syn1, syn2) is not None
 
 
+def test_syntactic_names_classes_by_their_representatives():
+    """A file may name a non-absorbing element inf.  The quotient is named
+    once, from its representatives' own names: h1 keeps its name, and the
+    class of the element named inf, which holds the absorbing h2, is inf."""
+    text = ("H: 0 inf h1 h2\nplus:\n0 inf h1 h2\ninf inf h2 h2\n"
+            "h1 h2 h1 h2\nh2 h2 h2 h2\nletter: a\ninf h1 0 h1\naccept: 0\n")
+    alg, letters, accept = parse_algebra(text)
+    syn, projection = syntactic(Recognizer(Homomorphism(("a",), alg, letters),
+                                           accept))
+    assert syn.hom.target.H.names == ("0", "inf", "h1")
+    assert projection == {0: 0, 1: 1, 2: 2, 3: 1}
+
+
 def test_syntactic_factors_through_any_recognizer():
     rec = four_element_algebra()
     syn, _ = syntactic(rec)
@@ -319,7 +332,8 @@ def test_generated_matches_eager_closure():
                 rows[a] = rows[rng.choice(sorted(rows))]
             else:
                 rows[a] = tuple(rng.randrange(n) for _ in range(n))
-        hom = generated(letters, H.op, H.identity, rows)
+        hom = generated(letters, range(n), lambda a, h: rows[a][h], H.mul,
+                        H.identity)
         alg = hom.target
         names = alg.generator_names
         assert "V" not in vars(alg) and "action" not in vars(alg)

@@ -105,7 +105,8 @@ def _random_tagged_hom(rng, alpha):
     letters = [(a, alpha.target.hname(h)) for a in alpha.alphabet
                for h in range(alpha.target.H.size)]
     rows = {b: tuple(rng.randrange(n) for _ in range(n)) for b in letters}
-    return generated(letters, H.op, H.identity, rows)
+    return generated(letters, range(n), lambda b, h: rows[b][h], H.mul,
+                     H.identity)
 
 
 def _check_against_reference(casc):
