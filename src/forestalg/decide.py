@@ -94,7 +94,7 @@ def nonconfusion(alpha, rs=None):
         rs = reachability(alg)
     letters = [(a, alpha.row(a))
                for a in sorted(set(alpha.alphabet), key=terms.label_key)]
-    n = alg.H.size
+    op = alg.H.op
     traces = {}
     for ci, members in enumerate(rs.classes):
         base = frozenset((h, g) for h in members for g in members if h != g)
@@ -107,13 +107,14 @@ def nonconfusion(alpha, rs=None):
         j = 0
         while True:
             j += 1
-            if j > n * n + 1:
+            if j > len(op) ** 2 + 1:
                 raise InternalError("pair fixpoint exceeded |H|^2 iterations")
             prev = levels[-1]
+            prev_pairs = sorted(prev)
             cur = {}
             queue = []
             for a, row in letters:
-                for (h, g) in sorted(prev):
+                for (h, g) in prev_pairs:
                     p = (row[h], row[g])
                     if p in base and p not in cur:
                         cur[p] = ("letter", a, (h, g))
@@ -122,13 +123,13 @@ def nonconfusion(alpha, rs=None):
             while at < len(queue):
                 h, g = queue[at]
                 at += 1
-                for c in range(n):
-                    q = (alg.plus(h, c), alg.plus(g, c))
+                sum_h, sum_g = op[h], op[g]
+                for c, q in enumerate(zip(sum_h, sum_g)):
                     if q in base and q not in cur:
                         cur[q] = ("const", c, (h, g))
                         queue.append(q)
                 for (h2, g2) in list(cur):
-                    q = (alg.plus(h, h2), alg.plus(g, g2))
+                    q = (sum_h[h2], sum_g[g2])
                     if q in base and q not in cur:
                         cur[q] = ("pair", (h, g), (h2, g2))
                         queue.append(q)
@@ -236,6 +237,8 @@ def decide(rec, fragment):
     Negative answers carry a certificate: the violated identity, the
     stable guarded-semigroup obstruction, or an explicit confusion witness.
     """
+    if fragment not in ("ef", "ex", "efex"):
+        raise ValueError("fragment must be ef, ex or efex")
     syn, _ = syntactic(rec)
     mu = syn.hom
     if fragment == "ef":
@@ -247,19 +250,16 @@ def decide(rec, fragment):
         ok = degree is not None
         detail = "definiteness degree %s" % ("none" if degree is None else degree)
         return Decision("ex", ok, syn, degree, detail)
-    if fragment == "efex":
-        report = nonconfusion(mu)
-        if report.nonconfusing:
-            return Decision("efex", True, syn, None,
-                            "nonconfusing with parameter %d" % report.parameter,
-                            report)
-        ci = report.confused_classes()[0]
-        trace = report.traces[ci]
-        pair = sorted(trace.levels[-1])[0]
-        witness = confusion_witness(mu, trace, pair)
-        s, t, k = witness
-        detail = ("confused pair (%s, %s) at level %d: %s vs %s"
-                  % (mu.target.hname(pair[0]), mu.target.hname(pair[1]), k,
-                     terms.print_forest(s), terms.print_forest(t)))
-        return Decision("efex", False, syn, (s, t, k, ci), detail, report)
-    raise ValueError("fragment must be ef, ex or efex")
+    report = nonconfusion(mu)
+    if report.nonconfusing:
+        return Decision("efex", True, syn, None,
+                        "nonconfusing with parameter %d" % report.parameter,
+                        report)
+    ci = report.confused_classes()[0]
+    trace = report.traces[ci]
+    pair = sorted(trace.levels[-1])[0]
+    s, t, k = confusion_witness(mu, trace, pair)
+    detail = ("confused pair (%s, %s) at level %d: %s vs %s"
+              % (mu.target.hname(pair[0]), mu.target.hname(pair[1]), k,
+                 terms.print_forest(s), terms.print_forest(t)))
+    return Decision("efex", False, syn, (s, t, k, ci), detail, report)

@@ -8,14 +8,16 @@ as a cross-check.
 
 A homomorphism is k-definite when the image of p.s does not depend on s for
 any context p with its hole at depth at least k.  This is decided on the
-semigroup of guarded-context actions, generated by the maps
-h -> g + letter.h.
+semigroup S of guarded-context actions, generated by the guarded generators
+G, the maps h -> g + letter.h.  Products of k elements of S are the words
+of length at least k over G, so S^(k+1) = S^k.G, and a map absorbs all of
+S on the right exactly when it absorbs all of G.
 """
 
 from dataclasses import dataclass
 
 from . import terms
-from .algebra import DEFAULT_MAX_VERTICAL
+from .algebra import DEFAULT_MAX_VERTICAL, _after
 from .hom import generated, image_restrict
 from .joint import closure, image
 
@@ -136,6 +138,12 @@ def alpha1(alphabet):
 # ---------------------------------------------------------------------------
 # Guarded-context semigroup and definiteness degree
 
+def _guarded_generators(hom):
+    """The rows h -> g + a.h of the depth-1 guarded contexts, sorted."""
+    op = hom.target.H.op
+    return sorted({r for a in set(hom.alphabet) for r in map(_after(hom.row(a)), op)})
+
+
 def guarded_semigroup(hom):
     """Closure of the guarded depth-1 actions h -> g + letter.h.
 
@@ -144,40 +152,38 @@ def guarded_semigroup(hom):
     the guarded contexts.  Rows act on the image algebra, so the result is
     faithful by construction.  It lies inside V, so V's cap bounds it.
     """
-    alg = hom.target
-    n = alg.H.size
-    gens = set()
-    for a in sorted(set(hom.alphabet), key=terms.label_key):
-        row = hom.row(a)
-        for g in range(n):
-            gens.add(tuple(alg.plus(g, row[h]) for h in range(n)))
-    return sorted(closure(gens, gens, lambda ra, rb: tuple(ra[x] for x in rb),
+    gens = _guarded_generators(hom)
+    return sorted(closure(gens, [_after(g) for g in gens], lambda by_g, r: by_g(r),
                           None, DEFAULT_MAX_VERTICAL, "guarded semigroup"))
-
-
-def _absorbs_right(products, semigroup):
-    return all(tuple(p[x] for x in s) == p for p in products for s in semigroup)
 
 
 def definiteness_degree(alpha):
     """Least k such that alpha is k-definite, or None.
 
-    Follows the descending chain of length-j product sets of the guarded
-    semigroup; the chain stabilizes within |S| steps, and the degree exists
-    exactly when the stable set absorbs right multiplication.
+    Follows the descending chain S^k of products of k elements of the
+    guarded semigroup S.  S^k is the set of words of length at least k over
+    the guarded generators G, so S^(k+1) = S^k.G, and p.s = p for all s in
+    S exactly when p.g = p for all g in G: each step composes with G only.
+    The chain stabilizes within |S| steps, and the degree exists exactly
+    when the stable set absorbs right multiplication.
     """
     hom = image_restrict(alpha)
     if hom.target.H.size == 1:
         return 0
     S = guarded_semigroup(hom)
-    products = set(S)
+    right = [_after(g) for g in _guarded_generators(hom)]
+    products = S
     for k in range(1, len(S) + 2):
-        if _absorbs_right(products, S):
+        nxt, absorbs = set(), True
+        for by_g in right:
+            composed = list(map(by_g, products))
+            absorbs = absorbs and composed == products
+            nxt.update(composed)
+        if absorbs:
             return k
-        nxt = {tuple(p[x] for x in s) for p in products for s in S}
-        if nxt == products:
+        if len(nxt) == len(products):    # nxt lies inside products
             return None
-        products = nxt
+        products = list(nxt)
     return None
 
 
@@ -185,19 +191,13 @@ def ex_definable_by_idempotents(alpha):
     """Finite-semigroup shortcut for "k-definite for some k".
 
     The criterion is that every idempotent absorbs on the right: e.s = e
-    for all s in the guarded semigroup.
+    for all s in the guarded semigroup S.  As S is generated by the guarded
+    generators G, that holds exactly when e.g = e for all g in G.
     """
     hom = image_restrict(alpha)
-    if hom.target.H.size == 1:
-        return True
-    S = guarded_semigroup(hom)
-    for e in S:
-        if tuple(e[x] for x in e) != e:
-            continue
-        for s in S:
-            if tuple(e[x] for x in s) != e:
-                return False
-    return True
+    right = [_after(g) for g in _guarded_generators(hom)]
+    return all(_after(e)(e) != e or all(by_g(e) == e for by_g in right)
+               for e in guarded_semigroup(hom))
 
 
 def definiteness_oracle(alpha, k, depth_bound=3, fill_depth=2, fill_width=2):

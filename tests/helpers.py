@@ -521,3 +521,116 @@ def reference_quotient_by_ideal(alg, ideal):
     q = ForestAlgebra(H, V, action, faithful=True)
     proj = AlgebraMorphism(alg, q, tuple(hmap), tuple(vmap))
     return q, proj
+
+
+def reference_definiteness_degree(alpha):
+    """defk.definiteness_degree by the full chain: every product is
+    composed with, and tested against, every element of the guarded
+    semigroup S."""
+    from forestalg.defk import guarded_semigroup
+    from forestalg.hom import image_restrict
+
+    hom = image_restrict(alpha)
+    if hom.target.H.size == 1:
+        return 0
+    S = guarded_semigroup(hom)
+    products = set(S)
+    for k in range(1, len(S) + 2):
+        if all(tuple(p[x] for x in s) == p for p in products for s in S):
+            return k
+        nxt = {tuple(p[x] for x in s) for p in products for s in S}
+        if nxt == products:
+            return None
+        products = nxt
+    return None
+
+
+def reference_idempotent_criterion(alpha):
+    """Every idempotent e of the guarded semigroup S has e.s = e for all s
+    in S, tested against all of S."""
+    from forestalg.defk import guarded_semigroup
+    from forestalg.hom import image_restrict
+
+    S = guarded_semigroup(image_restrict(alpha))
+    return all(tuple(e[x] for x in e) != e
+               or all(tuple(e[x] for x in s) == e for s in S) for e in S)
+
+
+def reference_nonconfusion(alpha, rs=None):
+    """decide.nonconfusion with every sum looked up through alg.plus and the
+    previous level sorted once per letter; same visit order, same report."""
+    from forestalg.decide import ClassTrace, NonconfusionReport
+    from forestalg.reach import reachability
+
+    alg = alpha.target
+    if rs is None:
+        rs = reachability(alg)
+    letters = [(a, alpha.row(a))
+               for a in sorted(set(alpha.alphabet), key=terms.label_key)]
+    n = alg.H.size
+    traces = {}
+    for ci, members in enumerate(rs.classes):
+        base = frozenset((h, g) for h in members for g in members if h != g)
+        levels = [base]
+        derivations = [{p: ("base",) for p in sorted(base)}]
+        if not base:
+            traces[ci] = ClassTrace(ci, members, levels, derivations, "empty", 0)
+            continue
+        j = 0
+        while True:
+            j += 1
+            assert j <= n * n + 1
+            prev = levels[-1]
+            cur = {}
+            queue = []
+            for a, row in letters:
+                for (h, g) in sorted(prev):
+                    p = (row[h], row[g])
+                    if p in base and p not in cur:
+                        cur[p] = ("letter", a, (h, g))
+                        queue.append(p)
+            at = 0
+            while at < len(queue):
+                h, g = queue[at]
+                at += 1
+                for c in range(n):
+                    q = (alg.plus(h, c), alg.plus(g, c))
+                    if q in base and q not in cur:
+                        cur[q] = ("const", c, (h, g))
+                        queue.append(q)
+                for (h2, g2) in list(cur):
+                    q = (alg.plus(h, h2), alg.plus(g, g2))
+                    if q in base and q not in cur:
+                        cur[q] = ("pair", (h, g), (h2, g2))
+                        queue.append(q)
+            level = frozenset(cur)
+            assert level <= prev
+            levels.append(level)
+            derivations.append(cur)
+            if not level or level == prev:
+                break
+        verdict = "confused" if level else "empty"
+        traces[ci] = ClassTrace(ci, members, levels, derivations, verdict, j)
+    ok = all(t.verdict == "empty" for t in traces.values())
+    parameter = max((t.k for t in traces.values()), default=0)
+    return NonconfusionReport(ok, parameter, traces)
+
+
+def differential_homs():
+    """Seeded homomorphisms on which the deciders' fast paths are compared
+    with the references above: 300 random recognizers' homs, 3 big ones,
+    the syntactic homs of 40 random depth-3 formulas over {a, b}, EX^n a
+    for n = 1..5, and alpha1 on {a, b}."""
+    from forestalg.defk import alpha1
+    from forestalg.hom import syntactic
+
+    rng = random.Random(2024)
+    homs = [random_recognizer(rng).hom for _ in range(300)]
+    homs += [random_big_recognizer(rng).hom
+             for _ in range(3)]
+    formulas = [random_formula(rng, ("a", "b"), 3) for _ in range(40)]
+    formulas += [logic.parse_formula("EX " * n + "a") for n in range(1, 6)]
+    for phi in formulas:
+        homs.append(syntactic(logic.to_recognizer(phi, ("a", "b")))[0].hom)
+    homs.append(alpha1(("a", "b")))
+    return homs

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -10,9 +11,10 @@ from forestalg.defk import simk_equiv
 from forestalg.hom import image_restrict, relabeled, syntactic
 from forestalg.reach import class_tag_names, quotient_hom, reachability
 
-from helpers import (example_language_recognizer, four_element_algebra,
-                     random_big_recognizer, random_hom, random_recognizer,
-                     reference_ef_violation, u2_example_recognizer)
+from helpers import (differential_homs, example_language_recognizer,
+                     four_element_algebra, random_big_recognizer, random_hom,
+                     random_recognizer, reference_ef_violation,
+                     reference_nonconfusion, u2_example_recognizer)
 
 CYCLE3 = "EF(a0 & EX a1) | EF(a1 & EX a2) | EF(a2 & EX a0)"
 
@@ -66,6 +68,25 @@ def test_nonconfusion_trivial():
     rec = logic.to_recognizer(logic.TrueF(), ("a",))
     report = nonconfusion(rec.hom)
     assert report.nonconfusing
+
+
+def test_nonconfusion_matches_plus_fixpoint():
+    # stepping pairs on the sum table's rows visits them in the same order
+    # as stepping through alg.plus, so every record comes out identical
+    confused = 0
+    for hom in differential_homs():
+        got, want = nonconfusion(hom), reference_nonconfusion(hom)
+        assert (got.nonconfusing, got.parameter) == (want.nonconfusing,
+                                                     want.parameter)
+        assert got.traces.keys() == want.traces.keys()
+        for ci, trace in got.traces.items():
+            ref = want.traces[ci]
+            assert (trace.levels, trace.verdict, trace.k) == (
+                ref.levels, ref.verdict, ref.k)
+            assert ([list(d.items()) for d in trace.derivations]
+                    == [list(d.items()) for d in ref.derivations])
+        confused += not got.nonconfusing
+    assert confused
 
 
 def test_levels_descend():
@@ -142,8 +163,12 @@ def test_decide_examples():
     assert terms.ic_normalize(t) == F("a(c)")
 
 
-def test_decide_rejects_unknown_fragment():
-    with pytest.raises(ValueError):
+def test_decide_rejects_unknown_fragment(monkeypatch):
+    def refuse(rec):
+        raise AssertionError("syntactic quotient built for an unknown fragment")
+
+    monkeypatch.setattr(sys.modules["forestalg.decide"], "syntactic", refuse)
+    with pytest.raises(ValueError, match="fragment must be ef, ex or efex"):
         decide(four_element_algebra(), "ctl")
 
 

@@ -12,7 +12,8 @@ from forestalg.hom import factors_through, image_restrict, syntactic
 from forestalg.joint import TensorEvaluator, evaluate, mutually_determine
 from forestalg.oracle import enumerate_forests, random_forest
 
-from helpers import u2_example_recognizer
+from helpers import (differential_homs, reference_definiteness_degree,
+                     reference_idempotent_criterion, u2_example_recognizer)
 
 
 def F(text):
@@ -202,6 +203,19 @@ def test_idempotent_criterion_matches_chain():
         syn, _ = syntactic(rec)
         degree = definiteness_degree(syn.hom)
         assert ex_definable_by_idempotents(syn.hom) == (degree is not None)
+
+
+def test_generator_chain_matches_full_semigroup_chain():
+    # S^k is the set of words of length >= k over the guarded generators,
+    # so stepping and testing by the generators gives the full chain's answers
+    degrees = set()
+    for hom in differential_homs():
+        degree = definiteness_degree(hom)
+        assert degree == reference_definiteness_degree(hom)
+        ok = ex_definable_by_idempotents(hom)
+        assert ok == reference_idempotent_criterion(hom) == (degree is not None)
+        degrees.add(degree)
+    assert {0, 1, 2, None} <= degrees
 
 
 def test_transposed_idempotent_criterion_differs():
