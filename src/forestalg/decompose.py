@@ -14,7 +14,9 @@ Produced cascades:
     both constants per depth level, each stage watching one root label;
   - combined: the recursion peels the minimal class with a depth-k group,
     or a subminimal class with a depth-k group plus one alarm stage that
-    detects collapse to the absorbing element.
+    detects collapse to the absorbing element.  The alarm stage reads each
+    state's value off the exact joint image of the cascade so far with the
+    input, less its absorbing values.
 """
 
 from dataclasses import dataclass, field
@@ -27,7 +29,6 @@ from .errors import (AlphabetMismatchError, InternalError, NotEFAlgebra,
                      NotKDefinite, NotNonconfusing, SizeLimitError)
 from .hom import generated, image_restrict
 from .joint import TensorEvaluator, determines, evaluate, image
-from .oracle import key_value_sets
 from .reach import quotient_hom, reachability
 
 DEFAULT_MAX_SIZE = 4096
@@ -235,21 +236,21 @@ def _ef_rec(casc, alpha):
 # ---------------------------------------------------------------------------
 # Depth-k groups of two-constant stages
 
-def _class_tag_map(casc, view, k, max_size):
+def _class_tag_map(casc, view, k):
     """Map each reachable cascade state to the depth-k class of the viewed
     relabeling.  Functional because the group built for lower depths is
     already part of the cascade."""
     if k <= 0:
         return {s: () for s in casc.reachable_states()}
     tagged = image(TensorEvaluator(casc, KdefEvaluator(k), view), casc.alphabet,
-                   max_size, "depth-%d tag closure" % k)
+                   casc.max_size, "depth-%d tag closure" % k)
     mapping = determines(tagged)[0]
     if mapping is None:
         raise InternalError("cascade prefix does not determine the class tag")
     return mapping
 
 
-def _append_kdef_group(casc, view, k, max_size):
+def _append_kdef_group(casc, view, k):
     """Parallel two-constant stages per depth level; stage for node label c
     reports whether some root of the viewed relabeling carries c.
 
@@ -264,16 +265,16 @@ def _append_kdef_group(casc, view, k, max_size):
     for level in range(1, k + 1):
         # a node's label: its viewed letter and the depth-(level-1) class
         # of its children, which is () at level 1
-        tags = _class_tag_map(casc, view, level - 1, max_size)
+        tags = _class_tag_map(casc, view, level - 1)
         states = casc.reachable_states()
         labels = {(a,) + tuple(s): (view(a, s), tags[s])
                   for a in casc.alphabet for s in states}
         occurring = sorted(set(labels.values()),
                            key=lambda c: (terms.label_key(c[0]),
                                           terms.tree_key(("r", c[1]))))
-        if len(states) << len(occurring) > max_size:
+        if len(states) << len(occurring) > casc.max_size:
             raise SizeLimitError(
-                "depth-%d definite level carrier" % level, max_size)
+                "depth-%d definite level carrier" % level, casc.max_size)
         prefix = len(casc.stages)
         for c in occurring:
             casc.append(Stage(ONE_DEFINITE_STAGE, target, prefix,
@@ -288,7 +289,7 @@ def decompose_kdefinite(alpha, k, max_size=DEFAULT_MAX_SIZE):
         raise NotKDefinite(degree, k)
     alpha = image_restrict(alpha)
     casc = Cascade(alpha.alphabet, max_size)
-    _append_kdef_group(casc, lambda a, s: a, k, max_size)
+    _append_kdef_group(casc, lambda a, s: a, k)
     ok, witness = casc.factors(alpha)
     if not ok:
         raise InternalError("definite cascade fails to factor: %r" % (witness,))
@@ -301,18 +302,17 @@ def decompose_kdefinite(alpha, k, max_size=DEFAULT_MAX_SIZE):
 def decompose_efex(alpha, max_size=DEFAULT_MAX_SIZE):
     """Cascade of two-element and two-constant stages for a nonconfusing map.
 
-    Recursion on the horizontal size: a fat minimal class is peeled by its
-    strict quotient plus a depth-k group; with the minimum trivial, several
-    subminimal classes split into a product of weak quotients, and a single
-    subminimal class is peeled by its strict quotient, a depth-k group, and
-    one alarm stage that watches for collapse to the absorbing element.
+    Recursion on the horizontal size: with the minimum trivial, several
+    subminimal classes split into a product of weak quotients.  Otherwise
+    the fat minimal class, or else the single subminimal class, is peeled
+    by its strict quotient plus a depth-k group; a peeled subminimal class
+    adds one alarm stage that fires where a node's tree maps to the
+    absorbing element.  Raises NotNonconfusing, with the report, on a
+    confusing map.
     """
     alpha = image_restrict(alpha)
-    report = nonconfusion(alpha)
-    if not report.nonconfusing:
-        raise NotNonconfusing(report)
     casc = Cascade(alpha.alphabet, max_size)
-    _efex_rec(casc, alpha, max_size)
+    _efex_rec(casc, alpha)
     ok, witness = casc.factors(alpha)
     if not ok:
         raise InternalError("combined cascade fails to factor: %r" % (witness,))
@@ -332,78 +332,44 @@ def _quotient_view(casc, qhom):
     return view
 
 
-def _efex_rec(casc, alpha, max_size):
+def _efex_rec(casc, alpha):
     alg = alpha.target
     if alg.H.size == 1:
         return
     rs = reachability(alg)
     report = nonconfusion(alpha, rs)
     if not report.nonconfusing:
-        raise InternalError("recursion reached a confusing quotient")
-    minc = rs.min_class
-    if len(rs.classes[minc]) > 1:
-        k = report.traces[minc].k
-        qhom, _ = quotient_hom(alpha, minc, "strict", rs)
-        _efex_rec(casc, qhom, max_size)
-        _append_kdef_group(casc, _quotient_view(casc, qhom), k, max_size)
-        return
-    if len(rs.subminimal) > 1:
+        raise NotNonconfusing(report)
+    fat = len(rs.classes[rs.min_class]) > 1
+    if not fat and len(rs.subminimal) > 1:
         for cj in rs.subminimal:
-            qhom, _ = quotient_hom(alpha, cj, "weak", rs)
-            _efex_rec(casc, qhom, max_size)
+            _efex_rec(casc, quotient_hom(alpha, cj, "weak", rs)[0])
         return
-    if not rs.subminimal:
+    if not fat and not rs.subminimal:
         raise InternalError("nontrivial algebra without subminimal classes")
-    cj = rs.subminimal[0]
-    k = max(1, report.traces[cj].k)
-    qhom, (reps, _) = quotient_hom(alpha, cj, "strict", rs)
-    _efex_rec(casc, qhom, max_size)
-    view = _quotient_view(casc, qhom)
-    _append_kdef_group(casc, view, k, max_size)
-    _append_alarm_stage(casc, alpha, rs, cj, k, qhom, reps, view, max_size)
+    ci = rs.min_class if fat else rs.subminimal[0]
+    qhom = quotient_hom(alpha, ci, "strict", rs)[0]
+    _efex_rec(casc, qhom)
+    _append_kdef_group(casc, _quotient_view(casc, qhom),
+                       max(1, report.traces[ci].k))
+    if not fat:
+        _append_alarm_stage(casc, alpha)
 
 
-def _append_alarm_stage(casc, alpha, rs, cj, k, qhom, reps, view, max_size):
-    """Two-element stage firing at nodes whose tree must map to absorbing.
+def _append_alarm_stage(casc, alpha):
+    """Two-element stage firing at nodes whose tree maps to absorbing.
 
-    A node's children classes determine the children values: above the
-    peeled class directly, inside it by nonconfusion (the unique class
-    value sharing the tagged key), absorbing otherwise.  The stage fires
-    when that sum, or the letter applied to it, is absorbing.
+    The cascade so far determines the value of every non-absorbing forest:
+    the strict quotient above the peeled class, the depth-k group and
+    nonconfusion inside it.  So the exact joint image, less its absorbing
+    values, maps each state to a value; a state outside that map is
+    reached by absorbing forests only.
     """
-    alg = alpha.target
-    qalg = qhom.target
-    qinf = qalg.absorbing()
-    members = set(rs.classes[cj])
-    inf = alg.absorbing()
-    tags = _class_tag_map(casc, view, k, max_size)
-    tree_keys = sorted({(root_tree,) for key in tags.values()
-                        for root_tree in key},
-                       key=lambda key: terms.tree_key(("r", key)))
-    tree_values = key_value_sets(alpha, cj, k, tree_keys, rs)
-    qname_index = {qalg.hname(h): h for h in range(qalg.H.size)}
-    qname_index["inf"] = qinf
-
-    def resolve_component(root_tree):
-        b, tagname = root_tree[0]
-        q1 = qhom.row(b)[qname_index[tagname]]
-        if q1 != qinf:
-            return reps[q1]
-        candidates = sorted(tree_values[(root_tree,)] & members)
-        if len(candidates) > 1:
-            raise InternalError("nonconfusion left an ambiguous class value")
-        if candidates:
-            return candidates[0]
-        return inf
-
-    def resolve_sum(key):
-        total = alg.zero
-        for root_tree in key:
-            total = alg.plus(total, resolve_component(root_tree))
-        return total
-
-    def fires(a, state):
-        h_q = resolve_sum(tags[state])
-        return h_q == inf or alpha.row(a)[h_q] == inf
-
-    _append_u1_stage(casc, fires)
+    inf = alpha.target.absorbing()
+    value, clash = determines([(s, h) for s, h in casc.joint_image(alpha)
+                               if h != inf])
+    if clash is not None:
+        raise InternalError("nonconfusion left an ambiguous class value: %r"
+                            % (clash,))
+    _append_u1_stage(casc, lambda a, s: s not in value
+                     or alpha.row(a)[value[s]] == inf)

@@ -634,3 +634,54 @@ def differential_homs():
         homs.append(syntactic(logic.to_recognizer(phi, ("a", "b")))[0].hom)
     homs.append(alpha1(("a", "b")))
     return homs
+
+
+def reference_alarm_fires(casc, alpha):
+    """The EF+EX alarm stage's letters by the depth-k key resolution, as
+    {(letter,) + state: fires} over the cascade's reachable states.
+
+    A node's children value is resolved per root tree of their tagged
+    depth-k key: above the peeled subminimal class by the strict quotient,
+    inside it by the unique class value that forests with that key reach
+    (nonconfusion), absorbing otherwise.  The stage fires when the sum of
+    the resolved values, or the letter applied to it, is absorbing.
+    """
+    from forestalg.decide import nonconfusion
+    from forestalg.decompose import _class_tag_map, _quotient_view
+    from forestalg.oracle import key_value_sets
+    from forestalg.reach import quotient_hom, reachability
+
+    alg = alpha.target
+    inf = alg.absorbing()
+    rs = reachability(alg)
+    cj = rs.subminimal[0]
+    k = max(1, nonconfusion(alpha, rs).traces[cj].k)
+    qhom, (reps, _) = quotient_hom(alpha, cj, "strict", rs)
+    qalg = qhom.target
+    qinf = qalg.absorbing()
+    members = set(rs.classes[cj])
+    tags = _class_tag_map(casc, _quotient_view(casc, qhom), k)
+    tree_keys = sorted({(root_tree,) for key in tags.values()
+                        for root_tree in key},
+                       key=lambda key: terms.tree_key(("r", key)))
+    tree_values = key_value_sets(alpha, cj, k, tree_keys, rs)
+    qname_index = {qalg.hname(h): h for h in range(qalg.H.size)}
+    qname_index["inf"] = qinf
+
+    def resolve_component(root_tree):
+        b, tagname = root_tree[0]
+        q1 = qhom.row(b)[qname_index[tagname]]
+        if q1 != qinf:
+            return reps[q1]
+        candidates = sorted(tree_values[(root_tree,)] & members)
+        assert len(candidates) <= 1, "ambiguous class value"
+        return candidates[0] if candidates else inf
+
+    fires = {}
+    for s in casc.reachable_states():
+        total = alg.zero
+        for root_tree in tags[s]:
+            total = alg.plus(total, resolve_component(root_tree))
+        for a in casc.alphabet:
+            fires[(a,) + s] = total == inf or alpha.row(a)[total] == inf
+    return fires

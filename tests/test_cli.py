@@ -2,7 +2,6 @@ import json
 import os
 import random
 
-from forestalg import algebra
 from forestalg.cli import main
 
 from helpers import BAD_LETTER_FILES
@@ -78,16 +77,9 @@ def test_compile_and_syntactic(tmp_path, capsys):
 
 
 def test_written_files_close_V_only_to_print_it(tmp_path, capsys,
-                                                monkeypatch):
+                                                vertical_closures):
     """compile -o --json reports |V|; syntactic -o reports it in text only."""
-    calls = []
-    close_vertical = algebra.close_vertical
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return close_vertical(*args, **kwargs)
-
-    monkeypatch.setattr(algebra, "close_vertical", counted)
+    calls = vertical_closures
     psi, syn = str(tmp_path / "psi.fa"), str(tmp_path / "syn.fa")
     code, out, _ = run(capsys, "compile", "EF(a & EX b)", "--alphabet", "a,b",
                        "-o", psi, "--json")

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from forestalg import algebra, logic, terms
+from forestalg import logic, terms
 from forestalg.algebra import direct_product, u1, u2
 from forestalg.decide import (confusion_witness, decide, is_ef_algebra,
                               nonconfusion)
@@ -240,16 +240,9 @@ def test_is_ef_algebra_matches_full_vertical_scan():
     assert verdicts == {True, False}
 
 
-def test_deciders_close_no_vertical_monoid(monkeypatch):
+def test_deciders_close_no_vertical_monoid(vertical_closures):
     """A negative EF certificate names its generator without closing V."""
-    calls = []
-    close_vertical = algebra.close_vertical
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return close_vertical(*args, **kwargs)
-
-    monkeypatch.setattr(algebra, "close_vertical", counted)
+    calls = vertical_closures
     phi = logic.parse_formula(CYCLE3)
     for fragment in ("ex", "efex", "ef"):
         calls.clear()

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from forestalg import algebra, logic
+from forestalg import logic
 from forestalg.algebra import u1, u2
 from forestalg.decide import nonconfusion
 from forestalg.decompose import (ONE_DEFINITE_STAGE, U1_STAGE,
@@ -17,8 +17,10 @@ from forestalg.hom import (Homomorphism, factors_through, image_restrict,
 from forestalg.joint import TensorEvaluator, evaluate, mutually_determine
 from forestalg.oracle import random_forest
 
-from helpers import (example_language_recognizer, four_element_algebra,
-                     random_hom, u2_example_recognizer)
+from helpers import (differential_homs, example_language_recognizer,
+                     four_element_algebra, random_formula, random_hom,
+                     random_recognizer, reference_alarm_fires,
+                     u2_example_recognizer)
 
 
 def _syn(formula, alphabet=("a", "b")):
@@ -78,22 +80,14 @@ def test_wreath_compose_first_coordinate_is_alpha():
 
 
 def test_wreath_compose_of_generated_algebras_closes_no_vertical_monoid(
-        monkeypatch):
+        vertical_closures):
     """Stage letters that are generator indices act by generator rows."""
-    calls = []
-    close_vertical = algebra.close_vertical
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return close_vertical(*args, **kwargs)
-
-    monkeypatch.setattr(algebra, "close_vertical", counted)
     alpha = alpha1(("a", "b"))
     beta = free_kdefinite(_tagged_alphabet(alpha), 1)[1]
     gamma = wreath_compose(alpha, beta)
     assert mutually_determine(gamma, TensorEvaluator(alpha, beta),
                               alpha.alphabet)
-    assert calls == []
+    assert vertical_closures == []
 
 
 def test_product_factors_through_wreath():
@@ -296,6 +290,83 @@ def test_decompose_matches_decide_on_randoms():
     assert decided[True] > capped
 
 
+def _fired(stage):
+    """(kind, keys that fire, keys) of a two-element stage."""
+    fires = [v != stage.target.one for v in stage.letters.values()]
+    return stage.kind, sum(fires), len(fires)
+
+
+def test_alarm_stage_matches_key_resolution(monkeypatch):
+    """On each state that some non-absorbing forest reaches, the alarm
+    stage fires exactly where the depth-k key resolution does; it fires on
+    every state that absorbing forests alone reach."""
+    from forestalg import decompose
+    from forestalg.errors import SizeLimitError
+
+    append = decompose._append_alarm_stage
+    counts = {"stages": 0, "keys": 0, "absorbing_only": 0}
+
+    def checked(casc, alpha):
+        expected = reference_alarm_fires(casc, alpha)
+        inf = alpha.target.absorbing()
+        reached = {s for s, h in casc.joint_image(alpha) if h != inf}
+        append(casc, alpha)
+        stage = casc.stages[-1]
+        counts["stages"] += 1
+        for key, v in stage.letters.items():
+            fires = v != stage.target.one
+            counts["keys"] += 1
+            if key[1:] in reached:
+                assert fires == expected[key], key
+            else:
+                counts["absorbing_only"] += 1
+                assert fires, key
+
+    monkeypatch.setattr(decompose, "_append_alarm_stage", checked)
+    rng = random.Random(2026)
+    homs = differential_homs()
+    homs += [random_recognizer(rng, max_h=4 + i % 9).hom for i in range(1206)]
+    homs += [syntactic(logic.to_recognizer(random_formula(rng, ("a", "b"), 3),
+                                           ("a", "b")))[0].hom
+             for _ in range(200)]
+    outcomes = {"factored": 0, "confusing": 0, "capped": 0}
+    for alpha in homs:
+        try:
+            casc = decompose_efex(alpha)
+        except NotNonconfusing:
+            outcomes["confusing"] += 1
+            continue
+        except SizeLimitError:
+            outcomes["capped"] += 1
+            continue
+        assert casc.factors(alpha)[0]
+        outcomes["factored"] += 1
+    assert outcomes["factored"] > 1000 and outcomes["capped"] < 10
+    assert counts["stages"] > 350 and 0 < counts["absorbing_only"] < counts["keys"]
+
+
+def test_alarm_stage_fires_on_absorbing_only_state(monkeypatch):
+    """In the last alarm stage for EF(b & !EX a) & (EF a | EX a), one key
+    sits on a state that only absorbing forests reach.  The stage fires
+    there and the key resolution does not; both cascades factor with the
+    same shape."""
+    from forestalg import decompose
+
+    alpha = _syn("EF(b & !EX a) & (EF a | EX a)")
+    casc = decompose_efex(alpha)
+    assert (len(casc), len(casc.reachable_states())) == (16, 24)
+    assert _fired(casc.stages[-1]) == (U1_STAGE, 40, 44)
+
+    def reference(casc, alpha):
+        fires = reference_alarm_fires(casc, alpha)
+        decompose._append_u1_stage(casc, lambda a, s: fires[(a,) + s])
+
+    monkeypatch.setattr(decompose, "_append_alarm_stage", reference)
+    casc = decompose_efex(alpha)
+    assert (len(casc), len(casc.reachable_states())) == (16, 24)
+    assert _fired(casc.stages[-1]) == (U1_STAGE, 39, 44)
+
+
 def test_fat_class_level_two_instance():
     # minimal class {x, y, inf} with letter a cycling x -> y -> inf and a
     # constant letter: the pair fixpoint empties at level 2, the oracle
@@ -349,26 +420,19 @@ def test_cascade_evaluator_protocol():
         assert casc.eval(s) == evaluate(casc, s)
 
 
-def test_decompositions_close_no_vertical_monoid(monkeypatch):
+def test_decompositions_close_no_vertical_monoid(vertical_closures):
     """Quotients are generated algebras, and a negative EF certificate
     names its generator, so no decomposition closes V."""
     import os
 
     from forestalg.cli import _load_recognizer
 
-    calls = []
-    close_vertical = algebra.close_vertical
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return close_vertical(*args, **kwargs)
-
+    calls = vertical_closures
     chain4 = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures",
                           "chain4.fa")
     instances = (("EF a & EF b", _syn("EF a & EF b"), 0),
                  ("EX(EX a)", _syn("EX(EX a)"), 1),
                  ("chain4", syntactic(_load_recognizer(chain4))[0].hom, 1))
-    monkeypatch.setattr(algebra, "close_vertical", counted)
     for name, alpha, refused in instances:
         calls.clear()
         if refused:

@@ -419,21 +419,13 @@ def test_reports_identical_on_both_forms(tmp_path):
         assert tables == rows and tables[0] == 0, fname
 
 
-def test_recognizer_files_never_build_V(monkeypatch):
-    closed = []
-    original = algebra.close_vertical
-
-    def counting(*args, **kwargs):
-        closed.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(algebra, "close_vertical", counting)
+def test_recognizer_files_never_build_V(vertical_closures):
     for fname in COMPILED:
         path = os.path.join(GOLDEN, fname)
         assert _run(("check", path))[0] == 0
         for logic_name in ("ex", "efex"):
             _run(("decide", "--logic", logic_name, "--certificate", path))
-    assert closed == []
+    assert vertical_closures == []
 
 
 def _write():

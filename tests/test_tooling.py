@@ -1,7 +1,9 @@
 """The bench tracer wraps library functions by name, and the workloads call
 them by name; every name they use must resolve, or a rename would silently
-break a bench run."""
+break a bench run.  The package's own imports are checked here too."""
 
+import ast
+import glob
 import importlib
 import importlib.util
 import os
@@ -10,6 +12,7 @@ import re
 import types
 
 BENCH = os.path.join(os.path.dirname(__file__), os.pardir, "bench")
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "forestalg")
 TRACER = os.path.join(BENCH, "tracer.py")
 WORKLOADS = os.path.join(BENCH, "workloads.py")
 
@@ -67,3 +70,39 @@ def test_workload_vertical_closures_run():
                                    workloads.u2_recognizer(lib, L), L)
     assert xor.hom.target.H.size == power.hom.target.H.size * 2
     assert not lib.decide.decide(xor, "ex").definable
+
+
+def _oracle_importers():
+    """(module, enclosing function) of every import of the oracle module
+    in the package, with "" for a module-level import."""
+    found = set()
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                inner = scope + (child.name,)
+            names = ()
+            if isinstance(child, ast.ImportFrom):
+                names = [child.module or ""] + [
+                    "%s.%s" % (child.module or "", alias.name)
+                    for alias in child.names]
+            elif isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            if any("oracle" in name.split(".") for name in names):
+                found.add((module, ".".join(scope)))
+            visit(child, module, inner)
+
+    for path in glob.glob(os.path.join(SRC, "*.py")):
+        module = os.path.splitext(os.path.basename(path))[0]
+        with open(path, encoding="utf-8") as fh:
+            visit(ast.parse(fh.read(), path), module, ())
+    return found
+
+
+def test_cross_check_code_stays_off_the_decide_and_decompose_paths():
+    """Only the oracle-check command and the definiteness cross-check
+    import the oracle; the package's export list re-exports it."""
+    assert _oracle_importers() == {("__init__", ""), ("cli", ""),
+                                   ("defk", "definiteness_oracle")}
