@@ -14,8 +14,8 @@ algebraic law violations are reported by check_axioms() instead.
 
 Besides the tables, the module builds generated algebras (H and the rows
 of V's generators, V closed on first read), the two building-block
-algebras, direct products, and the horizontal collapse of a reachability
-ideal from which reach builds quotients as generated algebras.
+algebras, and the horizontal collapse of a reachability ideal from which
+reach builds quotients as generated algebras.
 """
 
 import warnings
@@ -418,50 +418,6 @@ def u2():
     V = FiniteMonoid(((0, 1, 2), (1, 1, 1), (2, 2, 2)), 0, ("1", "cinf", "c0"))
     action = ((0, 1), (1, 1), (0, 0))
     return ForestAlgebra(H, V, action, faithful=True)
-
-
-# ---------------------------------------------------------------------------
-# Products
-
-def direct_product(a, b, max_vertical=DEFAULT_MAX_VERTICAL):
-    """Componentwise product.  Element (i, j) of its H is i * |H of b| + j,
-    and likewise in V."""
-    nv = a.V.size * b.V.size
-    if nv > max_vertical:
-        raise SizeLimitError("direct product vertical monoid", max_vertical)
-    nh = a.H.size * b.H.size
-
-    def hpair(i, j):
-        return i * b.H.size + j
-
-    def vpair(i, j):
-        return i * b.V.size + j
-
-    plus = [[0] * nh for _ in range(nh)]
-    hnames = [None] * nh
-    for i in range(a.H.size):
-        for j in range(b.H.size):
-            hnames[hpair(i, j)] = "(%s,%s)" % (a.hname(i), b.hname(j))
-            for k in range(a.H.size):
-                for l in range(b.H.size):
-                    plus[hpair(i, j)][hpair(k, l)] = hpair(a.plus(i, k), b.plus(j, l))
-    times = [[0] * nv for _ in range(nv)]
-    vnames = [None] * nv
-    action = [[0] * nh for _ in range(nv)]
-    for i in range(a.V.size):
-        for j in range(b.V.size):
-            v = vpair(i, j)
-            vnames[v] = "(%s,%s)" % (a.vname(i), b.vname(j))
-            for k in range(a.V.size):
-                for l in range(b.V.size):
-                    times[v][vpair(k, l)] = vpair(a.times(i, k), b.times(j, l))
-            for k in range(a.H.size):
-                for l in range(b.H.size):
-                    action[v][hpair(k, l)] = hpair(a.act(i, k), b.act(j, l))
-    zero = hpair(a.zero, b.zero)
-    H = FiniteMonoid(plus, zero, _canonical_names(plus, zero, hnames))
-    V = FiniteMonoid(times, vpair(a.one, b.one), vnames)
-    return ForestAlgebra(H, V, action, faithful=a.faithful and b.faithful)
 
 
 # ---------------------------------------------------------------------------

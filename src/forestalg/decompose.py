@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from . import terms
 from .algebra import u1, u2
 from .decide import is_ef_algebra, nonconfusion
-from .defk import KdefEvaluator, definiteness_degree
+from .defk import definiteness_degree
 from .errors import (AlphabetMismatchError, InternalError, NotEFAlgebra,
                      NotKDefinite, NotNonconfusing, SizeLimitError)
 from .hom import generated, image_restrict
@@ -162,12 +162,12 @@ def wreath_compose(alpha, beta, max_size=DEFAULT_MAX_SIZE):
 
     Horizontal values are the reachable pairs (alpha value, beta value of
     the relabeling); the vertical monoid is generated by the letter actions
-    and insertions.  The full wreath vertical monoid is never built.
+    and insertions.  The full wreath vertical monoid is never built.  At
+    most ``max_size`` states are held before SizeLimitError.
     """
     casc = tensor_cascade(alpha, beta)
-    states = casc.reachable_states()
-    if len(states) > max_size:
-        raise SizeLimitError("wreath composition carrier", max_size)
+    states = sorted(image(casc, casc.alphabet, max_size,
+                          "wreath composition carrier"))
     names = ["(%s,%s)" % (alpha.target.hname(s[0]), beta.target.hname(s[1]))
              for s in states]
     return generated(casc.alphabet, states, casc.letter_action,
@@ -236,23 +236,14 @@ def _ef_rec(casc, alpha):
 # ---------------------------------------------------------------------------
 # Depth-k groups of two-constant stages
 
-def _class_tag_map(casc, view, k):
-    """Map each reachable cascade state to the depth-k class of the viewed
-    relabeling.  Functional because the group built for lower depths is
-    already part of the cascade."""
-    if k <= 0:
-        return {s: () for s in casc.reachable_states()}
-    tagged = image(TensorEvaluator(casc, KdefEvaluator(k), view), casc.alphabet,
-                   casc.max_size, "depth-%d tag closure" % k)
-    mapping = determines(tagged)[0]
-    if mapping is None:
-        raise InternalError("cascade prefix does not determine the class tag")
-    return mapping
-
-
 def _append_kdef_group(casc, view, k):
     """Parallel two-constant stages per depth level; stage for node label c
     reports whether some root of the viewed relabeling carries c.
+
+    A node's label is its viewed letter and the depth-(level-1) class of
+    its children.  That class is read off the previous level's stages: it
+    is the tuple of the labels whose stage is at inf, in canonical key
+    order, and () at level 1.
 
     A level's joint carrier is a subset of label sets, so the state space
     after the group is bounded by |states| * 2^|occurring labels|; the bound
@@ -262,12 +253,12 @@ def _append_kdef_group(casc, view, k):
     target = u2()
     cinf = target.V.names.index("cinf")
     c0 = target.V.names.index("c0")
+    inf = target.absorbing()
+    occurring, prefix = [], len(casc.stages)
     for level in range(1, k + 1):
-        # a node's label: its viewed letter and the depth-(level-1) class
-        # of its children, which is () at level 1
-        tags = _class_tag_map(casc, view, level - 1)
         states = casc.reachable_states()
-        labels = {(a,) + tuple(s): (view(a, s), tags[s])
+        labels = {(a,) + s: (view(a, s), tuple(
+                      c for c, x in zip(occurring, s[prefix:]) if x == inf))
                   for a in casc.alphabet for s in states}
         occurring = sorted(set(labels.values()),
                            key=lambda c: (terms.label_key(c[0]),

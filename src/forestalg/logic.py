@@ -260,35 +260,25 @@ def to_recognizer(phi, alphabet):
     modals.sort(key=print_formula)
     midx = {m: i for i, m in enumerate(modals)}
 
-    def forest_sat(mask, psi):
-        if isinstance(psi, TrueF):
-            return True
-        if isinstance(psi, Not):
-            return not forest_sat(mask, psi.sub)
-        if isinstance(psi, And):
-            return forest_sat(mask, psi.left) and forest_sat(mask, psi.right)
-        if isinstance(psi, Or):
-            return forest_sat(mask, psi.left) or forest_sat(mask, psi.right)
-        return bool(mask >> midx[psi] & 1)
-
-    def tree_sat(a, mask, psi):
-        # satisfaction of a tree a.s given the mask of s
+    def sat(a, mask, psi):
+        # satisfaction of the tree a.s given the mask of s, or of a forest
+        # with mask when a is None; a forest formula has no bare letter
         if isinstance(psi, Letter):
             return a == psi.name
         if isinstance(psi, TrueF):
             return True
         if isinstance(psi, Not):
-            return not tree_sat(a, mask, psi.sub)
+            return not sat(a, mask, psi.sub)
         if isinstance(psi, And):
-            return tree_sat(a, mask, psi.left) and tree_sat(a, mask, psi.right)
+            return sat(a, mask, psi.left) and sat(a, mask, psi.right)
         if isinstance(psi, Or):
-            return tree_sat(a, mask, psi.left) or tree_sat(a, mask, psi.right)
-        return forest_sat(mask, psi)
+            return sat(a, mask, psi.left) or sat(a, mask, psi.right)
+        return bool(mask >> midx[psi] & 1)
 
     def letter_step(a, mask):
         out = 0
         for i, m in enumerate(modals):
-            here = tree_sat(a, mask, m.sub)
+            here = sat(a, mask, m.sub)
             if isinstance(m, EF):
                 bit = here or bool(mask >> i & 1)
             else:
@@ -298,5 +288,5 @@ def to_recognizer(phi, alphabet):
         return out
 
     masks = list(closure((0,), alphabet, letter_step, or_))
-    accept = frozenset(i for i, x in enumerate(masks) if forest_sat(x, phi))
+    accept = frozenset(i for i, x in enumerate(masks) if sat(None, x, phi))
     return Recognizer(generated(alphabet, masks, letter_step, or_, 0), accept)

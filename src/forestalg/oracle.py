@@ -1,66 +1,23 @@
 """Independent exact computations used to cross-check the main algorithms.
 
-Two routes to the same facts:
+brute_confused_pairs avoids depth-k keys entirely.  All forests in one
+class split into groups by root kind (tagged letter plus child class), and
+within a kind the achievable values are the nonempty sum closure of one
+letter-image set; classes therefore matter only through their value sets,
+which live in the powerset of H.  Recursing on value sets gives the exact
+confused-pair relation in polynomial time, independently of the pair
+fixpoint it validates.  key_value_sets runs the same recursion for given
+concrete keys.
 
-  * tagged_class_closure materializes every pair (value of s, canonical
-    depth-k key of the tagged relabeling of s).  It is exact because both
-    coordinates are compositional under letters and concatenation, but the
-    key universe grows exponentially with k, so it carries a hard cap.
-
-  * brute_confused_pairs avoids keys entirely.  All forests in one class
-    split into groups by root kind (tagged letter plus child class), and
-    within a kind the achievable values are the nonempty sum closure of one
-    letter-image set; classes therefore matter only through their value
-    sets, which live in the powerset of H.  Recursing on value sets gives
-    the exact confused-pair relation in polynomial time, independently of
-    the pair fixpoint it validates.
-
-Both are exact closures computed by joint.closure: the first over the
-tensor of the homomorphism with depth-k keys, the second over sets of
+The value sets are exact closures computed by joint.closure, over sets of
 values and over pairs of values.
 """
 
-from dataclasses import dataclass
-
 from . import terms
-from .defk import KdefEvaluator
-from .joint import TensorEvaluator, closure, image
+from .joint import closure, image
 from .reach import class_tag_names, reachability
 
 DEFAULT_MAX_PAIRS = 200_000
-
-
-@dataclass
-class TaggedClassClosure:
-    class_index: int
-    k: int
-    pairs: frozenset       # (horizontal index, canonical key)
-    tag_names: tuple       # horizontal index -> tag label used in keys
-
-    def values_by_key(self):
-        out = {}
-        for h, key in self.pairs:
-            out.setdefault(key, set()).add(h)
-        return out
-
-
-def tagged_class_closure(alpha, ci, k, rs=None, max_pairs=DEFAULT_MAX_PAIRS):
-    """Exact set {(alpha(s), depth-k class of s relabeled through the strict
-    quotient at the class) : s any forest}.
-
-    A letter step tags the new root with the quotient value of the old
-    forest, so elements of the class itself are tagged with the collapsed
-    element and stay anonymous.  Exponential in k; desk scale only.
-    """
-    alg = alpha.target
-    if rs is None:
-        rs = reachability(alg)
-    tag_names = class_tag_names(alpha, ci, rs)
-    tensor = TensorEvaluator(alpha, KdefEvaluator(k),
-                             lambda a, h: (a, tag_names[h]))
-    pairs = image(tensor, sorted(set(alpha.alphabet), key=terms.label_key),
-                  max_pairs, "tagged class closure")
-    return TaggedClassClosure(ci, k, frozenset(pairs), tag_names)
 
 
 # ---------------------------------------------------------------------------

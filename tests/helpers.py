@@ -5,11 +5,15 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from forestalg.algebra import (FiniteMonoid, ForestAlgebra, Violation,
-                               _canonical_names, close_vertical,
-                               horizontal_monoid)
-from forestalg.errors import IdealViolation, StructuralError
+from forestalg.algebra import (DEFAULT_MAX_VERTICAL, FiniteMonoid,
+                               ForestAlgebra, Violation, _canonical_names,
+                               close_vertical, horizontal_monoid)
+from forestalg.defk import KdefEvaluator
+from forestalg.errors import IdealViolation, SizeLimitError, StructuralError
 from forestalg.hom import Homomorphism, Recognizer
+from forestalg.joint import TensorEvaluator, determines, image
+from forestalg.oracle import DEFAULT_MAX_PAIRS
+from forestalg.reach import class_tag_names, reachability
 from forestalg import logic, terms
 
 
@@ -83,6 +87,50 @@ BAD_LETTER_FILES = {
     "row: letter after accept": "H: 0 inf\nplus:\n0 inf\ninf inf\naccept:\n"
                                 "letter: a\ninf inf\n",
 }
+
+
+# ---------------------------------------------------------------------------
+# Products (only the tests combine algebras componentwise)
+
+def direct_product(a, b, max_vertical=DEFAULT_MAX_VERTICAL):
+    """Componentwise product.  Element (i, j) of its H is i * |H of b| + j,
+    and likewise in V."""
+    nv = a.V.size * b.V.size
+    if nv > max_vertical:
+        raise SizeLimitError("direct product vertical monoid", max_vertical)
+    nh = a.H.size * b.H.size
+
+    def hpair(i, j):
+        return i * b.H.size + j
+
+    def vpair(i, j):
+        return i * b.V.size + j
+
+    plus = [[0] * nh for _ in range(nh)]
+    hnames = [None] * nh
+    for i in range(a.H.size):
+        for j in range(b.H.size):
+            hnames[hpair(i, j)] = "(%s,%s)" % (a.hname(i), b.hname(j))
+            for k in range(a.H.size):
+                for l in range(b.H.size):
+                    plus[hpair(i, j)][hpair(k, l)] = hpair(a.plus(i, k), b.plus(j, l))
+    times = [[0] * nv for _ in range(nv)]
+    vnames = [None] * nv
+    action = [[0] * nh for _ in range(nv)]
+    for i in range(a.V.size):
+        for j in range(b.V.size):
+            v = vpair(i, j)
+            vnames[v] = "(%s,%s)" % (a.vname(i), b.vname(j))
+            for k in range(a.V.size):
+                for l in range(b.V.size):
+                    times[v][vpair(k, l)] = vpair(a.times(i, k), b.times(j, l))
+            for k in range(a.H.size):
+                for l in range(b.H.size):
+                    action[v][hpair(k, l)] = hpair(a.act(i, k), b.act(j, l))
+    zero = hpair(a.zero, b.zero)
+    H = FiniteMonoid(plus, zero, _canonical_names(plus, zero, hnames))
+    V = FiniteMonoid(times, vpair(a.one, b.one), vnames)
+    return ForestAlgebra(H, V, action, faithful=a.faithful and b.faithful)
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +608,6 @@ def reference_nonconfusion(alpha, rs=None):
     """decide.nonconfusion with every sum looked up through alg.plus and the
     previous level sorted once per letter; same visit order, same report."""
     from forestalg.decide import ClassTrace, NonconfusionReport
-    from forestalg.reach import reachability
 
     alg = alpha.target
     if rs is None:
@@ -647,9 +694,9 @@ def reference_alarm_fires(casc, alpha):
     the resolved values, or the letter applied to it, is absorbing.
     """
     from forestalg.decide import nonconfusion
-    from forestalg.decompose import _class_tag_map, _quotient_view
+    from forestalg.decompose import _quotient_view
     from forestalg.oracle import key_value_sets
-    from forestalg.reach import quotient_hom, reachability
+    from forestalg.reach import quotient_hom
 
     alg = alpha.target
     inf = alg.absorbing()
@@ -660,7 +707,7 @@ def reference_alarm_fires(casc, alpha):
     qalg = qhom.target
     qinf = qalg.absorbing()
     members = set(rs.classes[cj])
-    tags = _class_tag_map(casc, _quotient_view(casc, qhom), k)
+    tags = reference_class_tag_map(casc, _quotient_view(casc, qhom), k)
     tree_keys = sorted({(root_tree,) for key in tags.values()
                         for root_tree in key},
                        key=lambda key: terms.tree_key(("r", key)))
@@ -685,3 +732,54 @@ def reference_alarm_fires(casc, alpha):
         for a in casc.alphabet:
             fires[(a,) + s] = total == inf or alpha.row(a)[total] == inf
     return fires
+
+
+# ---------------------------------------------------------------------------
+# Depth-k key closures
+
+@dataclass
+class TaggedClassClosure:
+    class_index: int
+    k: int
+    pairs: frozenset       # (horizontal index, canonical key)
+    tag_names: tuple       # horizontal index -> tag label used in keys
+
+    def values_by_key(self):
+        out = {}
+        for h, key in self.pairs:
+            out.setdefault(key, set()).add(h)
+        return out
+
+
+def tagged_class_closure(alpha, ci, k, rs=None, max_pairs=DEFAULT_MAX_PAIRS):
+    """Exact set {(alpha(s), depth-k class of s relabeled through the strict
+    quotient at the class) : s any forest}.
+
+    A letter step tags the new root with the quotient value of the old
+    forest, so elements of the class itself are tagged with the collapsed
+    element and stay anonymous.  Exponential in k; desk scale only.
+    """
+    alg = alpha.target
+    if rs is None:
+        rs = reachability(alg)
+    tag_names = class_tag_names(alpha, ci, rs)
+    tensor = TensorEvaluator(alpha, KdefEvaluator(k),
+                             lambda a, h: (a, tag_names[h]))
+    pairs = image(tensor, sorted(set(alpha.alphabet), key=terms.label_key),
+                  max_pairs, "tagged class closure")
+    return TaggedClassClosure(ci, k, frozenset(pairs), tag_names)
+
+
+def reference_class_tag_map(casc, view, k):
+    """Map each reachable cascade state to the canonical depth-k key of the
+    viewed relabeling, by closing the tensor of the cascade with a
+    KdefEvaluator.  Functional once the cascade holds a depth-k group for
+    the view; the decompositions read the same keys off that group's
+    stages instead."""
+    if k <= 0:
+        return {s: () for s in casc.reachable_states()}
+    tagged = image(TensorEvaluator(casc, KdefEvaluator(k), view), casc.alphabet,
+                   casc.max_size, "depth-%d tag closure" % k)
+    mapping = determines(tagged)[0]
+    assert mapping is not None, "cascade prefix does not determine the class tag"
+    return mapping

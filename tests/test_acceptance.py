@@ -10,7 +10,7 @@ import time
 import pytest
 
 from forestalg import logic, terms
-from forestalg.algebra import direct_product, u1, u2
+from forestalg.algebra import u1, u2
 from forestalg.decide import decide, nonconfusion
 from forestalg.decompose import U1_STAGE, decompose_ef, wreath_compose
 from forestalg.defk import (KdefEvaluator, alpha1, definiteness_degree,
@@ -22,8 +22,9 @@ from forestalg.joint import TensorEvaluator, mutually_determine
 from forestalg.oracle import brute_confused_pairs, random_forest
 from forestalg.reach import class_tag_names, quotient_hom, reachability
 
-from helpers import (example_language_recognizer, four_element_algebra,
-                     random_big_recognizer, random_hom, u2_example_recognizer)
+from helpers import (direct_product, example_language_recognizer,
+                     four_element_algebra, random_big_recognizer, random_hom,
+                     u2_example_recognizer)
 
 
 def _report(name, detail=""):

@@ -2,13 +2,13 @@ import random
 
 import pytest
 
-from forestalg.algebra import (FiniteMonoid, ForestAlgebra, direct_product,
-                               quotient_by_ideal, u1, u2)
+from forestalg.algebra import (FiniteMonoid, ForestAlgebra, quotient_by_ideal,
+                               u1, u2)
 from forestalg.errors import IdealViolation, StructuralError
 from forestalg.hom import generated
 from forestalg.reach import quotient_hom, reachability
 
-from helpers import AlgebraMorphism, four_element_algebra
+from helpers import AlgebraMorphism, direct_product, four_element_algebra
 
 
 def test_u1_valid():

@@ -4,17 +4,18 @@ import sys
 import pytest
 
 from forestalg import logic, terms
-from forestalg.algebra import direct_product, u1, u2
+from forestalg.algebra import u1, u2
 from forestalg.decide import (confusion_witness, decide, is_ef_algebra,
                               nonconfusion)
 from forestalg.defk import simk_equiv
 from forestalg.hom import image_restrict, relabeled, syntactic
 from forestalg.reach import class_tag_names, quotient_hom, reachability
 
-from helpers import (differential_homs, example_language_recognizer,
-                     four_element_algebra, random_big_recognizer, random_hom,
-                     random_recognizer, reference_ef_violation,
-                     reference_nonconfusion, u2_example_recognizer)
+from helpers import (differential_homs, direct_product,
+                     example_language_recognizer, four_element_algebra,
+                     random_big_recognizer, random_hom, random_recognizer,
+                     reference_ef_violation, reference_nonconfusion,
+                     u2_example_recognizer)
 
 CYCLE3 = "EF(a0 & EX a1) | EF(a1 & EX a2) | EF(a2 & EX a0)"
 

@@ -2,25 +2,26 @@ import random
 
 import pytest
 
-from forestalg import logic
+from forestalg import logic, terms
 from forestalg.algebra import u1, u2
 from forestalg.decide import nonconfusion
-from forestalg.decompose import (ONE_DEFINITE_STAGE, U1_STAGE,
+from forestalg.decompose import (ONE_DEFINITE_STAGE, U1_STAGE, Cascade,
                                  decompose_ef, decompose_efex,
                                  decompose_kdefinite, tensor_cascade,
                                  wreath_compose)
 from forestalg.defk import alpha1, definiteness_degree, free_kdefinite
 from forestalg.errors import (AlphabetMismatchError, InternalError,
-                              NotEFAlgebra, NotKDefinite, NotNonconfusing)
-from forestalg.hom import (Homomorphism, factors_through, image_restrict,
-                           relabeled, syntactic)
+                              NotEFAlgebra, NotKDefinite, NotNonconfusing,
+                              SizeLimitError)
+from forestalg.hom import (Homomorphism, factors_through, generated,
+                           image_restrict, relabeled, syntactic)
 from forestalg.joint import TensorEvaluator, evaluate, mutually_determine
 from forestalg.oracle import random_forest
 
 from helpers import (differential_homs, example_language_recognizer,
                      four_element_algebra, random_formula, random_hom,
                      random_recognizer, reference_alarm_fires,
-                     u2_example_recognizer)
+                     reference_class_tag_map, u2_example_recognizer)
 
 
 def _syn(formula, alphabet=("a", "b")):
@@ -90,6 +91,58 @@ def test_wreath_compose_of_generated_algebras_closes_no_vertical_monoid(
     assert vertical_closures == []
 
 
+def _counter(alphabet, counted, n):
+    """Counts the nodes labeled in ``counted``, saturating at n."""
+    return generated(alphabet, list(range(n + 1)),
+                     lambda a, x: min(x + 1, n) if a in counted else x,
+                     lambda x, y: min(x + y, n), 0)
+
+
+def _counter_pair(n):
+    """alpha counts a's, beta counts b's: (n + 1)^2 cascade states."""
+    alpha = _counter(("a", "b"), ("a",), n)
+    tagged = _tagged_alphabet(alpha)
+    return alpha, _counter(tagged, {b for b in tagged if b[0] == "b"}, n)
+
+
+def test_wreath_compose_holds_at_most_its_cap(monkeypatch):
+    from forestalg import decompose
+
+    seen = set()
+    tensor = decompose.tensor_cascade
+
+    def record(step):
+        def recorded(*args):
+            y = step(*args)
+            seen.add(y)
+            return y
+        return recorded
+
+    def recording(alpha, beta):
+        casc = tensor(alpha, beta)
+        seen.add(casc.zero_state())
+        casc.letter_action = record(casc.letter_action)
+        casc.plus_state = record(casc.plus_state)
+        return casc
+
+    monkeypatch.setattr(decompose, "tensor_cascade", recording)
+    alpha, beta = _counter_pair(16)
+    with pytest.raises(SizeLimitError) as err:
+        wreath_compose(alpha, beta, 5)
+    assert (err.value.what, err.value.limit) == ("wreath composition carrier", 5)
+    # the held states plus the one new state that overflows
+    assert 5 < len(seen) <= 6
+    assert wreath_compose(alpha, beta, 289).target.H.size == 289
+
+
+def test_wreath_compose_caps_above_the_cascade_default():
+    alpha, beta = _counter_pair(80)
+    with pytest.raises(SizeLimitError) as err:
+        wreath_compose(alpha, beta, 4200)
+    assert (err.value.what, err.value.limit) == ("wreath composition carrier",
+                                                 4200)
+
+
 def test_product_factors_through_wreath():
     # a pair of homomorphisms factors through their tensor trivially
     alpha = _syn("EF a")
@@ -139,7 +192,6 @@ def test_ef_recursion_checks_trivial_subminimal_class():
     # a swaps h1 and h2, so {h1, h2} is one subminimal class; the EF
     # identities exclude this, and the recursion reports it as a bug.
     from forestalg.decompose import Cascade, _ef_rec
-    from forestalg.hom import generated
 
     plus = [[0, 1, 2, 3], [1, 1, 3, 3], [2, 3, 2, 3], [3, 3, 3, 3]]
     row = (1, 2, 1, 3)
@@ -246,7 +298,7 @@ def test_decompose_efex_fat_minimal_class():
 
 
 def test_decompose_efex_branching_subminimal():
-    from forestalg.algebra import direct_product
+    from helpers import direct_product
 
     prod = direct_product(u1(), u1())
     names = prod.V.names
@@ -268,7 +320,6 @@ def test_decompose_efex_example_language():
 
 
 def test_decompose_matches_decide_on_randoms():
-    from forestalg.errors import SizeLimitError
 
     rng = random.Random(42)
     decided = {True: 0, False: 0}
@@ -301,7 +352,6 @@ def test_alarm_stage_matches_key_resolution(monkeypatch):
     stage fires exactly where the depth-k key resolution does; it fires on
     every state that absorbing forests alone reach."""
     from forestalg import decompose
-    from forestalg.errors import SizeLimitError
 
     append = decompose._append_alarm_stage
     counts = {"stages": 0, "keys": 0, "absorbing_only": 0}
@@ -345,6 +395,79 @@ def test_alarm_stage_matches_key_resolution(monkeypatch):
     assert counts["stages"] > 350 and 0 < counts["absorbing_only"] < counts["keys"]
 
 
+def _check_kdef_levels(casc, view, start):
+    """Check the depth-k group from stage ``start`` against the key closure.
+
+    At level l, each key (letter, state) must fire the stage of its
+    reference label: the viewed letter with the depth-(l-1) key of the
+    children.  The stages must follow the labels' canonical tree order.
+    Returns the (level, state) pairs checked.
+    """
+    group = casc.stages[start:]
+    checked = []
+    for level, prefix in enumerate(sorted({st.prefix_len for st in group}), 1):
+        below = Cascade(casc.alphabet, casc.max_size)
+        for st in casc.stages[:prefix]:
+            below.append(st)
+        tags = reference_class_tag_map(below, view, level - 1)
+        states = below.reachable_states()
+        labels = {(a,) + s: (view(a, s), tags[s])
+                  for a in casc.alphabet for s in states}
+        occurring = sorted(set(labels.values()), key=terms.tree_key)
+        stages = [st for st in group if st.prefix_len == prefix]
+        cinf = stages[0].target.V.names.index("cinf")
+        fired = {key: [j for j, st in enumerate(stages)
+                       if st.letters[key] == cinf] for key in labels}
+        assert fired == {key: [occurring.index(c)]
+                         for key, c in labels.items()}, level
+        checked += [(level, s) for s in states]
+    return checked
+
+
+def test_kdef_group_tags_match_the_key_closure(monkeypatch):
+    """Every level of every depth-k group that decompose_efex and
+    decompose_kdefinite build reads the children's depth-(l-1) class that
+    the KdefEvaluator closure computes.  decompose_kdefinite runs at depth
+    at least 2 with a small cap, which keeps the closures quick."""
+    from forestalg import decompose
+
+    append = decompose._append_kdef_group
+    checked = []
+
+    def wrapped(casc, view, k):
+        start = len(casc.stages)
+        append(casc, view, k)
+        checked.extend(_check_kdef_levels(casc, view, start))
+
+    monkeypatch.setattr(decompose, "_append_kdef_group", wrapped)
+    rng = random.Random(2026)
+    homs = differential_homs()
+    homs += [random_recognizer(rng, max_h=4 + i % 7).hom for i in range(400)]
+    formulas = [syntactic(logic.to_recognizer(
+        random_formula(rng, ("a", "b"), 3), ("a", "b")))[0].hom
+        for _ in range(150)]
+    outcomes = {"factored": 0, "confusing": 0, "capped": 0, "kdefinite": 0}
+    for alpha in homs + formulas:
+        try:
+            decompose_efex(alpha)
+            outcomes["factored"] += 1
+        except NotNonconfusing:
+            outcomes["confusing"] += 1
+        except SizeLimitError:
+            outcomes["capped"] += 1
+    for i, alpha in enumerate(homs):
+        degree = definiteness_degree(alpha)
+        if degree is not None:
+            try:
+                decompose_kdefinite(alpha, max(degree, 2 + i % 2), 512)
+                outcomes["kdefinite"] += 1
+            except SizeLimitError:
+                pass
+    levels = [level for level, _ in checked]
+    assert outcomes["factored"] > 500 and outcomes["kdefinite"] > 150
+    assert min(levels.count(level) for level in (1, 2, 3)) > 300
+
+
 def test_alarm_stage_fires_on_absorbing_only_state(monkeypatch):
     """In the last alarm stage for EF(b & !EX a) & (EF a | EX a), one key
     sits on a state that only absorbing forests reach.  The stage fires
@@ -372,7 +495,6 @@ def test_fat_class_level_two_instance():
     # constant letter: the pair fixpoint empties at level 2, the oracle
     # agrees, and the decomposition tower overflows the default cap fast
     from forestalg.algebra import close_vertical, horizontal_monoid
-    from forestalg.errors import SizeLimitError
     from forestalg.oracle import brute_confused_pairs
     from forestalg.reach import reachability
 

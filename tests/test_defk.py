@@ -142,7 +142,8 @@ def test_any_kdefinite_hom_factors_through_free():
 
 
 def test_alpha1_mutual_with_constant_products():
-    from forestalg.algebra import direct_product, u2
+    from forestalg.algebra import u2
+    from helpers import direct_product
     from forestalg.hom import Homomorphism
 
     prod = direct_product(u2(), u2())

@@ -7,11 +7,10 @@ from forestalg.decompose import tensor_cascade
 from forestalg.errors import SizeLimitError
 from forestalg.hom import generated, reachable_pairs
 from forestalg.joint import closure, determines
-from forestalg.oracle import tagged_class_closure
 from forestalg.reach import class_tag_names, reachability
 
 from helpers import (random_cascade, random_hom, random_semilattice,
-                     reference_closure)
+                     reference_closure, tagged_class_closure)
 
 
 def test_closure_discovery_order():

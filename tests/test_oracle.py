@@ -8,11 +8,11 @@ from forestalg.defk import simk_key
 from forestalg.errors import SizeLimitError
 from forestalg.hom import image_restrict, relabeled
 from forestalg.oracle import (brute_confused_pairs, enumerate_forests,
-                              key_value_sets, random_forest,
-                              tagged_class_closure)
+                              key_value_sets, random_forest)
 from forestalg.reach import class_tag_names, reachability
 
-from helpers import four_element_algebra, random_hom, u2_example_recognizer
+from helpers import (four_element_algebra, random_hom, tagged_class_closure,
+                     u2_example_recognizer)
 
 
 def test_tagged_closure_level_zero():

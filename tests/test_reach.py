@@ -1,6 +1,6 @@
 import random
 
-from forestalg.algebra import direct_product, quotient_by_ideal, u1, u2
+from forestalg.algebra import quotient_by_ideal, u1, u2
 from forestalg.errors import IdealViolation
 from forestalg.hom import (Homomorphism, factors_through, image_restrict,
                            syntactic)
@@ -8,8 +8,9 @@ from forestalg.reach import (class_tag_names, dot_export, ideal_below,
                              ideal_not_above, quotient_hom, reachability,
                              subminimal_factorization)
 
-from helpers import (four_element_algebra, random_big_recognizer, random_hom,
-                     random_recognizer, reference_quotient_by_ideal,
+from helpers import (direct_product, four_element_algebra,
+                     random_big_recognizer, random_hom, random_recognizer,
+                     reference_quotient_by_ideal,
                      reference_reachability, u2_example_recognizer)
 
 

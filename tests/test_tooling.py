@@ -106,3 +106,28 @@ def test_cross_check_code_stays_off_the_decide_and_decompose_paths():
     import the oracle; the package's export list re-exports it."""
     assert _oracle_importers() == {("__init__", ""), ("cli", ""),
                                    ("defk", "definiteness_oracle")}
+
+
+def _defk_imports(module):
+    """Names that a package module imports from defk; "defk" stands for
+    the module itself."""
+    with open(os.path.join(SRC, module + ".py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if "defk" in (node.module or "").split("."):
+                names.update(alias.name for alias in node.names)
+            else:
+                names.update(alias.name for alias in node.names
+                             if alias.name == "defk")
+        elif isinstance(node, ast.Import):
+            names.update("defk" for alias in node.names
+                         if "defk" in alias.name.split("."))
+    return names
+
+
+def test_decompose_takes_only_the_degree_from_defk():
+    """The depth-k groups read their classes off their own stages, so no
+    depth-k key code is on the decomposition path."""
+    assert _defk_imports("decompose") == {"definiteness_degree"}
