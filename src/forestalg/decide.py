@@ -103,7 +103,6 @@ def nonconfusion(alpha, rs=None):
         if not base:
             traces[ci] = ClassTrace(ci, members, levels, derivations, "empty", 0)
             continue
-        verdict = None
         j = 0
         while True:
             j += 1
@@ -174,18 +173,11 @@ def confusion_witness(alpha, trace, pair, k=None, rs=None):
     elif trace.verdict != "confused" or pair not in trace.levels[last]:
         raise ValueError("pair %r does not survive to level %d" % (pair, k))
     minimal = realize(alpha)
-    preferred = constant_letter_realizers(alpha) if k > 0 else {}
-
-    def base_realizer(h):
-        if h in preferred:
-            return preferred[h]
-        return minimal[h]
+    base = {**minimal, **constant_letter_realizers(alpha)} if k > 0 else minimal
 
     def extract(p, level):
         if level <= 0:
-            if k == 0:
-                return minimal[p[0]], minimal[p[1]]
-            return base_realizer(p[0]), base_realizer(p[1])
+            return base[p[0]], base[p[1]]
         d = trace.derivations[min(level, len(trace.levels) - 1)].get(p)
         if d is None:
             raise InternalError("pair %r missing at level %d" % (p, level))

@@ -7,9 +7,10 @@ applied to a tree formula yield a forest formula.  A bare letter cannot be
 interpreted in a forest, so using a tree-only formula at forest level is a
 role error.
 
-Satisfaction: a tree a.s satisfies the atom a; it satisfies a forest formula
-exactly when s does; EF looks at the tree rooted at any node, EX only at
-root nodes.
+Satisfaction is one relation on trees: a tree a.s satisfies the atom a, EF
+phi when some node of s roots a tree satisfying phi, and EX phi when some
+root of s does.  A forest s is read as the unlabeled tree with children s;
+a forest formula has no letter outside EF/EX, so it never reads the label.
 """
 
 from dataclasses import dataclass
@@ -61,46 +62,42 @@ class EX:
 FOREST, TREE = "forest", "tree"
 
 
-def role(phi):
-    """FOREST formulas can be read at either level; TREE ones only in trees."""
-    if isinstance(phi, TrueF):
-        return FOREST
-    if isinstance(phi, Letter):
-        return TREE
-    if isinstance(phi, Not):
-        return role(phi.sub)
+def _parts(phi):
+    """The immediate subformulas of phi."""
+    if isinstance(phi, (TrueF, Letter)):
+        return ()
+    if isinstance(phi, (Not, EF, EX)):
+        return (phi.sub,)
     if isinstance(phi, (And, Or)):
-        if role(phi.left) == FOREST and role(phi.right) == FOREST:
-            return FOREST
-        return TREE
-    if isinstance(phi, (EF, EX)):
-        role(phi.sub)
-        return FOREST
+        return (phi.left, phi.right)
     raise TypeError("not a formula: %r" % (phi,))
 
 
+def _subformulas(phi):
+    """phi and every subformula of it, in pre-order."""
+    stack = [phi]
+    while stack:
+        psi = stack.pop()
+        yield psi
+        stack.extend(reversed(_parts(psi)))
+
+
+def role(phi):
+    """FOREST formulas can be read at either level; TREE ones only in trees.
+    TREE means a letter, or a formula other than EF/EX with a TREE part;
+    every part is checked."""
+    tree_part = TREE in [role(psi) for psi in _parts(phi)]
+    if isinstance(phi, Letter) or tree_part and not isinstance(phi, (EF, EX)):
+        return TREE
+    return FOREST
+
+
 def formula_letters(phi):
-    if isinstance(phi, Letter):
-        return {phi.name}
-    if isinstance(phi, Not):
-        return formula_letters(phi.sub)
-    if isinstance(phi, (And, Or)):
-        return formula_letters(phi.left) | formula_letters(phi.right)
-    if isinstance(phi, (EF, EX)):
-        return formula_letters(phi.sub)
-    return set()
+    return {psi.name for psi in _subformulas(phi) if isinstance(psi, Letter)}
 
 
 # ---------------------------------------------------------------------------
 # Parsing and printing
-
-_KEYWORDS = {"T", "F", "EF", "EX"}
-
-
-class _FScanner(terms._Scanner):
-    def ident(self):
-        return self.letter()
-
 
 def _parse_or(sc):
     left = _parse_and(sc)
@@ -119,9 +116,8 @@ def _parse_and(sc):
 def _parse_unary(sc):
     if sc.try_take("!"):
         return Not(_parse_unary(sc))
-    save = sc.pos
     if sc.peek() is not None and sc.peek().isalpha():
-        word = sc.ident()
+        word = sc.letter()
         if word == "EF":
             return EF(_parse_unary(sc))
         if word == "EX":
@@ -131,7 +127,6 @@ def _parse_unary(sc):
         if word == "F":
             return Not(TrueF())
         return Letter(word)
-    sc.pos = save
     if sc.try_take("("):
         phi = _parse_or(sc)
         sc.expect(")")
@@ -140,7 +135,7 @@ def _parse_unary(sc):
 
 
 def parse_formula(text, require=None):
-    sc = _FScanner(text)
+    sc = terms._Scanner(text)
     phi = _parse_or(sc)
     if not sc.done():
         raise ParseError("trailing input", sc.pos)
@@ -184,30 +179,17 @@ def _any_node(forest, pred):
 
 
 def models(forest, phi):
-    """Forest satisfaction; phi must be a forest formula."""
+    """Forest satisfaction: the unlabeled tree with children forest
+    satisfies phi, which must be a forest formula."""
     if role(phi) != FOREST:
         raise RoleError("cannot interpret %s in a forest" % print_formula(phi))
-    return _forest_models(forest, phi)
-
-
-def _forest_models(forest, phi):
-    if isinstance(phi, TrueF):
-        return True
-    if isinstance(phi, Not):
-        return not _forest_models(forest, phi.sub)
-    if isinstance(phi, And):
-        return _forest_models(forest, phi.left) and _forest_models(forest, phi.right)
-    if isinstance(phi, Or):
-        return _forest_models(forest, phi.left) or _forest_models(forest, phi.right)
-    if isinstance(phi, EF):
-        return _any_node(forest, lambda t: models_tree(t, phi.sub))
-    if isinstance(phi, EX):
-        return any(models_tree(t, phi.sub) for t in forest)
-    raise RoleError("cannot interpret %s in a forest" % print_formula(phi))
+    return models_tree((None, forest), phi)
 
 
 def models_tree(t, phi):
-    """Tree satisfaction; any formula is allowed."""
+    """Tree satisfaction, the one reference relation; any formula is
+    allowed.  EF ranges over every node below the root, EX over the root's
+    children."""
     label, children = t
     if isinstance(phi, Letter):
         return label == phi.name
@@ -219,25 +201,15 @@ def models_tree(t, phi):
         return models_tree(t, phi.left) and models_tree(t, phi.right)
     if isinstance(phi, Or):
         return models_tree(t, phi.left) or models_tree(t, phi.right)
-    if isinstance(phi, (EF, EX)):
-        return _forest_models(children, phi)
+    if isinstance(phi, EF):
+        return _any_node(children, lambda u: models_tree(u, phi.sub))
+    if isinstance(phi, EX):
+        return any(models_tree(u, phi.sub) for u in children)
     raise TypeError("not a formula: %r" % (phi,))
 
 
 # ---------------------------------------------------------------------------
 # Compilation to a recognizer
-
-def _modal_subformulas(phi, out):
-    if isinstance(phi, (EF, EX)):
-        if phi not in out:
-            out.append(phi)
-        _modal_subformulas(phi.sub, out)
-    elif isinstance(phi, Not):
-        _modal_subformulas(phi.sub, out)
-    elif isinstance(phi, (And, Or)):
-        _modal_subformulas(phi.left, out)
-        _modal_subformulas(phi.right, out)
-
 
 def to_recognizer(phi, alphabet):
     """Compile a forest formula into a recognizer of its language.
@@ -255,9 +227,9 @@ def to_recognizer(phi, alphabet):
     missing = formula_letters(phi) - set(alphabet)
     if missing:
         raise RoleError("formula letters %s not in the alphabet" % sorted(missing))
-    modals = []
-    _modal_subformulas(phi, modals)
-    modals.sort(key=print_formula)
+    modals = sorted(dict.fromkeys(psi for psi in _subformulas(phi)
+                                  if isinstance(psi, (EF, EX))),
+                    key=print_formula)
     midx = {m: i for i, m in enumerate(modals)}
 
     def sat(a, mask, psi):
@@ -278,12 +250,7 @@ def to_recognizer(phi, alphabet):
     def letter_step(a, mask):
         out = 0
         for i, m in enumerate(modals):
-            here = sat(a, mask, m.sub)
-            if isinstance(m, EF):
-                bit = here or bool(mask >> i & 1)
-            else:
-                bit = here
-            if bit:
+            if sat(a, mask, m.sub) or (isinstance(m, EF) and mask >> i & 1):
                 out |= 1 << i
         return out
 

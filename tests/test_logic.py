@@ -133,3 +133,42 @@ def test_ef_monotone_under_wrapping():
             t = random_forest(rng, ("a", "b"), 2, 2)
             wrapped = t + (terms.tree(rng.choice("ab"), s),)
             assert logic.models(wrapped, phi)
+
+
+def _random_tree_formula(rng, alphabet, depth):
+    """A random formula that may hold letters outside EF/EX."""
+    roll = rng.random()
+    if depth <= 0 or roll < 0.25:
+        return logic.Letter(rng.choice(alphabet))
+    if roll < 0.4:
+        return random_formula(rng, alphabet, depth)
+    if roll < 0.55:
+        return logic.Not(_random_tree_formula(rng, alphabet, depth - 1))
+    op = logic.And if roll < 0.8 else logic.Or
+    return op(_random_tree_formula(rng, alphabet, depth - 1),
+              _random_tree_formula(rng, alphabet, depth - 1))
+
+
+def test_models_tree_agrees_with_the_compiled_ex_random():
+    """A tree satisfies psi exactly when the one-tree forest satisfies
+    EX psi; the compiled recognizer of EX psi decides the latter."""
+    rng = random.Random(31)
+    alphabet = ("a", "b")
+    tree_role = 0
+    for _ in range(200):
+        psi = _random_tree_formula(rng, alphabet, 3)
+        tree_role += logic.role(psi) == logic.TREE
+        rec = logic.to_recognizer(logic.EX(psi), alphabet)
+        for _ in range(8):
+            t = terms.tree(rng.choice(alphabet),
+                           random_forest(rng, alphabet, 3, 3))
+            assert logic.models_tree(t, psi) == rec.accepts((t,))
+    assert tree_role >= 50
+
+
+def test_malformed_formula_is_refused_everywhere():
+    bad = logic.And(logic.Letter("a"), 3)
+    with pytest.raises(TypeError, match="not a formula: 3"):
+        logic.role(bad)
+    with pytest.raises(TypeError, match="not a formula: 3"):
+        logic.formula_letters(bad)

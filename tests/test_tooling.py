@@ -1,6 +1,7 @@
 """The bench tracer wraps library functions by name, and the workloads call
 them by name; every name they use must resolve, or a rename would silently
-break a bench run.  The package's own imports are checked here too."""
+break a bench run.  The package's own imports are checked here too, and
+no private module-level name in the package may be left unused."""
 
 import ast
 import glob
@@ -131,3 +132,39 @@ def test_decompose_takes_only_the_degree_from_defk():
     """The depth-k groups read their classes off their own stages, so no
     depth-k key code is on the decomposition path."""
     assert _defk_imports("decompose") == {"definiteness_degree"}
+
+
+def _unused_private_names(root):
+    """Module-level names starting with one underscore in the package that
+    nothing in the package or the tests refers to; a top-level definition
+    referring to itself does not count."""
+    src = os.path.join(root, "src", "forestalg")
+    defined, used = set(), set()
+    for path in (glob.glob(os.path.join(src, "*.py"))
+                 + glob.glob(os.path.join(root, "tests", "*.py"))):
+        module = os.path.splitext(os.path.basename(path))[0]
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        for top in tree.body:
+            owner = getattr(top, "name", None)
+            names = [owner] if owner else [
+                t.id for t in getattr(top, "targets", ())
+                if isinstance(t, ast.Name)]
+            if os.path.dirname(path) == src:
+                defined.update((module, name) for name in names
+                               if re.match(r"_[^_]", name))
+            refs = set()
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    refs.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    refs.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    refs.add(node.name)
+            used |= refs - {owner}
+    return {"%s.%s" % pair for pair in defined if pair[1] not in used}
+
+
+def test_every_private_module_name_is_used():
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    assert _unused_private_names(root) == set()
