@@ -9,6 +9,7 @@ set.  The class is clean when some level empties; confusion is certified by
 unwinding the recorded derivations into an explicit forest pair.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from . import terms
@@ -87,7 +88,9 @@ def nonconfusion(alpha, rs=None):
 
     Levels shrink monotonically, so each class stabilizes within |H|^2
     outer iterations (asserted).  Every surviving pair carries the
-    derivation that produced it, for witness extraction.
+    derivation that produced it, for witness extraction.  H must be
+    commutative and idempotent, as check_axioms() enforces: the pair sums
+    skip the partners whose sum with a pair has already been formed.
     """
     alg = alpha.target
     if rs is None:
@@ -95,6 +98,7 @@ def nonconfusion(alpha, rs=None):
     letters = [(a, alpha.row(a))
                for a in sorted(set(alpha.alphabet), key=terms.label_key)]
     op = alg.H.op
+    n = len(op)
     traces = {}
     for ci, members in enumerate(rs.classes):
         base = frozenset((h, g) for h in members for g in members if h != g)
@@ -103,35 +107,75 @@ def nonconfusion(alpha, rs=None):
         if not base:
             traces[ci] = ClassTrace(ci, members, levels, derivations, "empty", 0)
             continue
+        # Pairs are tested by integer code: loc numbers the members 0..m-1
+        # and sends every other value to m, and (x, y) has the code
+        # loc[x] * width + loc[y].  fresh[code] is 1 while the pair is in
+        # base and not yet in the level.  hi[h] and lo[g] are h's and g's
+        # sum rows run through loc, so the code of (h + c, g + c) is
+        # hi[h][c] + lo[g][c].
+        m = len(members)
+        width = m + 1
+        loc = [m] * n
+        for i, h in enumerate(members):
+            loc[h] = i
+        base_fresh = bytearray(width * width)
+        for h, g in base:
+            base_fresh[loc[h] * width + loc[g]] = 1
+        hi = {h: [loc[x] * width for x in op[h]] for h in members}
+        lo = {h: [loc[x] for x in op[h]] for h in members}
         j = 0
         while True:
             j += 1
-            if j > len(op) ** 2 + 1:
+            if j > n ** 2 + 1:
                 raise InternalError("pair fixpoint exceeded |H|^2 iterations")
             prev = levels[-1]
             prev_pairs = sorted(prev)
+            fresh = bytearray(base_fresh)
             cur = {}
             queue = []
             for a, row in letters:
-                for (h, g) in prev_pairs:
-                    p = (row[h], row[g])
-                    if p in base and p not in cur:
-                        cur[p] = ("letter", a, (h, g))
-                        queue.append(p)
+                for parent in prev_pairs:
+                    q = (row[parent[0]], row[parent[1]])
+                    code = loc[q[0]] * width + loc[q[1]]
+                    if fresh[code]:
+                        fresh[code] = 0
+                        cur[q] = ("letter", a, parent)
+                        queue.append(q)
+            # + is commutative, so the sum of the pair at index `at` with an
+            # earlier pair i was already formed if `at` lay below tops[i],
+            # the queue length when i began its pair sums; that sum is in
+            # the level or outside base, and forming it again finds nothing.
+            # tops never decreases, so those partners are the run from
+            # bisect_right(tops, at) up to `at`.  By h + h = h the pair's
+            # sum with itself is the pair.  The partners left are visited in
+            # queue order, so every record comes out as with all of them.
+            tops = []
             at = 0
             while at < len(queue):
-                h, g = queue[at]
-                at += 1
+                p = queue[at]
+                h, g = p
                 sum_h, sum_g = op[h], op[g]
-                for c, q in enumerate(zip(sum_h, sum_g)):
-                    if q in base and q not in cur:
-                        cur[q] = ("const", c, (h, g))
+                hi_h, lo_g = hi[h], lo[g]
+                for c in range(n):
+                    code = hi_h[c] + lo_g[c]
+                    if fresh[code]:
+                        fresh[code] = 0
+                        q = (sum_h[c], sum_g[c])
+                        cur[q] = ("const", c, p)
                         queue.append(q)
-                for (h2, g2) in list(cur):
-                    q = (sum_h[h2], sum_g[g2])
-                    if q in base and q not in cur:
-                        cur[q] = ("pair", (h, g), (h2, g2))
-                        queue.append(q)
+                top = len(queue)
+                skip = bisect_right(tops, at)
+                tops.append(top)
+                for partners in (queue[:skip], queue[at + 1:top]):
+                    for p2 in partners:
+                        h2, g2 = p2
+                        code = hi_h[h2] + lo_g[g2]
+                        if fresh[code]:
+                            fresh[code] = 0
+                            q = (sum_h[h2], sum_g[g2])
+                            cur[q] = ("pair", p, p2)
+                            queue.append(q)
+                at += 1
             level = frozenset(cur)
             if not level <= prev:
                 raise InternalError("pair levels are not descending")

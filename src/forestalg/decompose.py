@@ -136,11 +136,12 @@ class Cascade:
 # ---------------------------------------------------------------------------
 # Tensoring two homomorphisms
 
-def tensor_cascade(alpha, beta):
+def tensor_cascade(alpha, beta, max_size=DEFAULT_MAX_SIZE):
     """The two-stage cascade of alpha with beta over the tagged alphabet.
 
     beta's letters must be pairs (a, element name of alpha's target); this
-    is the alphabet produced by relabeling through alpha.
+    is the alphabet produced by relabeling through alpha.  The cascade holds
+    at most ``max_size`` states.
     """
     alg = alpha.target
     expected = {(a, alg.hname(h)) for a in alpha.alphabet
@@ -148,7 +149,7 @@ def tensor_cascade(alpha, beta):
     if set(beta.alphabet) != expected:
         raise AlphabetMismatchError(
             "second factor must be over letter/value pairs of the first")
-    casc = Cascade(alpha.alphabet)
+    casc = Cascade(alpha.alphabet, max_size)
     casc.append(Stage(OTHER_STAGE, alg, 0,
                       {(a,): alpha.letter(a) for a in casc.alphabet}))
     letters = {(a, h): beta.letter((a, alg.hname(h)))
@@ -165,7 +166,7 @@ def wreath_compose(alpha, beta, max_size=DEFAULT_MAX_SIZE):
     and insertions.  The full wreath vertical monoid is never built.  At
     most ``max_size`` states are held before SizeLimitError.
     """
-    casc = tensor_cascade(alpha, beta)
+    casc = tensor_cascade(alpha, beta, max_size)
     states = sorted(image(casc, casc.alphabet, max_size,
                           "wreath composition carrier"))
     names = ["(%s,%s)" % (alpha.target.hname(s[0]), beta.target.hname(s[1]))

@@ -73,9 +73,17 @@ def test_nonconfusion_trivial():
 
 def test_nonconfusion_matches_plus_fixpoint():
     # stepping pairs on the sum table's rows visits them in the same order
-    # as stepping through alg.plus, so every record comes out identical
+    # as stepping through alg.plus, so every record comes out identical.
+    # Beyond differential_homs: syntactic homs of random |H| = 64
+    # recognizers on four letters (the bench's decide-deep shape) and on
+    # one or two, and one unreduced hom with a 64-member class, whose long
+    # queues make long runs of skipped partners
+    rng = random.Random(1414)
+    recs = [random_big_recognizer(rng, nletters=k) for k in (4,) * 6 + (2, 1)]
+    homs = differential_homs() + [syntactic(rec)[0].hom for rec in recs]
+    homs.append(random_big_recognizer(random.Random(6)).hom)
     confused = 0
-    for hom in differential_homs():
+    for hom in homs:
         got, want = nonconfusion(hom), reference_nonconfusion(hom)
         assert (got.nonconfusing, got.parameter) == (want.nonconfusing,
                                                      want.parameter)
@@ -88,6 +96,52 @@ def test_nonconfusion_matches_plus_fixpoint():
                     == [list(d.items()) for d in ref.derivations])
         confused += not got.nonconfusing
     assert confused
+
+
+def test_nonconfusion_levels_are_least_closed_sets():
+    # every record derives its pair in one step, from the previous level
+    # (letter) or from pairs inserted earlier in this level (const, pair);
+    # the level holds every letter image in base and is closed under both
+    # sums within base.  So each level is the least such set, whatever
+    # order the fixpoint visits its pairs in.
+    for hom in differential_homs():
+        alg = hom.target
+        plus = alg.plus
+        rows = [hom.row(a) for a in hom.alphabet]
+        for trace in nonconfusion(hom).traces.values():
+            base, levels = trace.levels[0], trace.levels
+            assert trace.k == len(levels) - 1
+            assert trace.verdict == ("confused" if levels[-1] else "empty")
+            for j in range(1, len(levels)):
+                level, records = levels[j], trace.derivations[j]
+                assert records.keys() == level <= base
+                order = {p: i for i, p in enumerate(records)}
+                for p, d in records.items():
+                    if d[0] == "letter":
+                        row = hom.row(d[1])
+                        assert d[2] in levels[j - 1]
+                        assert p == (row[d[2][0]], row[d[2][1]])
+                        continue
+                    if d[0] == "const":
+                        c, parents = d[1], [d[2]]
+                        want = (plus(d[2][0], c), plus(d[2][1], c))
+                    else:
+                        assert d[0] == "pair"
+                        parents = [d[1], d[2]]
+                        want = (plus(d[1][0], d[2][0]), plus(d[1][1], d[2][1]))
+                    assert p == want
+                    assert all(order.get(q, order[p]) < order[p] for q in parents)
+                for row in rows:
+                    for h, g in levels[j - 1]:
+                        q = (row[h], row[g])
+                        assert q in level or q not in base
+                for h, g in level:
+                    for c in range(alg.H.size):
+                        q = (plus(h, c), plus(g, c))
+                        assert q in level or q not in base
+                    for h2, g2 in level:
+                        q = (plus(h, h2), plus(g, g2))
+                        assert q in level or q not in base
 
 
 def test_levels_descend():

@@ -118,8 +118,8 @@ def test_wreath_compose_holds_at_most_its_cap(monkeypatch):
             return y
         return recorded
 
-    def recording(alpha, beta):
-        casc = tensor(alpha, beta)
+    def recording(alpha, beta, max_size):
+        casc = tensor(alpha, beta, max_size)
         seen.add(casc.zero_state())
         casc.letter_action = record(casc.letter_action)
         casc.plus_state = record(casc.plus_state)
@@ -141,6 +141,23 @@ def test_wreath_compose_caps_above_the_cascade_default():
         wreath_compose(alpha, beta, 4200)
     assert (err.value.what, err.value.limit) == ("wreath composition carrier",
                                                  4200)
+
+
+def test_tensor_cascade_holds_its_cap():
+    alpha, beta = _counter_pair(16)
+    with pytest.raises(SizeLimitError) as err:
+        tensor_cascade(alpha, beta, 288).reachable_states()
+    assert (err.value.what, err.value.limit) == ("cascade states", 288)
+    assert len(tensor_cascade(alpha, beta, 289).reachable_states()) == 289
+    # 6,561 states: the default cap refuses, a larger one reaches the cascade
+    # (closing all of them takes tens of seconds, so the test stops at 4,200)
+    alpha, beta = _counter_pair(80)
+    for casc, cap in ((tensor_cascade(alpha, beta), 4096),
+                      (tensor_cascade(alpha, beta, 4200), 4200)):
+        with pytest.raises(SizeLimitError) as err:
+            casc.reachable_states()
+        assert str(err.value) == ("size limit exceeded: cascade states "
+                                  "(cap %d)" % cap)
 
 
 def test_product_factors_through_wreath():
