@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 
-from .errors import IdealViolation, SizeLimitError, StructuralError
+from .errors import IdealViolation, StructuralError
 from .joint import closure
 
 DEFAULT_MAX_VERTICAL = 200_000
@@ -147,7 +147,7 @@ class ForestAlgebra:
     ``action`` and ``V.names`` for an algebra given by its tables.  An
     algebra made by generated_algebra() holds only H and its generators,
     given in ``_named`` (None for tables), and closes V and ``action`` on
-    first read.
+    first read; close_vertical() returns the same object with both read.
     """
 
     _named = None
@@ -321,27 +321,26 @@ def _fresh(name, i, used):
     return name
 
 
-def _generator_prefix(hmonoid, generators, max_vertical):
-    """V's first elements: the identity, the distinct generator rows in
-    sorted-name order, then the insertions not among them, named as in V.
-    Returns (rows, names, genmap, merged names, used names)."""
+def generated_algebra(hmonoid, generators):
+    """The algebra generated by ``generators`` (names to action rows on H)
+    and the insertions, holding only H and V's first elements until V or
+    the action table is read.  Those are the identity, the distinct
+    generator rows in sorted-name order, then the insertions not among
+    them, named as in V.  Returns (ForestAlgebra, genmap) where genmap
+    sends each generator name to its vertical index.
+    """
     n = hmonoid.size
     rows = [tuple(range(n))]
     index = {rows[0]: 0}
     names = ["1"]
     used = {"1"}
     genmap = {}
-    merged = []
 
     def intern(row, name):
-        if row in index:
-            merged.append(name)
-            return index[row]
-        if len(rows) >= max_vertical:
-            raise SizeLimitError("vertical closure", max_vertical)
-        index[row] = len(rows)
-        names.append(_fresh(name, len(rows), used))
-        rows.append(row)
+        if row not in index:
+            index[row] = len(rows)
+            names.append(_fresh(name, len(rows), used))
+            rows.append(row)
         return index[row]
 
     for name in sorted(generators, key=str):
@@ -350,17 +349,7 @@ def _generator_prefix(hmonoid, generators, max_vertical):
             raise StructuralError("generator %r is not an action row" % (name,))
         genmap[name] = intern(row, str(name))
     for g, row in enumerate(hmonoid.op):
-        if row not in index:
-            intern(row, "ins_%s" % hmonoid.names[g])
-    return rows, names, genmap, merged, used
-
-
-def generated_algebra(hmonoid, generators):
-    """What close_vertical returns with warn_on_merge=False, but holding only
-    H and the generators, with the names V gives them, until V or the action
-    table is read."""
-    rows, names, genmap, _, _ = _generator_prefix(hmonoid, generators,
-                                                  DEFAULT_MAX_VERTICAL)
+        intern(row, "ins_%s" % hmonoid.names[g])
     alg = ForestAlgebra.__new__(ForestAlgebra)
     alg.H, alg.generators, alg.faithful = hmonoid, tuple(rows), True
     alg.generator_names = tuple(names)
@@ -370,34 +359,37 @@ def generated_algebra(hmonoid, generators):
 
 def close_vertical(hmonoid, generators, max_vertical=DEFAULT_MAX_VERTICAL,
                    warn_on_merge=True):
-    """Close a set of action functions into a vertical monoid.
+    """generated_algebra() with V and the action table built at once.
 
-    ``generators`` maps names to action rows (tuples H -> H).  The identity
-    action and every insertion h -> g + h are added, and the set is closed
-    under composition.  The action rows are the elements, so the result is
-    faithful and generators with identical action are merged.  Element i
-    is named by its generator, ``ins_<g>`` or ``v<i>``, renamed by _fresh().
-
-    Returns (ForestAlgebra, genmap) where genmap sends each generator name to
-    its vertical index.
+    The generators are closed under composition, so the action rows are
+    the elements, the result is faithful and generators with identical
+    action are merged.  Element i past the generators is named ``v<i>``,
+    renamed by _fresh().  Raises SizeLimitError past ``max_vertical``
+    elements.  Returns (ForestAlgebra, genmap).
     """
-    rows, names, genmap, merged, used = _generator_prefix(
-        hmonoid, generators, max_vertical)
-    index = closure(rows, list(rows), lambda ra, rb: tuple(ra[x] for x in rb),
+    alg, genmap = generated_algebra(hmonoid, generators)
+    index = closure(alg.generators, alg.generators,
+                    lambda ra, rb: tuple(ra[x] for x in rb),
                     None, max_vertical, "vertical closure")
     rows = tuple(index)
-    names += [_fresh("v%d" % i, i, used) for i in range(len(names), len(rows))]
+    used = set(alg.generator_names)
+    names = alg.generator_names + tuple(
+        _fresh("v%d" % i, i, used) for i in range(len(alg.generators), len(rows)))
 
-    if merged and warn_on_merge:
-        warnings.warn("merged vertical generators with duplicate actions: %s"
-                      % ", ".join(sorted(set(merged))))
+    if warn_on_merge:
+        owner = {0: None}  # vertical index -> the first name sent to it
+        merged = {str(name) for name in genmap  # in sorted-name order
+                  if owner.setdefault(genmap[name], name) != name}
+        if merged:
+            warnings.warn("merged vertical generators with duplicate actions: %s"
+                          % ", ".join(sorted(merged)))
 
     def vrow(a):
         ra = rows[a]
         return tuple(index[tuple(ra[x] for x in rb)] for rb in rows)
 
-    V = FiniteMonoid(None, 0, names, row_fn=vrow, size=len(rows))
-    alg = ForestAlgebra(hmonoid, V, rows, faithful=True)
+    alg.V = FiniteMonoid(None, 0, names, row_fn=vrow, size=len(rows))
+    alg.action = rows
     return alg, genmap
 
 

@@ -91,6 +91,8 @@ def nonconfusion(alpha, rs=None):
     derivation that produced it, for witness extraction.  H must be
     commutative and idempotent, as check_axioms() enforces: the pair sums
     skip the partners whose sum with a pair has already been formed.
+    The fixpoint runs on all of H, so the verdict is alpha's only when
+    alpha is onto its target: otherwise run it on image_restrict(alpha).
     """
     alg = alpha.target
     if rs is None:
@@ -204,7 +206,9 @@ def confusion_witness(alpha, trace, pair, k=None, rs=None):
     sides, and pair sums concatenate the two witness pairs.  Base values at
     positive k prefer single-letter witnesses whose root has constant
     action, so the value is manifest; at k = 0 the minimal realizers are
-    used.  All three claims are re-verified before returning.
+    used.  All three claims are re-verified before returning.  Raises
+    ValueError when alpha is not onto its target, as some base value may
+    then have no witness.
     """
     if k is None:
         k = trace.k
@@ -217,6 +221,10 @@ def confusion_witness(alpha, trace, pair, k=None, rs=None):
     elif trace.verdict != "confused" or pair not in trace.levels[last]:
         raise ValueError("pair %r does not survive to level %d" % (pair, k))
     minimal = realize(alpha)
+    missing = [h for h in range(alpha.target.H.size) if h not in minimal]
+    if missing:
+        raise ValueError("alpha is not onto its target: no forest takes %s"
+                         % alpha.target.hname(missing[0]))
     base = {**minimal, **constant_letter_realizers(alpha)} if k > 0 else minimal
 
     def extract(p, level):
@@ -225,8 +233,6 @@ def confusion_witness(alpha, trace, pair, k=None, rs=None):
         d = trace.derivations[min(level, len(trace.levels) - 1)].get(p)
         if d is None:
             raise InternalError("pair %r missing at level %d" % (p, level))
-        if d[0] == "base":
-            return extract(p, 0)
         if d[0] == "letter":
             a, parent = d[1], d[2]
             s, t = extract(parent, level - 1)

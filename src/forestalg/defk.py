@@ -2,9 +2,9 @@
 
 Two forests are k-equivalent when their top k levels agree up to the
 idempotent-and-commutative rewriting; the canonical key is the normal form
-of the depth-k truncation.  An equivalent recursive characterization via
-nested sets of (letter, class) pairs is implemented independently and used
-as a cross-check.
+of the depth-k truncation.  The tests cross-check it against an
+independent recursive characterization by nested sets of (letter, class)
+pairs.
 
 A homomorphism is k-definite when the image of p.s does not depend on s for
 any context p with its hole at depth at least k.  This is decided on the
@@ -39,18 +39,6 @@ def simk_key(forest, k):
 
 def simk_equiv(s, t, k):
     return simk_key(s, k) == simk_key(t, k)
-
-
-def simk_tset(forest, k):
-    """Recursive class of a forest: nested sets of (letter, child class).
-
-    Independent of the truncation-based key; the two must classify
-    identically.
-    """
-    if k <= 0:
-        return None
-    return frozenset((label, simk_tset(children, k - 1))
-                     for label, children in forest)
 
 
 # ---------------------------------------------------------------------------

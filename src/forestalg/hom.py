@@ -9,9 +9,11 @@ of recognizers, and witness-term realization.
 generated() builds every algebra the package computes, from a state list
 closed under the letter steps and the sum; it alone tabulates states into
 sum tables and letter rows (io loads recognizer files through the same
-algebra.generated_algebra).  V is closed only when first read.  Image
-restriction and the syntactic quotient (partition refinement on H under
-letters and insertions) never build a vertical monoid.
+algebra.generated_algebra).  V is closed only when first read.  quotient()
+builds every quotient, syntactic or by an ideal, from its classes'
+representatives.  Image restriction and the syntactic quotient (partition
+refinement on H under letters and insertions) never build a vertical
+monoid.
 """
 
 import heapq
@@ -169,6 +171,18 @@ def generated(alphabet, states, act, plus, zero, names=None):
     return Homomorphism(alphabet, alg, assign)
 
 
+def quotient(hom, reps, rep):
+    """The homomorphism onto the quotient of hom's image whose element i is
+    the class of ``reps[i]``; ``rep`` sends each element of the image to
+    its class's representative, and classes keep their representatives'
+    names."""
+    alg = hom.target
+    op = alg.H.op
+    return generated(hom.alphabet, reps, lambda a, h: rep[hom.row(a)[h]],
+                     lambda h, g: rep[op[h][g]], rep[alg.zero],
+                     [alg.hname(h) for h in reps])
+
+
 def _restrict(hom):
     """Restriction onto the generated subalgebra; returns (hom, carrier).
 
@@ -227,9 +241,7 @@ def syntactic(rec):
     rep = [None] * alg.H.size   # the representative of each reachable element
     for h, b in zip(carrier, block):
         rep[h] = reps[b]
-    qhom = generated(hom.alphabet, reps, lambda a, h: rep[hom.row(a)[h]],
-                     lambda h, g: rep[op[h][g]], rep[alg.zero],
-                     [alg.hname(h) for h in reps])
+    qhom = quotient(hom, reps, rep)
     accept = {c for c, h in zip(block, carrier) if h in rec.accept}
     return Recognizer(qhom, accept), dict(zip(carrier, block))
 

@@ -6,16 +6,16 @@ identity and all insertions, so h+g is always reachable from h.  The
 classes of mutual reachability carry a partial order whose unique minimum
 is the class of the absorbing element.
 
-The quotient collapsing an ideal is, like every computed algebra, a
-generated algebra: the collapsed sum table and letter rows, with no
-vertical monoid built.
+The quotient collapsing an ideal is built by hom.quotient, like the
+syntactic quotient: a generated algebra on the collapsed sum table and
+letter rows, with no vertical monoid built.
 """
 
 from dataclasses import dataclass
 
 from .algebra import quotient_by_ideal
 from .errors import ForestAlgError
-from .hom import generated
+from .hom import quotient
 
 
 @dataclass
@@ -115,15 +115,8 @@ def quotient_hom(alpha, ci, mode="strict", rs=None):
         ideal = ideal_not_above(rs, ci)
     else:
         raise ValueError("mode must be strict or weak")
-    alg = alpha.target
-    reps, hmap = quotient_by_ideal(alg, ideal)
-    rep = [reps[q] for q in hmap]   # the representative of each element
-    names = [alg.hname(r) for r in reps]
-    if ideal:
-        names[-1] = "inf"
-    qhom = generated(alpha.alphabet, reps, lambda a, h: rep[alpha.row(a)[h]],
-                     lambda h, g: rep[alg.plus(h, g)], rep[alg.zero], names)
-    return qhom, (reps, hmap)
+    reps, hmap = quotient_by_ideal(alpha.target, ideal)
+    return quotient(alpha, reps, [reps[q] for q in hmap]), (reps, hmap)
 
 
 def class_tag_names(alpha, ci, rs=None):

@@ -67,8 +67,16 @@ def u2_example_recognizer():
 U1_ACCEPTING = ("H: 0 inf\nplus:\n0 inf\ninf inf\nV: 1 cinf\ncompose:\n1 cinf\n"
                 "cinf cinf\nact:\n0 inf\ninf inf\naccept: inf\n")
 
-# Files whose letters, letter rows or sections are malformed, by what is wrong.
+# Files whose tables, letters, letter rows or sections are malformed, by
+# what is wrong.
 BAD_LETTER_FILES = {
+    "algebra: empty H": U1_ACCEPTING.replace("H: 0 inf", "H:"),
+    "algebra: empty V": U1_ACCEPTING.replace("V: 1 cinf", "V:"),
+    "algebra: duplicate V names": U1_ACCEPTING.replace("V: 1 cinf", "V: 1 1"),
+    "algebra: unknown V element": U1_ACCEPTING.replace("cinf cinf\nact:",
+                                                       "cinf zz\nact:"),
+    "algebra: letters entry without =": U1_ACCEPTING + "letters: a\n",
+    "algebra: no V element 1": U1_ACCEPTING.replace("1", "one"),
     "duplicate letter": U1_ACCEPTING + "letters: a=cinf a=1\n",
     "empty letter": U1_ACCEPTING + "letters: =cinf\n",
     "letter ending in a colon": U1_ACCEPTING + "letters: a:=cinf\n",
@@ -87,6 +95,18 @@ BAD_LETTER_FILES = {
     "row: letter after accept": "H: 0 inf\nplus:\n0 inf\ninf inf\naccept:\n"
                                 "letter: a\ninf inf\n",
 }
+
+
+def simk_tset(forest, k):
+    """Recursive class of a forest: nested sets of (letter, child class).
+
+    Independent of defk's truncation-based key; the two must classify
+    identically.
+    """
+    if k <= 0:
+        return None
+    return frozenset((label, simk_tset(children, k - 1))
+                     for label, children in forest)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from forestalg.algebra import u1, u2
 from forestalg.decide import decide, nonconfusion
 from forestalg.decompose import U1_STAGE, decompose_ef, wreath_compose
 from forestalg.defk import (KdefEvaluator, alpha1, definiteness_degree,
-                            definiteness_oracle, simk_key, simk_tset)
+                            definiteness_oracle, simk_key)
 from forestalg.errors import NotEFAlgebra
 from forestalg.hom import (Homomorphism, factors_through, image_restrict,
                            recognizers_isomorphic, relabeled, syntactic)
@@ -24,7 +24,7 @@ from forestalg.reach import class_tag_names, quotient_hom, reachability
 
 from helpers import (direct_product, example_language_recognizer,
                      four_element_algebra, random_big_recognizer, random_hom,
-                     u2_example_recognizer)
+                     simk_tset, u2_example_recognizer)
 
 
 def _report(name, detail=""):

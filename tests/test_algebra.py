@@ -290,3 +290,32 @@ def test_valid_explicit_file_skips_vertical_laws(monkeypatch):
     monkeypatch.setattr(FiniteMonoid, "check", counting)
     assert alg.check_axioms() == []
     assert checked == [alg.H]
+
+
+def test_close_vertical_is_the_generated_algebra_with_V_read():
+    """close_vertical builds V and the action at once, on the object that
+    generated_algebra returns; a merged or renamed extra generator is
+    added to half the instances."""
+    from forestalg import logic
+    from forestalg.algebra import close_vertical, generated_algebra
+    from forestalg.terms import print_label
+    from helpers import random_formula, random_hom
+
+    rng = random.Random(1515)
+    homs = [random_hom(rng) for _ in range(60)]
+    homs += [logic.to_recognizer(random_formula(rng, ("a", "b"), 2),
+                                 ("a", "b")).hom for _ in range(20)]
+    for trial, hom in enumerate(homs):
+        H = hom.target.H
+        gens = {print_label(a): hom.row(a) for a in hom.alphabet}
+        if rng.random() < 0.5:
+            gens["ins_0"] = rng.choice(list(gens.values()) + [
+                tuple(range(H.size)), H.op[rng.randrange(H.size)]])
+        eager, genmap = close_vertical(H, gens, warn_on_merge=False)
+        lazy, lazy_genmap = generated_algebra(H, gens)
+        assert genmap == lazy_genmap, trial
+        assert eager.generators == lazy.generators, trial
+        assert eager.generator_names == lazy.generator_names, trial
+        assert "V" not in vars(lazy) and "action" not in vars(lazy)
+        assert eager.V.names == lazy.V.names, trial
+        assert eager.V.op == lazy.V.op and eager.action == lazy.action, trial

@@ -246,6 +246,26 @@ def test_bad_letter_names_are_input_errors(tmp_path, capsys):
             assert err.startswith("error: ") and err.count("\n") == 1, case
 
 
+def test_decide_timings_add_only_seconds(capsys):
+    argv = ("decide", "--logic", "efex", fx("u2_abc.fa"), "--certificate",
+            "--json")
+    code, out, _ = run(capsys, *argv)
+    timed_code, timed_out, _ = run(capsys, *argv, "--timings")
+    timed = json.loads(timed_out)
+    seconds = timed.pop("seconds")
+    assert timed_code == code and timed == json.loads(out)
+    assert isinstance(seconds, (int, float)) and seconds >= 0
+
+
+def test_missing_decide_input_and_empty_alphabet_are_input_errors(capsys):
+    for argv in (("decide", "--logic", "ef", "--formula", "EF a"),
+                 ("decide", "--logic", "ef"),
+                 ("compile", "EF a", "--alphabet", ",")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
+
+
 # Every subcommand that reads a file, with the file's place marked.
 FILE_COMMANDS = (
     ("check", "{}"), ("eval", "{}", "a+b(a)"), ("eval", "{}", "a([])", "--context"),

@@ -9,6 +9,7 @@ from forestalg.decide import (confusion_witness, decide, is_ef_algebra,
                               nonconfusion)
 from forestalg.defk import simk_equiv
 from forestalg.hom import image_restrict, relabeled, syntactic
+from forestalg.joint import image
 from forestalg.reach import class_tag_names, quotient_hom, reachability
 
 from helpers import (differential_homs, direct_product,
@@ -199,6 +200,38 @@ def test_confusion_witness_verifies_tagging():
             s, t, _ = confusion_witness(hom, trace, pair, k=k)
             assert hom.eval(s) == pair[0] and hom.eval(t) == pair[1]
             assert simk_equiv(relabeled(s, hom, tags), relabeled(t, hom, tags), k)
+
+
+def test_confusion_witness_unwinds_sums():
+    """A witness for every pair that a common summand ("const") or a pair
+    sum ("pair") put into a level of an onto hom of differential_homs();
+    confusion_witness re-verifies values and taggings itself."""
+    records = {"const": 0, "pair": 0}
+    for hom in differential_homs():
+        if len(image(hom, hom.alphabet)) < hom.target.H.size:
+            continue
+        for trace in nonconfusion(hom).traces.values():
+            for j in range(1, len(trace.levels)):
+                for pair, record in trace.derivations[j].items():
+                    if record[0] in records:
+                        records[record[0]] += 1
+                        s, t, k = confusion_witness(hom, trace, pair, j)
+                        assert k == j and (hom.eval(s), hom.eval(t)) == pair
+    assert min(records.values()) > 0  # 29 and 31
+
+
+def test_confusion_witness_refuses_a_hom_that_is_not_onto():
+    """Hom 300 of differential_homs() reaches 8 of its 64 values.  Its
+    fixpoint on all of H says confused, where its image restriction is
+    nonconfusing, and no witness can be built from unreached values."""
+    hom = differential_homs()[300]
+    assert len(image(hom, hom.alphabet)) == 8 and hom.target.H.size == 64
+    report = nonconfusion(hom)
+    assert not report.nonconfusing
+    assert nonconfusion(image_restrict(hom)).nonconfusing
+    trace = report.traces[report.confused_classes()[0]]
+    with pytest.raises(ValueError, match="not onto"):
+        confusion_witness(hom, trace, sorted(trace.levels[-1])[0])
 
 
 def test_decide_examples():

@@ -6,14 +6,15 @@ from forestalg import defk, logic, terms
 from forestalg.defk import (KdefEvaluator, alpha1, definiteness_degree,
                             definiteness_oracle, ex_definable_by_idempotents,
                             free_kdefinite, guarded_semigroup, key_sum,
-                            simk_equiv, simk_key, simk_tset)
+                            simk_equiv, simk_key)
 from forestalg.errors import SizeLimitError
 from forestalg.hom import factors_through, image_restrict, syntactic
 from forestalg.joint import TensorEvaluator, evaluate, mutually_determine
 from forestalg.oracle import enumerate_forests, random_forest
 
 from helpers import (differential_homs, reference_definiteness_degree,
-                     reference_idempotent_criterion, u2_example_recognizer)
+                     reference_idempotent_criterion, simk_tset,
+                     u2_example_recognizer)
 
 
 def F(text):

@@ -168,3 +168,36 @@ def _unused_private_names(root):
 def test_every_private_module_name_is_used():
     root = os.path.join(os.path.dirname(__file__), os.pardir)
     assert _unused_private_names(root) == set()
+
+
+def _algebra_constructions():
+    """(module, top-level definition, constructor) of every call of
+    ForestAlgebra(...) or ForestAlgebra.__new__(...) in the package."""
+    found = set()
+    for path in glob.glob(os.path.join(SRC, "*.py")):
+        module = os.path.splitext(os.path.basename(path))[0]
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        for top in tree.body:
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                if isinstance(func, ast.Attribute) and func.attr == "__new__":
+                    func, made = func.value, "ForestAlgebra.__new__"
+                else:
+                    made = "ForestAlgebra"
+                if isinstance(func, ast.Name) and func.id == "ForestAlgebra":
+                    found.add((module, getattr(top, "name", ""), made))
+    return found
+
+
+def test_only_table_algebras_call_the_constructor():
+    """Algebras given by tables are built by ForestAlgebra(...); every
+    algebra built from action rows comes from generated_algebra, also
+    when close_vertical reads its V at once."""
+    assert _algebra_constructions() == {
+        ("io", "_parse_tables", "ForestAlgebra"),
+        ("algebra", "u1", "ForestAlgebra"),
+        ("algebra", "u2", "ForestAlgebra"),
+        ("algebra", "generated_algebra", "ForestAlgebra.__new__")}
