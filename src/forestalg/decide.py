@@ -277,7 +277,7 @@ def decide(rec, fragment):
     ex: the syntactic morphism is k-definite for some k.
     efex: the syntactic morphism is nonconfusing.
     Negative answers carry a certificate: the violated identity, the
-    stable guarded-semigroup obstruction, or an explicit confusion witness.
+    degree None, or an explicit confusion witness.
     """
     if fragment not in ("ef", "ex", "efex"):
         raise ValueError("fragment must be ef, ex or efex")

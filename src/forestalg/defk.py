@@ -7,11 +7,11 @@ independent recursive characterization by nested sets of (letter, class)
 pairs.
 
 A homomorphism is k-definite when the image of p.s does not depend on s for
-any context p with its hole at depth at least k.  This is decided on the
-semigroup S of guarded-context actions, generated by the guarded generators
-G, the maps h -> g + letter.h.  Products of k elements of S are the words
-of length at least k over G, so S^(k+1) = S^k.G, and a map absorbs all of
-S on the right exactly when it absorbs all of G.
+any context p with its hole at depth at least k.  Such a context acts by a
+product of k guarded generators h -> c + letter.h, so this is the test for
+definite automata of Perles, Rabin and Shamir: every such product is
+constant exactly when no pair of distinct values survives k steps.  The
+decider reads only the sum table and the letter rows, on pairs of values.
 """
 
 from dataclasses import dataclass
@@ -137,8 +137,9 @@ def guarded_semigroup(hom):
 
     Every guarded context factors into depth-1 pieces t + a[] + t', whose
     action is exactly such a generator, so the closure is the full image of
-    the guarded contexts.  Rows act on the image algebra, so the result is
-    faithful by construction.  It lies inside V, so V's cap bounds it.
+    the guarded contexts.  It lies inside V, so V's cap bounds it.  No
+    decider builds it: it serves the idempotent criterion below and the
+    full-chain reference of the tests, which cross-check the degree.
     """
     gens = _guarded_generators(hom)
     return sorted(closure(gens, [_after(g) for g in gens], lambda by_g, r: by_g(r),
@@ -148,35 +149,33 @@ def guarded_semigroup(hom):
 def definiteness_degree(alpha):
     """Least k such that alpha is k-definite, or None.
 
-    Follows the descending chain S^k of products of k elements of the
-    guarded semigroup S.  S^k is the set of words of length at least k over
-    the guarded generators G, so S^(k+1) = S^k.G, and p.s = p for all s in
-    S exactly when p.g = p for all g in G: each step composes with G only.
-    The chain stabilizes within |S| steps, and the degree exists exactly
-    when the stable set absorbs right multiplication.
+    Level 0 holds the ordered pairs of distinct values of the image, and
+    level k the distinct pairs (c + a.h, c + a.g) for (h, g) in level k-1:
+    the pairs that some product of k guarded generators keeps apart.  The
+    degree is the first empty level, 0 on a one-element image.  The levels
+    descend, so a level that keeps its size repeats for ever: None.
     """
     hom = image_restrict(alpha)
-    if hom.target.H.size == 1:
-        return 0
-    S = guarded_semigroup(hom)
-    right = [_after(g) for g in _guarded_generators(hom)]
-    products = S
-    for k in range(1, len(S) + 2):
-        nxt, absorbs = set(), True
-        for by_g in right:
-            composed = list(map(by_g, products))
-            absorbs = absorbs and composed == products
-            nxt.update(composed)
-        if absorbs:
-            return k
-        if len(nxt) == len(products):    # nxt lies inside products
+    op = hom.target.H.op
+    n = len(op)
+    rows = {hom.row(a) for a in hom.alphabet}
+    level = {(h, g) for h in range(n) for g in range(n) if h != g}
+    k = 0
+    while level:
+        k += 1
+        nxt = set()
+        for x, y in {(row[h], row[g]) for row in rows for h, g in level}:
+            nxt.update(zip(op[x], op[y]))
+        nxt.difference_update(zip(range(n), range(n)))
+        if len(nxt) == len(level):
             return None
-        products = list(nxt)
-    return None
+        level = nxt
+    return k
 
 
 def ex_definable_by_idempotents(alpha):
-    """Finite-semigroup shortcut for "k-definite for some k".
+    """"k-definite for some k" by the finite-semigroup criterion, as an
+    independent cross-check of definiteness_degree; no decider calls it.
 
     The criterion is that every idempotent absorbs on the right: e.s = e
     for all s in the guarded semigroup S.  As S is generated by the guarded

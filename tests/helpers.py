@@ -243,6 +243,23 @@ def random_formula(rng, alphabet, depth):
     return forest_formula(depth)
 
 
+def census_formulas(max_nodes, modalities, letters=("a", "b")):
+    """Every forest formula of at most max_nodes nodes built from T, the
+    letters, !, &, | and the given modal constructors (logic.EF, logic.EX),
+    deduplicated by printed form, by node count and then in build order."""
+    by_size = [None, [logic.TrueF()] + [logic.Letter(a) for a in letters]]
+    for n in range(2, max_nodes + 1):
+        built = [op(phi) for op in (logic.Not,) + tuple(modalities)
+                 for phi in by_size[n - 1]]
+        built += [op(left, right) for i in range(1, n - 1)
+                  for left in by_size[i] for right in by_size[n - 1 - i]
+                  for op in (logic.And, logic.Or)]
+        by_size.append(list({logic.print_formula(phi): phi
+                             for phi in built}.values()))
+    return [phi for level in by_size[1:] for phi in level
+            if logic.role(phi) == logic.FOREST]
+
+
 def random_cascade(rng, **kwargs):
     """A two-stage cascade: a random hom, then a random second target whose
     letters read the first stage's value."""

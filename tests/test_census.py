@@ -1,0 +1,41 @@
+"""The formula census: every forest formula of at most five nodes over
+{a, b} is decided definable in its own fragment, and on each distinct
+syntactic table the EX degree matches the full-chain reference."""
+
+from collections import Counter
+
+from forestalg import logic
+from forestalg.decide import is_ef_algebra, nonconfusion
+from forestalg.defk import definiteness_degree
+from forestalg.hom import syntactic
+
+from helpers import census_formulas, reference_definiteness_degree
+
+LETTERS = ("a", "b")
+
+
+def _table(syn):
+    """A syntactic recognizer as its sum table, letter rows and accepting set."""
+    return (syn.hom.target.H.op, tuple(syn.hom.row(a) for a in LETTERS),
+            syn.accept)
+
+
+def test_census_formulas_are_definable_in_their_fragment():
+    ef, ex, efex = (census_formulas(5, modalities) for modalities in
+                    ((logic.EF,), (logic.EX,), (logic.EF, logic.EX)))
+    # pinned, so that a broken enumerator fails
+    assert (len(ef), len(ex), len(efex)) == (345, 345, 1017)
+    syn = {logic.print_formula(phi):
+           syntactic(logic.to_recognizer(phi, LETTERS))[0] for phi in efex}
+    tables = {_table(s): s.hom for s in syn.values()}
+    assert len(tables) == 87
+    degrees = {t: definiteness_degree(hom) for t, hom in tables.items()}
+    assert degrees == {t: reference_definiteness_degree(hom)
+                       for t, hom in tables.items()}
+    assert Counter(degrees.values()) == {0: 2, 1: 7, 2: 24, 3: 12, 4: 3,
+                                         None: 39}
+    assert all(is_ef_algebra(syn[logic.print_formula(phi)].hom.target)[0]
+               for phi in ef)
+    assert all(degrees[_table(syn[logic.print_formula(phi)])] is not None
+               for phi in ex)
+    assert all(nonconfusion(hom).nonconfusing for hom in tables.values())

@@ -1,8 +1,11 @@
+import os
 import random
 
 import pytest
 
 from forestalg import defk, logic, terms
+from forestalg.cli import _load_recognizer
+from forestalg.decide import decide
 from forestalg.defk import (KdefEvaluator, alpha1, definiteness_degree,
                             definiteness_oracle, ex_definable_by_idempotents,
                             free_kdefinite, guarded_semigroup, key_sum,
@@ -12,9 +15,12 @@ from forestalg.hom import factors_through, image_restrict, syntactic
 from forestalg.joint import TensorEvaluator, evaluate, mutually_determine
 from forestalg.oracle import enumerate_forests, random_forest
 
-from helpers import (differential_homs, reference_definiteness_degree,
+from helpers import (differential_homs, example_language_recognizer,
+                     reference_definiteness_degree,
                      reference_idempotent_criterion, simk_tset,
                      u2_example_recognizer)
+
+FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
 
 def F(text):
@@ -208,8 +214,9 @@ def test_idempotent_criterion_matches_chain():
 
 
 def test_generator_chain_matches_full_semigroup_chain():
-    # S^k is the set of words of length >= k over the guarded generators,
-    # so stepping and testing by the generators gives the full chain's answers
+    # a pair of distinct values survives level k exactly when some product
+    # of k guarded generators keeps it apart, so the pair levels give the
+    # full chain's answers
     degrees = set()
     for hom in differential_homs():
         degree = definiteness_degree(hom)
@@ -218,6 +225,28 @@ def test_generator_chain_matches_full_semigroup_chain():
         assert ok == reference_idempotent_criterion(hom) == (degree is not None)
         degrees.add(degree)
     assert {0, 1, 2, None} <= degrees
+
+
+def test_ex_decider_builds_no_semigroup(monkeypatch):
+    """The degree comes from pairs of H, so the EX answers stand when the
+    guarded semigroup cannot be built."""
+    homs = differential_homs()
+    recs = [_load_recognizer(os.path.join(FIXTURES, name))
+            for name in ("chain4.fa", "u1_efa.fa", "u2_abc.fa")]
+    recs += [example_language_recognizer(), u2_example_recognizer()]
+
+    def answers():
+        return ([definiteness_degree(hom) for hom in homs],
+                [(d.definable, d.certificate, d.detail)
+                 for d in (decide(rec, "ex") for rec in recs)])
+
+    unpatched = answers()
+
+    def refuse(hom):
+        raise AssertionError("the EX decider built the guarded semigroup")
+
+    monkeypatch.setattr(defk, "guarded_semigroup", refuse)
+    assert answers() == unpatched
 
 
 def test_transposed_idempotent_criterion_differs():
