@@ -194,7 +194,11 @@ class ForestAlgebra:
         return self.V.mul(v, w)
 
     def act(self, v, h):
-        return self.action[v][h]
+        return self.vrow(v)[h]
+
+    def vrow(self, v):
+        """V's element v as an action row; a generator's never closes V."""
+        return self.generators[v] if v < len(self.generators) else self.action[v]
 
     def hname(self, h):
         return self.H.names[h]

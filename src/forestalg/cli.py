@@ -232,13 +232,14 @@ def _cmd_witness(args):
     rec = _load_recognizer(args.file)
     syn, _ = syntactic(rec)
     mu = syn.hom
-    report_nc = nonconfusion(mu)
+    rs = reach.reachability(mu.target)
+    report_nc = nonconfusion(mu, rs)
     lines = []
     witnesses = []
     for ci in report_nc.confused_classes():
         trace = report_nc.traces[ci]
         pair = sorted(trace.levels[-1])[0]
-        s, t, k = confusion_witness(mu, trace, pair)
+        s, t, k = confusion_witness(mu, trace, pair, rs=rs)
         witnesses.append({"class": ci, "s": terms.print_forest(s),
                           "t": terms.print_forest(t), "k": k})
         lines.append("class %d: %s / %s at depth %d"

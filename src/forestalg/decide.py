@@ -9,7 +9,6 @@ set.  The class is clean when some level empties; confusion is certified by
 unwinding the recorded derivations into an explicit forest pair.
 """
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from . import terms
@@ -89,8 +88,8 @@ def nonconfusion(alpha, rs=None):
     Levels shrink monotonically, so each class stabilizes within |H|^2
     outer iterations (asserted).  Every surviving pair carries the
     derivation that produced it, for witness extraction.  H must be
-    commutative and idempotent, as check_axioms() enforces: the pair sums
-    skip the partners whose sum with a pair has already been formed.
+    commutative and idempotent, as check_axioms() enforces: each pair is
+    summed only with the pairs queued behind it when its turn comes.
     The fixpoint runs on all of H, so the verdict is alpha's only when
     alpha is onto its target: otherwise run it on image_restrict(alpha).
     """
@@ -143,21 +142,20 @@ def nonconfusion(alpha, rs=None):
                         fresh[code] = 0
                         cur[q] = ("letter", a, parent)
                         queue.append(q)
-            # + is commutative, so the sum of the pair at index `at` with an
-            # earlier pair i was already formed if `at` lay below tops[i],
-            # the queue length when i began its pair sums; that sum is in
-            # the level or outside base, and forming it again finds nothing.
-            # tops never decreases, so those partners are the run from
-            # bisect_right(tops, at) up to `at`.  By h + h = h the pair's
-            # sum with itself is the pair.  The partners left are visited in
-            # queue order, so every record comes out as with all of them.
-            tops = []
+            # Each pair sums only with queue[at + 1:start], the pairs waiting
+            # behind it when its turn came; its other sums queue nothing.  By
+            # h + h = h its sum with a pair it queued is that pair.  By
+            # induction, if i's turn ended before `at` = m + (c, c) or m + l
+            # was queued (i < m < l), i + m was queued, diagonal or outside
+            # the class, which sums never reenter, so i + `at` is outside base
+            # or a sum that an ended turn already formed.
             at = 0
             while at < len(queue):
                 p = queue[at]
                 h, g = p
                 sum_h, sum_g = op[h], op[g]
                 hi_h, lo_g = hi[h], lo[g]
+                start = len(queue)
                 for c in range(n):
                     code = hi_h[c] + lo_g[c]
                     if fresh[code]:
@@ -165,18 +163,14 @@ def nonconfusion(alpha, rs=None):
                         q = (sum_h[c], sum_g[c])
                         cur[q] = ("const", c, p)
                         queue.append(q)
-                top = len(queue)
-                skip = bisect_right(tops, at)
-                tops.append(top)
-                for partners in (queue[:skip], queue[at + 1:top]):
-                    for p2 in partners:
-                        h2, g2 = p2
-                        code = hi_h[h2] + lo_g[g2]
-                        if fresh[code]:
-                            fresh[code] = 0
-                            q = (sum_h[h2], sum_g[g2])
-                            cur[q] = ("pair", p, p2)
-                            queue.append(q)
+                for p2 in queue[at + 1:start]:
+                    h2, g2 = p2
+                    code = hi_h[h2] + lo_g[g2]
+                    if fresh[code]:
+                        fresh[code] = 0
+                        q = (sum_h[h2], sum_g[g2])
+                        cur[q] = ("pair", p, p2)
+                        queue.append(q)
                 at += 1
             level = frozenset(cur)
             if not level <= prev:
@@ -215,10 +209,8 @@ def confusion_witness(alpha, trace, pair, k=None, rs=None):
     if pair not in trace.levels[0]:
         raise ValueError("pair %r is not a distinct same-class pair" % (pair,))
     last = len(trace.levels) - 1
-    if k <= last:
-        if pair not in trace.levels[k]:
-            raise ValueError("pair %r does not survive to level %d" % (pair, k))
-    elif trace.verdict != "confused" or pair not in trace.levels[last]:
+    if pair not in trace.levels[min(k, last)] or (
+            k > last and trace.verdict != "confused"):
         raise ValueError("pair %r does not survive to level %d" % (pair, k))
     minimal = realize(alpha)
     missing = [h for h in range(alpha.target.H.size) if h not in minimal]
@@ -292,7 +284,8 @@ def decide(rec, fragment):
         ok = degree is not None
         detail = "definiteness degree %s" % ("none" if degree is None else degree)
         return Decision("ex", ok, syn, degree, detail)
-    report = nonconfusion(mu)
+    rs = reachability(mu.target)
+    report = nonconfusion(mu, rs)
     if report.nonconfusing:
         return Decision("efex", True, syn, None,
                         "nonconfusing with parameter %d" % report.parameter,
@@ -300,7 +293,7 @@ def decide(rec, fragment):
     ci = report.confused_classes()[0]
     trace = report.traces[ci]
     pair = sorted(trace.levels[-1])[0]
-    s, t, k = confusion_witness(mu, trace, pair)
+    s, t, k = confusion_witness(mu, trace, pair, rs=rs)
     detail = ("confused pair (%s, %s) at level %d: %s vs %s"
               % (mu.target.hname(pair[0]), mu.target.hname(pair[1]), k,
                  terms.print_forest(s), terms.print_forest(t)))

@@ -53,9 +53,7 @@ class Stage:
 
     def rows(self):
         """The letters as action rows, keyed like ``letters``."""
-        gens = self.target.generators
-        return {key: gens[v] if v < len(gens) else self.target.action[v]
-                for key, v in self.letters.items()}
+        return {key: self.target.vrow(v) for key, v in self.letters.items()}
 
     def describe(self):
         return "%s stage (%s), reads %d earlier coordinates" % (

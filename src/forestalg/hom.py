@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from . import terms
 from .algebra import ForestAlgebra, generated_algebra, horizontal_monoid
-from .errors import AlphabetMismatchError, UnknownLetterError
+from .errors import AlphabetMismatchError, StructuralError, UnknownLetterError
 from .joint import DEFAULT_MAX_JOINT, determines, evaluate, image, joint_image
 
 
@@ -36,6 +36,10 @@ class Homomorphism:
         missing = [a for a in self.alphabet if a not in self.assign]
         if missing:
             raise UnknownLetterError("letters without assignment: %r" % (missing,))
+        for a, v in self.assign.items():
+            if not isinstance(v, int) or not (
+                    0 <= v < len(self.target.generators) or 0 <= v < self.target.V.size):
+                raise StructuralError("letter %r assigned %r, outside V" % (a, v))
 
     def letter(self, a):
         try:
@@ -45,7 +49,7 @@ class Homomorphism:
 
     def row(self, a):
         """The action row of a letter on H."""
-        return self.target.generators[self.letter(a)]
+        return self.target.vrow(self.letter(a))
 
     def zero_state(self):
         return self.target.zero
@@ -134,7 +138,7 @@ def reachable_pairs(alpha, beta):
     containing (0,0) closed under both is exactly the joint image.  It
     holds at most DEFAULT_MAX_JOINT pairs, or SizeLimitError is raised.
     """
-    if tuple(alpha.alphabet) != tuple(beta.alphabet):
+    if set(alpha.alphabet) != set(beta.alphabet):
         raise AlphabetMismatchError("homomorphisms must share an alphabet")
     return set(joint_image(alpha, beta, alpha.alphabet, DEFAULT_MAX_JOINT))
 
@@ -309,8 +313,7 @@ def recognizers_isomorphic(rec1, rec2):
     n = alpha.target.H.size
     if n != a2.target.H.size or set(alpha.alphabet) != set(a2.alphabet):
         return None
-    beta = Homomorphism(alpha.alphabet, a2.target, a2.assign)
-    forward = determines(reachable_pairs(alpha, beta))[0]
+    forward = determines(reachable_pairs(alpha, a2))[0]
     if forward is None or len(forward) != n or len(set(forward.values())) != n:
         return None
     perm = tuple(forward[h] for h in range(n))

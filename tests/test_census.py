@@ -1,6 +1,7 @@
 """The formula census: every forest formula of at most five nodes over
 {a, b} is decided definable in its own fragment, and on each distinct
-syntactic table the EX degree matches the full-chain reference."""
+syntactic table the EX degree matches the full-chain reference and the
+pair fixpoint matches the all-partners reference."""
 
 from collections import Counter
 
@@ -9,7 +10,8 @@ from forestalg.decide import is_ef_algebra, nonconfusion
 from forestalg.defk import definiteness_degree
 from forestalg.hom import syntactic
 
-from helpers import census_formulas, reference_definiteness_degree
+from helpers import (census_formulas, reference_definiteness_degree,
+                     reference_nonconfusion)
 
 LETTERS = ("a", "b")
 
@@ -18,6 +20,14 @@ def _table(syn):
     """A syntactic recognizer as its sum table, letter rows and accepting set."""
     return (syn.hom.target.H.op, tuple(syn.hom.row(a) for a in LETTERS),
             syn.accept)
+
+
+def _fixpoint(report):
+    """A nonconfusion report as its verdict, parameter and every class's
+    levels, verdict, k and records in order."""
+    return (report.nonconfusing, report.parameter,
+            [(ci, t.levels, t.verdict, t.k, [list(d.items()) for d in t.derivations])
+             for ci, t in report.traces.items()])
 
 
 def test_census_formulas_are_definable_in_their_fragment():
@@ -39,3 +49,5 @@ def test_census_formulas_are_definable_in_their_fragment():
     assert all(degrees[_table(syn[logic.print_formula(phi)])] is not None
                for phi in ex)
     assert all(nonconfusion(hom).nonconfusing for hom in tables.values())
+    assert all(_fixpoint(nonconfusion(hom)) == _fixpoint(reference_nonconfusion(hom))
+               for hom in tables.values())

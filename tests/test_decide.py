@@ -78,7 +78,7 @@ def test_nonconfusion_matches_plus_fixpoint():
     # Beyond differential_homs: syntactic homs of random |H| = 64
     # recognizers on four letters (the bench's decide-deep shape) and on
     # one or two, and one unreduced hom with a 64-member class, whose long
-    # queues make long runs of skipped partners
+    # queues leave many pairs unsummed with the pairs ahead of them
     rng = random.Random(1414)
     recs = [random_big_recognizer(rng, nletters=k) for k in (4,) * 6 + (2, 1)]
     homs = differential_homs() + [syntactic(rec)[0].hom for rec in recs]

@@ -4,13 +4,14 @@ import pytest
 
 from forestalg import hom as hom_module
 from forestalg import logic, terms
-from forestalg.algebra import close_vertical, horizontal_monoid, u2
+from forestalg.algebra import close_vertical, horizontal_monoid, u1, u2
 from forestalg.hom import (Homomorphism, Recognizer,
                            constant_letter_realizers, factors_through,
                            generated, image_restrict, reachable_pairs, realize,
                            recognizers_isomorphic, relabeled,
                            restrict_recognizer, syntactic)
-from forestalg.errors import SizeLimitError
+from forestalg.errors import (AlphabetMismatchError, SizeLimitError,
+                             StructuralError)
 from forestalg.io import parse_algebra, print_algebra
 from forestalg.joint import image
 from forestalg.oracle import random_forest
@@ -115,6 +116,38 @@ def test_factors_through():
     assert not ok and witness is not None
     h, g1, g2 = witness
     assert g1 != g2
+
+
+def test_reachable_pairs_compare_alphabets_as_sets():
+    hom = four_element_algebra().hom
+    flipped = Homomorphism(hom.alphabet[::-1], hom.target, hom.assign)
+    assert flipped.alphabet != hom.alphabet
+    assert reachable_pairs(hom, flipped) == {(h, h) for h in range(4)}
+    assert factors_through(hom, flipped) == (True, None)
+    assert factors_through(flipped, hom) == (True, None)
+    rec = four_element_algebra()
+    assert recognizers_isomorphic(Recognizer(flipped, rec.accept),
+                                  rec) == (0, 1, 2, 3)
+    fewer = Homomorphism(hom.alphabet[:1], hom.target, hom.assign)
+    with pytest.raises(AlphabetMismatchError):
+        factors_through(hom, fewer)
+
+
+def test_row_reads_vertical_elements_past_the_generators():
+    H = horizontal_monoid([[max(i, j) for j in range(4)] for i in range(4)], 0)
+    alg, _ = close_vertical(H, {"a": (3, 3, 0, 3)})
+    assert (len(alg.generators), alg.V.size) == (5, 9)
+    for v in range(alg.V.size):
+        hom = Homomorphism(("a",), alg, {"a": v})
+        assert hom.row("a") == alg.action[v]
+        assert [hom.eval(F(t)) for t in ("a", "a(a)", "a+a(a)")] == [
+            alg.action[v][0], alg.action[v][alg.action[v][0]],
+            alg.plus(alg.action[v][0], alg.action[v][alg.action[v][0]])]
+    for v in (alg.V.size, -1, "a"):
+        with pytest.raises(StructuralError):
+            Homomorphism(("a",), alg, {"a": v})
+    with pytest.raises(StructuralError):
+        Homomorphism(("a",), u1(), {"a": 7})
 
 
 def test_factors_through_trivial_always():
