@@ -14,7 +14,8 @@ from .decide import confusion_witness, decide, nonconfusion
 from .decompose import DEFAULT_MAX_SIZE, decompose_ef, decompose_efex
 from .errors import (ForestAlgError, NotEFAlgebra, NotNonconfusing,
                      SizeLimitError)
-from .hom import Homomorphism, Recognizer, syntactic
+from .hom import (Homomorphism, Recognizer, constant_letter_realizers,
+                  realize, syntactic)
 
 EXIT_TRUE = 0
 EXIT_FALSE = 1
@@ -236,10 +237,12 @@ def _cmd_witness(args):
     report_nc = nonconfusion(mu, rs)
     lines = []
     witnesses = []
-    for ci in report_nc.confused_classes():
+    confused = report_nc.confused_classes()
+    realizers = (realize(mu), constant_letter_realizers(mu)) if confused else None
+    for ci in confused:
         trace = report_nc.traces[ci]
         pair = sorted(trace.levels[-1])[0]
-        s, t, k = confusion_witness(mu, trace, pair, rs=rs)
+        s, t, k = confusion_witness(mu, trace, pair, rs=rs, realizers=realizers)
         witnesses.append({"class": ci, "s": terms.print_forest(s),
                           "t": terms.print_forest(t), "k": k})
         lines.append("class %d: %s / %s at depth %d"

@@ -192,7 +192,7 @@ def nonconfusion(alpha, rs=None):
 # ---------------------------------------------------------------------------
 # Witness extraction
 
-def confusion_witness(alpha, trace, pair, k=None, rs=None):
+def confusion_witness(alpha, trace, pair, k=None, rs=None, realizers=None):
     """Forests (s, t) with the pair's two values and k-equivalent taggings.
 
     Unwinds the recorded derivation: letter steps prepend the letter to the
@@ -202,7 +202,9 @@ def confusion_witness(alpha, trace, pair, k=None, rs=None):
     action, so the value is manifest; at k = 0 the minimal realizers are
     used.  All three claims are re-verified before returning.  Raises
     ValueError when alpha is not onto its target, as some base value may
-    then have no witness.
+    then have no witness.  ``realizers`` is the pair (realize(alpha),
+    constant_letter_realizers(alpha)), computed here when None; a caller
+    asking for several witnesses of one hom passes it, as it passes ``rs``.
     """
     if k is None:
         k = trace.k
@@ -212,12 +214,14 @@ def confusion_witness(alpha, trace, pair, k=None, rs=None):
     if pair not in trace.levels[min(k, last)] or (
             k > last and trace.verdict != "confused"):
         raise ValueError("pair %r does not survive to level %d" % (pair, k))
-    minimal = realize(alpha)
+    if realizers is None:
+        realizers = realize(alpha), constant_letter_realizers(alpha)
+    minimal, constants = realizers
     missing = [h for h in range(alpha.target.H.size) if h not in minimal]
     if missing:
         raise ValueError("alpha is not onto its target: no forest takes %s"
                          % alpha.target.hname(missing[0]))
-    base = {**minimal, **constant_letter_realizers(alpha)} if k > 0 else minimal
+    base = {**minimal, **constants} if k > 0 else minimal
 
     def extract(p, level):
         if level <= 0:

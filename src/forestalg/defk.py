@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from . import terms
 from .algebra import DEFAULT_MAX_VERTICAL, _after
 from .hom import generated, image_restrict
-from .joint import closure, image
+from .joint import closure
 
 DEFAULT_MAX_CLASSES = 4096
 
@@ -106,13 +106,15 @@ def free_kdefinite(alphabet, k, max_classes=DEFAULT_MAX_CLASSES):
 
     Horizontal elements are the canonical keys; every key is reachable from
     the empty forest by letters and sums, so a worklist closure enumerates
-    exactly the classes.  The sum table is |H|^2 and the vertical monoid is
-    closed when first read (printing, law checks), so this is desk scale
-    only; factoring tests at larger sizes go through KdefEvaluator instead.
+    exactly the classes, numbered in joint.closure's discovery order.  The
+    sum table is |H|^2 and the vertical monoid is closed when first read
+    (printing, law checks), so this is desk scale only; factoring tests at
+    larger sizes go through KdefEvaluator instead.
     """
     alphabet = tuple(sorted(set(alphabet), key=terms.label_key))
     ev = KdefEvaluator(k)
-    keys = tuple(image(ev, alphabet, max_classes, "depth-%d classes" % k))
+    keys = tuple(closure((ev.zero_state(),), alphabet, ev.letter_action,
+                         ev.plus_state, max_classes, "depth-%d classes" % k))
     hom = generated(alphabet, keys, ev.letter_action, ev.plus_state, ())
     hom.keys = keys
     return hom.target, hom

@@ -160,7 +160,7 @@ def generated(alphabet, states, act, plus, zero, names=None):
     """The homomorphism onto the algebra generated by the letter steps.
 
     ``states`` holds ``zero`` and is closed under ``act(a, x)`` for every
-    letter a and under ``plus(x, y)``, as joint.closure leaves a set.
+    letter a and under ``plus(x, y)``, as joint.image leaves a set.
     Element i is ``states[i]``, named ``names[i]`` as horizontal_monoid
     canonicalizes them.  V is closed from the letters and insertions on
     its first read.

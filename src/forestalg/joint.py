@@ -1,14 +1,16 @@
-"""The exact closure primitive and the evaluators it runs over.
+"""The exact closures and the evaluators they run over.
 
 Every forest is built from the empty forest by letters and sums, so the set
 of values of all forests under anything that evaluates compositionally is
 the least set containing 0 that is closed under the letter steps and +.
-closure() computes such least sets by one worklist, and every exact set in
-the package comes from it: images and joint images of homomorphisms,
-cascade states, depth-k classes, vertical monoids (closed under composition
-with their generators) and the oracle's value sets.  determines() turns a
-relation into a function or the least conflict, which is what every
-factoring check asks.
+image() computes that set for an evaluator, summing each value only with
+tree values; it gives the images and joint images of homomorphisms and the
+cascade states.  closure() is the general worklist, which sums every
+pair when given a sum and numbers its elements in discovery order:
+recognizer masks, depth-k classes, vertical monoids (closed under
+composition with their generators) and the oracle's sum closures.
+determines() turns a relation into a function or the least conflict,
+which is what every factoring check asks.
 
 An evaluator exposes zero_state(), plus_state(x, y) and letter_action(a, x).
 Homomorphisms (by their letter rows) and cascades implement the protocol,
@@ -119,13 +121,49 @@ def evaluate(ev, forest):
 
 
 def image(ev, alphabet, cap=None, what="closure"):
-    """Exact set of values of all forests under an evaluator, in discovery order."""
-    return closure((ev.zero_state(),), alphabet, ev.letter_action,
-                   ev.plus_state, cap, what)
+    """Exact set of values of all forests under an evaluator, as a list.
+
+    The evaluator's sum must be associative and commutative with the zero
+    state as its identity, as it is throughout this package.  Each value x
+    runs its letter steps, then is summed only with the tree values (results
+    of letter steps) found so far, yet the set is closed under + t for every
+    tree value t, by induction on the order in which tree values are found:
+    if t came later, x is 0 or a sum of tree values found before t, and
+    adding those to t one at a time stays in the set.  So the set is closed
+    under +, as every value is a sum of tree values.  Raises
+    SizeLimitError(what, cap) on the first new value once ``cap`` values
+    are held, so exactly when the set has more than ``cap`` values.
+    """
+    limit = float("inf") if cap is None else cap
+    act, plus = ev.letter_action, ev.plus_state
+    is_tree = {}    # held value -> whether it is a tree value
+    order, trees = [], []
+
+    def add(y):
+        if len(order) >= limit:
+            raise SizeLimitError(what, cap)
+        is_tree[y] = False
+        order.append(y)
+
+    add(ev.zero_state())
+    for x in order:
+        for a in alphabet:
+            t = act(a, x)
+            if not is_tree.get(t):
+                if t not in is_tree:
+                    add(t)
+                is_tree[t] = True
+                trees.append(t)
+        for t in trees:
+            y = plus(x, t)
+            if y not in is_tree:
+                add(y)
+    return order
 
 
 def joint_image(e1, e2, alphabet, max_pairs=DEFAULT_MAX_JOINT):
-    """Exact set {(value of s under e1, value under e2) : s any forest}."""
+    """Exact set {(value of s under e1, value under e2) : s any forest},
+    listed as image() leaves it; both sums must commute, as image() asks."""
     return image(TensorEvaluator(e1, e2, lambda a, x1: a), alphabet,
                  max_pairs, "joint image")
 

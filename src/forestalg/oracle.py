@@ -10,7 +10,8 @@ fixpoint it validates.  key_value_sets runs the same recursion for given
 concrete keys.
 
 The value sets are exact closures computed by joint.closure, over sets of
-values and over pairs of values.
+values and over pairs of values, starting from images that joint.image
+computes.
 """
 
 from . import terms

@@ -1,7 +1,9 @@
+import importlib
 import json
 import os
 import random
 
+from forestalg import cli, hom
 from forestalg.cli import main
 
 from helpers import BAD_LETTER_FILES
@@ -138,6 +140,40 @@ def test_witness(capsys):
     assert "a(b) / a(c)" in out
     code, out, _ = run(capsys, "witness", fx("chain4.fa"))
     assert code == 0
+
+
+# |H| 4 with two confused classes; syntactic() keeps it as it is
+TWO_CONFUSED = """H: 0 h1 h2 inf
+plus:
+0 h1 h2 inf
+h1 h1 inf inf
+h2 inf h2 inf
+inf inf inf inf
+letter: a
+h1 h2 inf inf
+letter: b
+h1 0 inf h2
+accept: h2
+"""
+
+
+def test_witness_realizes_each_hom_once(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counted(h):
+        calls.append(h)
+        return hom.realize(h)
+
+    monkeypatch.setattr(cli, "realize", counted)
+    monkeypatch.setattr(importlib.import_module("forestalg.decide"),
+                        "realize", counted)
+    path = tmp_path / "two.fa"
+    path.write_text(TWO_CONFUSED)
+    code, out, _ = run(capsys, "witness", str(path))
+    assert code == 1
+    assert out == ("class 0: b(a) / b at depth 1\n"
+                   "class 1: b(a(a(a))) / b(a(a)) at depth 1\n")
+    assert len(calls) == 1
 
 
 def test_decompose_cli(capsys):

@@ -4,13 +4,15 @@ import pytest
 
 from forestalg import terms
 from forestalg.decompose import tensor_cascade
+from forestalg.defk import KdefEvaluator, alpha1, free_kdefinite
 from forestalg.errors import SizeLimitError
 from forestalg.hom import generated, reachable_pairs
-from forestalg.joint import closure, determines
+from forestalg.joint import TensorEvaluator, closure, determines, image
 from forestalg.reach import class_tag_names, reachability
 
-from helpers import (random_cascade, random_hom, random_semilattice,
-                     reference_closure, tagged_class_closure)
+from helpers import (differential_homs, random_cascade, random_hom,
+                     random_semilattice, reference_closure,
+                     tagged_class_closure)
 
 
 def test_closure_discovery_order():
@@ -153,3 +155,72 @@ def test_tagged_class_closure_matches_reference():
                                   terms.ic_normalize(p[1] + q[1])))
                 got = tagged_class_closure(alpha, ci, k, rs)
                 assert got.pairs == want
+
+
+def _check_image(ev, alphabet):
+    """image() lists the all-partners closure's set once each, and its cap
+    refuses exactly the sets larger than the cap."""
+    want = set(closure((ev.zero_state(),), alphabet, ev.letter_action,
+                       ev.plus_state))
+    got = image(ev, alphabet)
+    assert len(got) == len(want) and set(got) == want
+    with pytest.raises(SizeLimitError) as info:
+        image(ev, alphabet, len(want) - 1, "values")
+    assert (info.value.what, info.value.limit) == ("values", len(want) - 1)
+    assert len(image(ev, alphabet, len(want))) == len(want)
+
+
+def test_image_matches_the_all_partners_closure_on_homs():
+    for hom in differential_homs():
+        _check_image(hom, hom.alphabet)
+
+
+def test_image_matches_the_all_partners_closure_on_cascades():
+    rng = random.Random(34)
+    for _ in range(25):
+        casc = random_cascade(rng, max_h=4)
+        _check_image(casc, casc.alphabet)
+        alpha = random_hom(rng, max_h=4)
+        casc = tensor_cascade(alpha, _random_tagged_hom(rng, alpha))
+        _check_image(casc, casc.alphabet)
+
+
+def test_image_matches_the_all_partners_closure_on_depth_k_keys():
+    # the 256 depth-2 classes over {a, b}, paired with alpha1 and depth 1
+    ab = ("a", "b")
+    tensor = TensorEvaluator(
+        KdefEvaluator(2), TensorEvaluator(alpha1(ab), KdefEvaluator(1)),
+        lambda a, x: a)
+    _check_image(tensor, ab)
+
+
+class _CountingUnions:
+    """Letter i is the tree {i}; values are the unions, as 8-bit masks."""
+
+    def __init__(self):
+        self.sums = 0
+
+    def zero_state(self):
+        return 0
+
+    def letter_action(self, a, x):
+        return 1 << a
+
+    def plus_state(self, x, y):
+        self.sums += 1
+        return x | y
+
+
+def test_image_sums_each_value_only_with_tree_values():
+    ev = _CountingUnions()
+    got = image(ev, range(8))
+    assert sorted(got) == list(range(256))
+    assert ev.sums <= len(got) * 8
+
+
+def test_free_kdefinite_numbers_keys_in_closure_order():
+    ev = KdefEvaluator(2)
+    keys = free_kdefinite(("a", "b"), 2)[1].keys
+    assert len(keys) == 256
+    assert keys == tuple(closure(((),), ("a", "b"), ev.letter_action,
+                                 ev.plus_state))

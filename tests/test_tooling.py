@@ -201,3 +201,36 @@ def test_only_table_algebras_call_the_constructor():
         ("algebra", "u1", "ForestAlgebra"),
         ("algebra", "u2", "ForestAlgebra"),
         ("algebra", "generated_algebra", "ForestAlgebra.__new__")}
+
+
+def _summing_closures():
+    """(module, top-level definition) of every joint.closure(...) call in
+    the package whose ``plus`` argument is not None."""
+    found = set()
+    for path in glob.glob(os.path.join(SRC, "*.py")):
+        module = os.path.splitext(os.path.basename(path))[0]
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        for top in tree.body:
+            for node in ast.walk(top):
+                if not (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Name)
+                        and node.func.id == "closure"):
+                    continue
+                plus = [kw.value for kw in node.keywords if kw.arg == "plus"]
+                plus += node.args[3:4]
+                if not (plus and isinstance(plus[0], ast.Constant)
+                        and plus[0].value is None):
+                    found.add((module, getattr(top, "name", "")))
+    return found
+
+
+def test_only_numbered_and_oracle_closures_sum_all_pairs():
+    """Sets of forest values come from joint.image, which sums each value
+    with tree values only; the all-pairs closure is kept where elements
+    are numbered in its discovery order, and for the oracle."""
+    assert _summing_closures() == {
+        ("logic", "to_recognizer"),
+        ("defk", "free_kdefinite"),
+        ("oracle", "_plus_closure"),
+        ("oracle", "brute_confused_pairs")}
