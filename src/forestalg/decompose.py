@@ -8,15 +8,17 @@ the product's vertical monoid is never materialized: all factoring checks
 run on the reachable joint values, which is exact.
 
 Produced cascades:
-  - EF targets: chains of the two-element algebra with constant-or-identity
-    vertical maps (one stage per peeled subminimal element);
   - definiteness degree k: one group of parallel two-element stages with
     both constants per depth level, each stage watching one root label;
-  - combined: the recursion peels the minimal class with a depth-k group,
+  - combined: one recursion peels the minimal class with a depth-k group,
     or a subminimal class with a depth-k group plus one alarm stage that
     detects collapse to the absorbing element.  The alarm stage reads each
     state's value off the exact joint image of the cascade so far with the
     input, less its absorbing values.
+  - EF targets: the same recursion without depth-k groups, since every
+    reachability class of an EF-algebra is one element.  The result is a
+    chain of two-element stages with constant-or-identity vertical maps,
+    one alarm stage per peeled subminimal element.
 """
 
 from dataclasses import dataclass, field
@@ -174,65 +176,6 @@ def wreath_compose(alpha, beta, max_size=DEFAULT_MAX_SIZE):
 
 
 # ---------------------------------------------------------------------------
-# EF decomposition
-
-def decompose_ef(alpha, max_size=DEFAULT_MAX_SIZE):
-    """Chain of two-element stages factoring any map onto an EF-algebra."""
-    alpha = image_restrict(alpha)
-    ok, violation = is_ef_algebra(alpha.target)
-    if not ok:
-        raise NotEFAlgebra(violation)
-    casc = Cascade(alpha.alphabet, max_size)
-    _ef_rec(casc, alpha)
-    ok, witness = casc.factors(alpha)
-    if not ok:
-        raise InternalError("EF cascade fails to factor: %r" % (witness,))
-    return casc
-
-
-def _append_u1_stage(casc, fires):
-    """Two-element stage over every reachable state: letter a at a node
-    whose strict descendants reach state s acts as cinf if fires(a, s),
-    and as the identity otherwise."""
-    target = u1()
-    one, cinf = target.one, target.V.names.index("cinf")
-    letters = {(a,) + tuple(s): cinf if fires(a, s) else one
-               for a in casc.alphabet for s in casc.reachable_states()}
-    casc.append(Stage(U1_STAGE, target, len(casc.stages), letters))
-
-
-def _ef_rec(casc, alpha):
-    alg = alpha.target
-    if alg.H.size == 1:
-        return
-    inf = alg.absorbing()
-    if alg.H.size == 2:
-        # the letter alone decides, so the stage reads no coordinates
-        target = u1()
-        cinf = target.V.names.index("cinf")
-        casc.append(Stage(U1_STAGE, target, 0, {
-            (a,): cinf if alpha.row(a)[alg.zero] == inf else target.one
-            for a in casc.alphabet}))
-        return
-    rs = reachability(alg)
-    if len(rs.subminimal) > 1:
-        for cj in rs.subminimal:
-            qhom, _ = quotient_hom(alpha, cj, "weak", rs)
-            _ef_rec(casc, qhom)
-        return
-    cj = rs.subminimal[0]
-    if len(rs.classes[cj]) != 1:
-        raise InternalError("EF identities force trivial classes")
-    hstar = rs.classes[cj][0]
-    qhom, (reps, _) = quotient_hom(alpha, cj, "strict", rs)
-    _ef_rec(casc, qhom)
-    rho = casc.factor_map(qhom)
-    qinf = qhom.target.absorbing()
-    _append_u1_stage(casc, lambda a, s: alpha.row(a)[
-        reps[rho[s]] if rho[s] != qinf else hstar] == inf)
-
-
-# ---------------------------------------------------------------------------
 # Depth-k groups of two-constant stages
 
 def _append_kdef_group(casc, view, k):
@@ -287,7 +230,18 @@ def decompose_kdefinite(alpha, k, max_size=DEFAULT_MAX_SIZE):
 
 
 # ---------------------------------------------------------------------------
-# Combined decomposition
+# EF and combined decompositions
+
+def decompose_ef(alpha, max_size=DEFAULT_MAX_SIZE):
+    """Chain of two-element stages factoring any map onto an EF-algebra.
+
+    Raises NotEFAlgebra, with the violated identity, otherwise.  The
+    combined recursion below builds it: every reachability class of an
+    EF-algebra is one element, so each peel needs no depth-k group, and
+    its alarm stage alone adds the peeled element.
+    """
+    return _decompose(alpha, max_size, ef=True)
+
 
 def decompose_efex(alpha, max_size=DEFAULT_MAX_SIZE):
     """Cascade of two-element and two-constant stages for a nonconfusing map.
@@ -300,12 +254,21 @@ def decompose_efex(alpha, max_size=DEFAULT_MAX_SIZE):
     absorbing element.  Raises NotNonconfusing, with the report, on a
     confusing map.
     """
+    return _decompose(alpha, max_size, ef=False)
+
+
+def _decompose(alpha, max_size, ef):
     alpha = image_restrict(alpha)
+    if ef:
+        ok, violation = is_ef_algebra(alpha.target)
+        if not ok:
+            raise NotEFAlgebra(violation)
     casc = Cascade(alpha.alphabet, max_size)
-    _efex_rec(casc, alpha)
+    _efex_rec(casc, alpha, ef)
     ok, witness = casc.factors(alpha)
     if not ok:
-        raise InternalError("combined cascade fails to factor: %r" % (witness,))
+        raise InternalError("%s cascade fails to factor: %r"
+                            % ("EF" if ef else "combined", witness))
     return casc
 
 
@@ -322,26 +285,39 @@ def _quotient_view(casc, qhom):
     return view
 
 
-def _efex_rec(casc, alpha):
+def _efex_rec(casc, alpha, ef):
+    """Peel alpha onto casc.  With ef, alpha maps onto an EF-algebra: a
+    two-element image is one stage on the letter alone, and no peel needs
+    a depth-k group or the nonconfusion report."""
     alg = alpha.target
     if alg.H.size == 1:
         return
+    if ef and alg.H.size == 2:
+        # the letter alone decides, so the stage reads no coordinates
+        target, inf = u1(), alg.absorbing()
+        cinf = target.V.names.index("cinf")
+        casc.append(Stage(U1_STAGE, target, 0, {
+            (a,): cinf if alpha.row(a)[alg.zero] == inf else target.one
+            for a in casc.alphabet}))
+        return
     rs = reachability(alg)
-    report = nonconfusion(alpha, rs)
-    if not report.nonconfusing:
-        raise NotNonconfusing(report)
+    if not ef:
+        report = nonconfusion(alpha, rs)
+        if not report.nonconfusing:
+            raise NotNonconfusing(report)
     fat = len(rs.classes[rs.min_class]) > 1
     if not fat and len(rs.subminimal) > 1:
         for cj in rs.subminimal:
-            _efex_rec(casc, quotient_hom(alpha, cj, "weak", rs)[0])
+            _efex_rec(casc, quotient_hom(alpha, cj, "weak", rs)[0], ef)
         return
     if not fat and not rs.subminimal:
         raise InternalError("nontrivial algebra without subminimal classes")
     ci = rs.min_class if fat else rs.subminimal[0]
     qhom = quotient_hom(alpha, ci, "strict", rs)[0]
-    _efex_rec(casc, qhom)
-    _append_kdef_group(casc, _quotient_view(casc, qhom),
-                       max(1, report.traces[ci].k))
+    _efex_rec(casc, qhom, ef)
+    if not ef:
+        _append_kdef_group(casc, _quotient_view(casc, qhom),
+                           max(1, report.traces[ci].k))
     if not fat:
         _append_alarm_stage(casc, alpha)
 
@@ -350,8 +326,9 @@ def _append_alarm_stage(casc, alpha):
     """Two-element stage firing at nodes whose tree maps to absorbing.
 
     The cascade so far determines the value of every non-absorbing forest:
-    the strict quotient above the peeled class, the depth-k group and
-    nonconfusion inside it.  So the exact joint image, less its absorbing
+    the strict quotient above the peeled class; inside it, the depth-k
+    group and nonconfusion, or, in an EF-algebra, the class being the
+    single peeled element.  So the exact joint image, less its absorbing
     values, maps each state to a value; a state outside that map is
     reached by absorbing forests only.
     """
@@ -363,3 +340,14 @@ def _append_alarm_stage(casc, alpha):
                             % (clash,))
     _append_u1_stage(casc, lambda a, s: s not in value
                      or alpha.row(a)[value[s]] == inf)
+
+
+def _append_u1_stage(casc, fires):
+    """Two-element stage over every reachable state: letter a at a node
+    whose strict descendants reach state s acts as cinf if fires(a, s),
+    and as the identity otherwise."""
+    target = u1()
+    one, cinf = target.one, target.V.names.index("cinf")
+    letters = {(a,) + tuple(s): cinf if fires(a, s) else one
+               for a in casc.alphabet for s in casc.reachable_states()}
+    casc.append(Stage(U1_STAGE, target, len(casc.stages), letters))

@@ -260,6 +260,7 @@ def realize(hom):
     deterministic and certificates are readable.
     """
     alg = hom.target
+    letters = sorted(set(hom.alphabet), key=terms.label_key)
     done = {}
     heap = [(0, "0", alg.zero, ())]
     while heap:
@@ -267,7 +268,7 @@ def realize(hom):
         if h in done:
             continue
         done[h] = forest
-        for a in sorted(set(hom.alphabet), key=terms.label_key):
+        for a in letters:
             val = hom.row(a)[h]
             if val not in done:
                 f = (terms.tree(a, forest),)

@@ -771,6 +771,57 @@ def reference_alarm_fires(casc, alpha):
     return fires
 
 
+def reference_decompose_ef(alpha, max_size=None):
+    """decompose_ef by its own EF recursion (Bojanczyk-Straubing-Walukiewicz):
+    a two-element image is one u1 stage that reads no coordinates; several
+    subminimal classes split into weak quotients; otherwise the single
+    subminimal element h* is peeled by its strict quotient plus one u1
+    stage.  That stage reads h*'s action where the quotient collapses, so
+    on states that only absorbing forests reach it may differ from the
+    alarm stage of the shared recursion.  Checks the EF identities and
+    that the result factors alpha."""
+    from forestalg.algebra import u1
+    from forestalg.decide import is_ef_algebra
+    from forestalg.decompose import (DEFAULT_MAX_SIZE, U1_STAGE, Cascade,
+                                     Stage, _append_u1_stage)
+    from forestalg.hom import image_restrict
+    from forestalg.reach import quotient_hom
+
+    def rec(casc, alpha):
+        alg = alpha.target
+        if alg.H.size == 1:
+            return
+        inf = alg.absorbing()
+        if alg.H.size == 2:
+            target = u1()
+            cinf = target.V.names.index("cinf")
+            casc.append(Stage(U1_STAGE, target, 0, {
+                (a,): cinf if alpha.row(a)[alg.zero] == inf else target.one
+                for a in casc.alphabet}))
+            return
+        rs = reachability(alg)
+        if len(rs.subminimal) > 1:
+            for cj in rs.subminimal:
+                rec(casc, quotient_hom(alpha, cj, "weak", rs)[0])
+            return
+        cj = rs.subminimal[0]
+        assert len(rs.classes[cj]) == 1, "EF identities force trivial classes"
+        hstar = rs.classes[cj][0]
+        qhom, (reps, _) = quotient_hom(alpha, cj, "strict", rs)
+        rec(casc, qhom)
+        rho = casc.factor_map(qhom)
+        qinf = qhom.target.absorbing()
+        _append_u1_stage(casc, lambda a, s: alpha.row(a)[
+            reps[rho[s]] if rho[s] != qinf else hstar] == inf)
+
+    alpha = image_restrict(alpha)
+    assert is_ef_algebra(alpha.target)[0], "not an EF algebra"
+    casc = Cascade(alpha.alphabet, max_size or DEFAULT_MAX_SIZE)
+    rec(casc, alpha)
+    assert casc.factors(alpha)[0], "reference EF cascade fails to factor"
+    return casc
+
+
 # ---------------------------------------------------------------------------
 # Depth-k key closures
 

@@ -4,7 +4,7 @@ import pytest
 
 from forestalg import logic, terms
 from forestalg.algebra import u1, u2
-from forestalg.decide import nonconfusion
+from forestalg.decide import is_ef_algebra, nonconfusion
 from forestalg.decompose import (ONE_DEFINITE_STAGE, U1_STAGE, Cascade,
                                  decompose_ef, decompose_efex,
                                  decompose_kdefinite, tensor_cascade,
@@ -18,10 +18,11 @@ from forestalg.hom import (Homomorphism, factors_through, generated,
 from forestalg.joint import TensorEvaluator, evaluate, mutually_determine
 from forestalg.oracle import random_forest
 
-from helpers import (differential_homs, example_language_recognizer,
-                     four_element_algebra, random_formula, random_hom,
-                     random_recognizer, reference_alarm_fires,
-                     reference_class_tag_map, u2_example_recognizer)
+from helpers import (census_formulas, differential_homs,
+                     example_language_recognizer, four_element_algebra,
+                     random_formula, random_hom, random_recognizer,
+                     reference_alarm_fires, reference_class_tag_map,
+                     reference_decompose_ef, u2_example_recognizer)
 
 
 def _syn(formula, alphabet=("a", "b")):
@@ -205,17 +206,77 @@ def test_decompose_ef_rejects_non_ef():
         decompose_ef(four_element_algebra().hom)
 
 
-def test_ef_recursion_checks_trivial_subminimal_class():
+def test_decompose_ef_rejects_a_nontrivial_subminimal_class():
     # a swaps h1 and h2, so {h1, h2} is one subminimal class; the EF
-    # identities exclude this, and the recursion reports it as a bug.
-    from forestalg.decompose import Cascade, _ef_rec
-
+    # identities exclude this, and they are checked before any peel.
     plus = [[0, 1, 2, 3], [1, 1, 3, 3], [2, 3, 2, 3], [3, 3, 3, 3]]
     row = (1, 2, 1, 3)
     hom = generated(("a",), range(4), lambda a, h: row[h],
                     lambda h, g: plus[h][g], 0)
-    with pytest.raises(InternalError, match="trivial classes"):
-        _ef_rec(Cascade(hom.alphabet), hom)
+    with pytest.raises(NotEFAlgebra, match=r"a\.h1 \+ h1 = inf != h2 = a\.h1"):
+        decompose_ef(hom)
+
+
+def _ef_homs():
+    """The EF homs of differential_homs() and the syntactic homs, distinct
+    by sum table and letter rows, of the EF formulas of at most 6 nodes."""
+    homs = [alpha for alpha in differential_homs()
+            if is_ef_algebra(image_restrict(alpha).target)[0]]
+    tables = {}
+    for phi in census_formulas(6, (logic.EF,)):
+        alpha = syntactic(logic.to_recognizer(phi, ("a", "b")))[0].hom
+        tables.setdefault((alpha.target.H.op,
+                           tuple(alpha.row(a) for a in ("a", "b"))), alpha)
+    return homs + list(tables.values())
+
+
+def test_decompose_ef_matches_the_ef_recursion(monkeypatch):
+    """decompose_ef, built by the combined recursion, gives the EF
+    recursion's stages: the same kinds, prefixes, keys and reachable
+    states, and the same letter on every key whose state some
+    non-absorbing forest of the peeled homomorphism reaches.  The alarm
+    stage fires on the other keys, where the EF recursion read the peeled
+    element's action."""
+    from forestalg import decompose
+
+    append = decompose._append_alarm_stage
+    reached = {}
+
+    def recorded(casc, alpha):
+        inf = alpha.target.absorbing()
+        reached[len(casc.stages)] = {s for s, h in casc.joint_image(alpha)
+                                     if h != inf}
+        append(casc, alpha)
+
+    monkeypatch.setattr(decompose, "_append_alarm_stage", recorded)
+    homs = _ef_homs()
+    counts = {"reached": 0, "absorbing_only": 0, "differ": 0,
+              "cascades_differ": 0}
+    for alpha in homs:
+        reached.clear()
+        casc, ref = decompose_ef(alpha), reference_decompose_ef(alpha)
+        assert [(st.kind, st.prefix_len, sorted(st.letters, key=repr))
+                for st in casc.stages] == [
+                    (st.kind, st.prefix_len, sorted(st.letters, key=repr))
+                    for st in ref.stages]
+        assert casc.reachable_states() == ref.reachable_states()
+        differ = 0
+        for i, (st, rst) in enumerate(zip(casc.stages, ref.stages)):
+            for key, v in st.letters.items():
+                if i not in reached:
+                    assert v == rst.letters[key], (i, key)
+                elif key[1:] in reached[i]:
+                    counts["reached"] += 1
+                    assert v == rst.letters[key], (i, key)
+                else:
+                    counts["absorbing_only"] += 1
+                    assert v != st.target.one, (i, key)
+                    differ += v != rst.letters[key]
+        counts["differ"] += differ
+        counts["cascades_differ"] += differ > 0
+    assert len(homs) == 228
+    assert counts == {"reached": 508, "absorbing_only": 38, "differ": 8,
+                      "cascades_differ": 6}
 
 
 def test_decompose_ef_trivial():

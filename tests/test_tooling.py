@@ -234,3 +234,22 @@ def test_only_numbered_and_oracle_closures_sum_all_pairs():
         ("defk", "free_kdefinite"),
         ("oracle", "_plus_closure"),
         ("oracle", "brute_confused_pairs")}
+
+
+def _self_calling_functions(module):
+    """Names of the functions, nested ones included, in a package module
+    whose body calls the function itself by name."""
+    with open(os.path.join(SRC, module + ".py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    return {node.name for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and any(isinstance(call, ast.Call)
+                    and isinstance(call.func, ast.Name)
+                    and call.func.id == node.name
+                    for call in ast.walk(node))}
+
+
+def test_decompositions_share_one_recursion():
+    """decompose_ef and decompose_efex both peel through _efex_rec; a
+    second decomposition recursion would show up here."""
+    assert _self_calling_functions("decompose") == {"_efex_rec"}
