@@ -12,8 +12,8 @@ sum tables and letter rows (io loads recognizer files through the same
 algebra.generated_algebra).  V is closed only when first read.  quotient()
 builds every quotient, syntactic or by an ideal, from its classes'
 representatives.  Image restriction and the syntactic quotient (partition
-refinement on H under letters and insertions) never build a vertical
-monoid.
+refinement on H under letters and tree-value insertions) never build a
+vertical monoid.
 """
 
 import heapq
@@ -215,23 +215,29 @@ def syntactic(rec):
 
     Two reachable elements are identified when no vertical element separates
     them with respect to the accepting set.  The image's V is generated by
-    the letters and the insertions, so this is the coarsest partition that
-    refines accept/reject and that every letter and insertion maps into
-    itself (Moore's refinement, on H alone).  Classes are numbered by their
-    least member, which represents the class; only the representatives are
-    tabulated.  Any recognizer of the language factors onto the result.
+    the letters and the insertions, and every insertion is a composite of
+    insertions of tree values (letter-step results), so this is the
+    coarsest partition that refines accept/reject and that every letter
+    and tree-value insertion maps into itself (Moore's refinement, on H
+    alone, |A| + T + 1 steps per element for T tree values).  Classes are
+    numbered by their least member, which represents the class; only the
+    representatives are tabulated.  Any recognizer of the language factors
+    onto the result.
 
     Returns (recognizer, projection): the projection is a dict from each
     reachable element of the input to its class.
     """
     hom, alg = rec.hom, rec.hom.target
     carrier = sorted(image(hom, hom.alphabet))
-    # steps[i]: the images of carrier[i] under every letter and insertion;
-    # inserting 0 is the identity, so each new block refines the old one.
+    # steps[i]: the images of carrier[i] under every letter, inserting 0
+    # and inserting each tree value.  Every element of the image is a sum
+    # of tree values, whose insertion is the composite of theirs, so these
+    # insertions give the same partition as all of them.  Inserting 0 is
+    # the identity, so each new block refines the old one.
     rows = [hom.row(a) for a in hom.alphabet]
-    op = alg.H.op
-    steps = [[row[h] for row in rows] + [op[g][h] for g in carrier]
-             for h in carrier]
+    trees = {row[h] for row in rows for h in carrier}
+    rows += [alg.H.row(g) for g in sorted(trees | {alg.zero})]
+    steps = [[row[h] for row in rows] for h in carrier]
     block, count = [h in rec.accept for h in carrier], 0
     block_of = [None] * alg.H.size    # the block of each reachable element
     while len(set(block)) > count:
@@ -273,7 +279,7 @@ def realize(hom):
             if val not in done:
                 f = (terms.tree(a, forest),)
                 heapq.heappush(heap, (size + 1, terms.print_forest(f), val, f))
-        for g, gf in list(done.items()):
+        for g, gf in done.items():
             val = alg.plus(h, g)
             if val not in done:
                 f = terms.ic_normalize(forest + gf)

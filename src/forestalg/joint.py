@@ -5,10 +5,11 @@ of values of all forests under anything that evaluates compositionally is
 the least set containing 0 that is closed under the letter steps and +.
 image() computes that set for an evaluator, summing each value only with
 tree values; it gives the images and joint images of homomorphisms and the
-cascade states.  closure() is the general worklist, which sums every
-pair when given a sum and numbers its elements in discovery order:
-recognizer masks, depth-k classes, vertical monoids (closed under
-composition with their generators) and the oracle's sum closures.
+cascade states.  closure() is the general worklist, which sums each
+unordered pair once when given a commutative sum and numbers its elements
+in discovery order: recognizer masks, depth-k classes, vertical monoids
+(closed under composition with their generators) and the oracle's sum
+closures.
 determines() turns a relation into a function or the least conflict,
 which is what every factoring check asks.
 
@@ -21,6 +22,7 @@ would be enormous.
 """
 
 import itertools
+from bisect import bisect_right
 
 from .errors import SizeLimitError
 
@@ -36,10 +38,17 @@ def closure(starts, alphabet, act, plus, cap=None, what="closure"):
     alphabet order, then its sums in discovery order.  Returns a dict from
     element to discovery index.  Raises SizeLimitError(what, cap) on the
     first new element once ``cap`` elements are held.
+
+    ``plus`` must be commutative: each unordered pair is then summed once.
+    An element skips the earlier partners whose sums started after it was
+    held, since each of them already formed the same sum with it; every
+    skipped sum is held, so the discovery order and the point where
+    SizeLimitError is raised are those of summing every pair.
     """
     limit = float("inf") if cap is None else cap
     index = {}
     order = []
+    held = []   # held[i]: the number held when order[i]'s sums started
 
     def add(y):
         if len(order) >= limit:
@@ -53,16 +62,19 @@ def closure(starts, alphabet, act, plus, cap=None, what="closure"):
     at = 0
     while at < len(order):
         x = order[at]
-        at += 1
         for a in alphabet:
             y = act(a, x)
             if y not in index:
                 add(y)
         if plus is not None:
-            for z in itertools.islice(order, len(order)):
+            top = len(order)
+            held.append(top)
+            lo = bisect_right(held, at, 0, at)
+            for z in itertools.chain(order[:lo], order[at:top]):
                 y = plus(x, z)
                 if y not in index:
                     add(y)
+        at += 1
     return index
 
 

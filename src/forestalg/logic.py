@@ -211,6 +211,31 @@ def models_tree(t, phi):
 # ---------------------------------------------------------------------------
 # Compilation to a recognizer
 
+def _compile(psi, a, bit):
+    """Satisfaction of psi at a node labeled a (None for a forest), as a
+    predicate on the mask of the node's children, or as True or False when
+    no mask changes it.  ``bit`` gives each modal subformula's bit in the
+    mask; a forest formula has no bare letter."""
+    if isinstance(psi, Letter):
+        return a == psi.name
+    if isinstance(psi, TrueF):
+        return True
+    if isinstance(psi, (EF, EX)):
+        b = bit[psi]
+        return lambda mask: mask & b != 0
+    if isinstance(psi, Not):
+        sub = _compile(psi.sub, a, bit)
+        return (not sub) if isinstance(sub, bool) else lambda mask: not sub(mask)
+    left, right = (_compile(part, a, bit) for part in _parts(psi))
+    decides = isinstance(psi, Or)   # the value of one part that fixes the whole
+    for part, other in ((left, right), (right, left)):
+        if isinstance(part, bool):
+            return decides if part == decides else other
+    if decides:
+        return lambda mask: left(mask) or right(mask)
+    return lambda mask: left(mask) and right(mask)
+
+
 def to_recognizer(phi, alphabet):
     """Compile a forest formula into a recognizer of its language.
 
@@ -218,7 +243,10 @@ def to_recognizer(phi, alphabet):
     the empty forest satisfies none, concatenation is disjunction on each
     modal component, and a letter updates EF by "here or below" and EX by
     "here".  The horizontal monoid is therefore idempotent and commutative
-    by construction.
+    by construction.  Each modal body is compiled once per letter into a
+    predicate on the children's mask, its letter tests already decided.
+    The closure of the masks evaluates each letter step once and records
+    it; the tabulation reads the recorded steps.
     """
     if role(phi) != FOREST:
         raise RoleError("cannot compile a tree-only formula: %s"
@@ -230,30 +258,28 @@ def to_recognizer(phi, alphabet):
     modals = sorted(dict.fromkeys(psi for psi in _subformulas(phi)
                                   if isinstance(psi, (EF, EX))),
                     key=print_formula)
-    midx = {m: i for i, m in enumerate(modals)}
-
-    def sat(a, mask, psi):
-        # satisfaction of the tree a.s given the mask of s, or of a forest
-        # with mask when a is None; a forest formula has no bare letter
-        if isinstance(psi, Letter):
-            return a == psi.name
-        if isinstance(psi, TrueF):
-            return True
-        if isinstance(psi, Not):
-            return not sat(a, mask, psi.sub)
-        if isinstance(psi, And):
-            return sat(a, mask, psi.left) and sat(a, mask, psi.right)
-        if isinstance(psi, Or):
-            return sat(a, mask, psi.left) or sat(a, mask, psi.right)
-        return bool(mask >> midx[psi] & 1)
+    bit = {m: 1 << i for i, m in enumerate(modals)}
+    # an EF component stays true once true ("or below"); per letter, the
+    # bits whose body holds whatever the mask, and the bodies that read it
+    kept = sum(bit[m] for m in modals if isinstance(m, EF))
+    fixed, tests = {}, {}
+    for a in alphabet:
+        bodies = [(bit[m], _compile(m.sub, a, bit)) for m in modals]
+        fixed[a] = sum(b for b, body in bodies if body is True)
+        tests[a] = [(b, body) for b, body in bodies if not isinstance(body, bool)]
+    steps = {}
 
     def letter_step(a, mask):
-        out = 0
-        for i, m in enumerate(modals):
-            if sat(a, mask, m.sub) or (isinstance(m, EF) and mask >> i & 1):
-                out |= 1 << i
+        out = (mask & kept) | fixed[a]
+        for b, body in tests[a]:
+            if body(mask):
+                out |= b
+        steps[a, mask] = out
         return out
 
     masks = list(closure((0,), alphabet, letter_step, or_))
-    accept = frozenset(i for i, x in enumerate(masks) if sat(None, x, phi))
-    return Recognizer(generated(alphabet, masks, letter_step, or_, 0), accept)
+    holds = _compile(phi, None, bit)
+    accept = frozenset(i for i, x in enumerate(masks)
+                       if (holds if isinstance(holds, bool) else holds(x)))
+    return Recognizer(generated(alphabet, masks, lambda a, x: steps[a, x],
+                                or_, 0), accept)

@@ -312,6 +312,48 @@ def reference_closure(zero, alphabet, act, plus):
     return seen
 
 
+def all_partners_closure(starts, alphabet, act, plus, cap=None, what="closure"):
+    """The reference for joint.closure's sums: each element sums with every
+    element held when its sums start, so both orders of each pair are
+    formed.  Steps, discovery order and cap are joint.closure's."""
+    limit = float("inf") if cap is None else cap
+    index = {}
+    order = []
+
+    def add(y):
+        if len(order) >= limit:
+            raise SizeLimitError(what, cap)
+        index[y] = len(order)
+        order.append(y)
+
+    for x in starts:
+        if x not in index:
+            add(x)
+    at = 0
+    while at < len(order):
+        x = order[at]
+        at += 1
+        for a in alphabet:
+            y = act(a, x)
+            if y not in index:
+                add(y)
+        if plus is not None:
+            for z in itertools.islice(order, len(order)):
+                y = plus(x, z)
+                if y not in index:
+                    add(y)
+    return index
+
+
+def printed_recognizer(rec):
+    """A recognizer in the printed algebra form, letters and accepting set
+    included."""
+    from forestalg.io import print_algebra
+
+    return print_algebra(rec.hom.target, letters=dict(rec.hom.assign),
+                         accept=rec.accept)
+
+
 def reference_syntactic(rec):
     """The syntactic recognizer by V-signatures: h and g are identified when
     v.h and v.g agree on acceptance for every v of the image's vertical

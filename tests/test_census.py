@@ -1,7 +1,8 @@
 """The formula census: every forest formula of at most five nodes over
 {a, b} is decided definable in its own fragment, and on each distinct
 syntactic table the EX degree matches the full-chain reference and the
-pair fixpoint matches the all-partners reference."""
+pair fixpoint matches the all-partners reference.  The syntactic quotient
+of each table's first formula matches the V-signature reference."""
 
 from collections import Counter
 
@@ -10,8 +11,9 @@ from forestalg.decide import is_ef_algebra, nonconfusion
 from forestalg.defk import definiteness_degree
 from forestalg.hom import syntactic
 
-from helpers import (census_formulas, reference_definiteness_degree,
-                     reference_nonconfusion)
+from helpers import (census_formulas, printed_recognizer,
+                     reference_definiteness_degree, reference_nonconfusion,
+                     reference_syntactic)
 
 LETTERS = ("a", "b")
 
@@ -35,10 +37,18 @@ def test_census_formulas_are_definable_in_their_fragment():
                     ((logic.EF,), (logic.EX,), (logic.EF, logic.EX)))
     # pinned, so that a broken enumerator fails
     assert (len(ef), len(ex), len(efex)) == (345, 345, 1017)
-    syn = {logic.print_formula(phi):
-           syntactic(logic.to_recognizer(phi, LETTERS))[0] for phi in efex}
+    raw = {logic.print_formula(phi): logic.to_recognizer(phi, LETTERS)
+           for phi in efex}
+    syn = {text: syntactic(rec)[0] for text, rec in raw.items()}
     tables = {_table(s): s.hom for s in syn.values()}
     assert len(tables) == 87
+    first = {}  # each table's first formula, in census order
+    for text, s in syn.items():
+        first.setdefault(_table(s), text)
+    for text in first.values():
+        ref = reference_syntactic(raw[text])
+        assert printed_recognizer(syn[text]) == printed_recognizer(ref), text
+        assert syn[text].accept == ref.accept, text
     degrees = {t: definiteness_degree(hom) for t, hom in tables.items()}
     assert degrees == {t: reference_definiteness_degree(hom)
                        for t, hom in tables.items()}

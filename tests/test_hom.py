@@ -18,8 +18,8 @@ from forestalg.oracle import random_forest
 from forestalg.reach import quotient_hom
 
 from helpers import (brute_isomorphism, four_element_algebra, permuted_copy,
-                     random_big_recognizer, random_recognizer,
-                     random_semilattice, reference_syntactic,
+                     printed_recognizer, random_big_recognizer,
+                     random_recognizer, random_semilattice, reference_syntactic,
                      reference_vertical_names, u2_example_recognizer)
 
 
@@ -205,11 +205,6 @@ def test_syntactic_is_minimal_and_equivalent():
         assert rec.accepts(s) == syn.accepts(s)
 
 
-def _printed(rec):
-    return print_algebra(rec.hom.target, letters=dict(rec.hom.assign),
-                         accept=rec.accept)
-
-
 def test_syntactic_matches_signature_reference():
     rng = random.Random(41)
     recs = [random_recognizer(rng, max_h=6) for _ in range(200)]
@@ -226,7 +221,7 @@ def test_syntactic_matches_signature_reference():
     for rec in recs:
         syn, proj = syntactic(rec)
         ref = reference_syntactic(rec)
-        assert _printed(syn) == _printed(ref)
+        assert printed_recognizer(syn) == printed_recognizer(ref)
         assert syn.accept == ref.accept
         _check_projection(rec, syn, proj)
         merged += syn.hom.target.H.size < len(proj)

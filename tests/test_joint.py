@@ -1,8 +1,9 @@
 import random
+from operator import or_
 
 import pytest
 
-from forestalg import terms
+from forestalg import defk, logic, oracle, terms
 from forestalg.decompose import tensor_cascade
 from forestalg.defk import KdefEvaluator, alpha1, free_kdefinite
 from forestalg.errors import SizeLimitError
@@ -10,7 +11,8 @@ from forestalg.hom import generated, reachable_pairs
 from forestalg.joint import TensorEvaluator, closure, determines, image
 from forestalg.reach import class_tag_names, reachability
 
-from helpers import (differential_homs, random_cascade, random_hom,
+from helpers import (all_partners_closure, census_formulas,
+                     differential_homs, random_cascade, random_hom,
                      random_semilattice, reference_closure,
                      tagged_class_closure)
 
@@ -27,6 +29,63 @@ def test_closure_discovery_order():
                   lambda a, x: 1 if x == 0 else x + 3 if x < 4 else x,
                   lambda x, z: min(x + z, 4))
     assert list(got) == [0, 1, 4, 2, 5, 3, 6]
+
+
+def test_closure_sums_each_unordered_pair_once():
+    """The 256 unions of 8 bits: the same dict, order and indices included,
+    as summing every pair both ways, with each unordered pair summed once."""
+    bits = [1 << i for i in range(8)]
+    summed = []
+
+    def plus(x, z):
+        summed.append((x, z))
+        return x | z
+
+    got = closure((0,), bits, lambda a, x: x | a, plus)
+    want = all_partners_closure((0,), bits, lambda a, x: x | a, or_)
+    assert list(got.items()) == list(want.items())
+    assert len(got) == 256
+    assert len(summed) <= 256 * 257 // 2
+    assert len({frozenset(pair) for pair in summed}) == len(summed)
+    for cap in (1, 9, 255):
+        for fn in (closure, all_partners_closure):
+            with pytest.raises(SizeLimitError):
+                fn((0,), bits, lambda a, x: x | a, or_, cap)
+    assert len(closure((0,), bits, lambda a, x: x | a, or_, 256)) == 256
+
+
+def _compared_with_all_partners(monkeypatch, module, sizes):
+    """Make ``module`` call a closure that checks each result against the
+    all-partners closure, order and indices included."""
+    def checked(*args, **kwargs):
+        got = closure(*args, **kwargs)
+        want = all_partners_closure(*args, **kwargs)
+        assert list(got.items()) == list(want.items())
+        sizes.append(len(got))
+        return got
+
+    monkeypatch.setattr(module, "closure", checked)
+
+
+def test_summing_closure_callers_match_the_all_partners_closure(monkeypatch):
+    sizes = {}
+    for module in (logic, defk, oracle):
+        _compared_with_all_partners(monkeypatch, module,
+                                    sizes.setdefault(module.__name__, []))
+    for phi in census_formulas(5, (logic.EF, logic.EX)):
+        logic.to_recognizer(phi, ("a", "b"))
+    for k in (1, 2):
+        free_kdefinite(("a", "b"), k)
+    rng = random.Random(18)
+    for _ in range(12):
+        hom = random_hom(rng, max_h=4, max_letters=2)
+        rs = reachability(hom.target)
+        for ci in range(len(rs.classes)):
+            oracle.brute_confused_pairs(hom, ci, 2, rs)
+    assert len(sizes["forestalg.logic"]) == 1017
+    assert max(sizes["forestalg.logic"]) > 8
+    assert sizes["forestalg.defk"] == [4, 256]
+    assert len(sizes["forestalg.oracle"]) > 100
 
 
 def test_closure_cap_raises_with_the_callers_phase():

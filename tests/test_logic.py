@@ -8,8 +8,8 @@ from forestalg.errors import ParseError, RoleError
 from forestalg.hom import recognizers_isomorphic, syntactic
 from forestalg.oracle import enumerate_forests, random_forest
 
-from helpers import (example_language_recognizer, four_element_algebra,
-                     random_formula)
+from helpers import (census_formulas, example_language_recognizer,
+                     four_element_algebra, random_formula)
 
 
 def F(text):
@@ -111,6 +111,19 @@ def test_recognizer_agrees_with_models_enumerated():
     rec = logic.to_recognizer(full, ("a", "b"))
     for s in enumerate_forests(("a", "b"), 3, 2):
         assert rec.accepts(s) == logic.models(s, full)
+
+
+def test_recognizer_agrees_with_models_on_the_census():
+    """Every EF+EX formula of at most five nodes over {a, b}: the compiled
+    recognizer accepts exactly the forests of depth and width at most 2
+    that satisfy the formula."""
+    forests = list(enumerate_forests(("a", "b"), 2, 2))
+    formulas = census_formulas(5, (logic.EF, logic.EX))
+    assert len(formulas) == 1017
+    for phi in formulas:
+        rec = logic.to_recognizer(phi, ("a", "b"))
+        assert ([rec.accepts(s) for s in forests]
+                == [logic.models(s, phi) for s in forests]), logic.print_formula(phi)
 
 
 def test_recognizer_agrees_with_models_random():

@@ -227,8 +227,9 @@ def _summing_closures():
 
 def test_only_numbered_and_oracle_closures_sum_all_pairs():
     """Sets of forest values come from joint.image, which sums each value
-    with tree values only; the all-pairs closure is kept where elements
-    are numbered in its discovery order, and for the oracle."""
+    with tree values only; joint.closure, which sums each unordered pair,
+    is kept where elements are numbered in its discovery order, and for
+    the oracle."""
     assert _summing_closures() == {
         ("logic", "to_recognizer"),
         ("defk", "free_kdefinite"),
