@@ -21,6 +21,7 @@ reach builds quotients as generated algebras.
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from operator import itemgetter
 
 from .errors import IdealViolation, StructuralError
@@ -30,6 +31,25 @@ DEFAULT_MAX_VERTICAL = 200_000
 
 
 def _check_table(table, rows, cols, size, what):
+    """Raise StructuralError unless ``table`` has ``rows`` rows of ``cols``
+    int entries in range(size).
+
+    A well-formed table passes three C-level passes: the row lengths, the
+    sum of the entries, and the set of their values.  A sum of ints is an
+    int; a float or another kind of number among them makes it another
+    type, and None or a string raises TypeError.  Any other table is
+    walked entry by entry for the error message; like the sum, the walk
+    accepts bools and other int subclasses.
+    """
+    try:
+        ints = (len(table) == rows and set(map(len, table)) <= {cols}
+                and type(sum(chain.from_iterable(table))) is int)
+    except TypeError:
+        ints = False
+    if ints:
+        values = set().union(*table)
+        if not values or (min(values) >= 0 and max(values) < size):
+            return
     if len(table) != rows:
         raise StructuralError("%s: expected %d rows, got %d" % (what, rows, len(table)))
     for i, row in enumerate(table):
@@ -85,8 +105,7 @@ class FiniteMonoid:
         r = self._rows[i]
         if r is None:
             r = tuple(self._row_fn(i))
-            if len(r) != self.size or any(not (0 <= x < self.size) for x in r):
-                raise StructuralError("lazy monoid row %d malformed" % i)
+            _check_table((r,), 1, self.size, self.size, "lazy monoid row %d" % i)
             self._rows[i] = r
         return r
 
@@ -349,8 +368,7 @@ def generated_algebra(hmonoid, generators):
 
     for name in sorted(generators, key=str):
         row = tuple(generators[name])
-        if len(row) != n or any(not (0 <= x < n) for x in row):
-            raise StructuralError("generator %r is not an action row" % (name,))
+        _check_table((row,), 1, n, n, "generator %r action row" % (name,))
         genmap[name] = intern(row, str(name))
     for g, row in enumerate(hmonoid.op):
         intern(row, "ins_%s" % hmonoid.names[g])

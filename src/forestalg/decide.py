@@ -91,7 +91,8 @@ def nonconfusion(alpha, rs=None):
     commutative and idempotent, as check_axioms() enforces: each pair is
     summed only with the pairs queued behind it when its turn comes.
     The fixpoint runs on all of H, so the verdict is alpha's only when
-    alpha is onto its target: otherwise run it on image_restrict(alpha).
+    alpha is onto its target: otherwise run it on image_restrict(alpha),
+    which returns alpha itself, at no cost, when alpha is marked onto.
     """
     alg = alpha.target
     if rs is None:

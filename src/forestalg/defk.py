@@ -155,7 +155,9 @@ def definiteness_degree(alpha):
     level k the distinct pairs (c + a.h, c + a.g) for (h, g) in level k-1:
     the pairs that some product of k guarded generators keeps apart.  The
     degree is the first empty level, 0 on a one-element image.  The levels
-    descend, so a level that keeps its size repeats for ever: None.
+    descend, so a level that keeps its size repeats for ever: None.  Every
+    level is symmetric, so each letter pair (x, y) is summed only when
+    x < y, and the transposes are added after.
     """
     hom = image_restrict(alpha)
     op = hom.target.H.op
@@ -167,7 +169,9 @@ def definiteness_degree(alpha):
         k += 1
         nxt = set()
         for x, y in {(row[h], row[g]) for row in rows for h, g in level}:
-            nxt.update(zip(op[x], op[y]))
+            if x < y:
+                nxt.update(zip(op[x], op[y]))
+        nxt.update([(y, x) for x, y in nxt])
         nxt.difference_update(zip(range(n), range(n)))
         if len(nxt) == len(level):
             return None

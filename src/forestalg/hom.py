@@ -14,13 +14,21 @@ builds every quotient, syntactic or by an ideal, from its classes'
 representatives.  Image restriction and the syntactic quotient (partition
 refinement on H under letters and tree-value insertions) never build a
 vertical monoid.
+
+A homomorphism's ``onto`` mark records that every element of its target
+is the value of some forest.  generated() sets it, as its states are an
+image; a quotient keeps it when its representatives are values, so every
+syntactic quotient has it, and a quotient of all of a non-onto H does not.
+Homomorphisms built by hand or loaded from files never have it.  On a
+marked homomorphism image restriction and the syntactic quotient take all
+of H as the image instead of computing it.
 """
 
 import heapq
 from dataclasses import dataclass, field
 
 from . import terms
-from .algebra import ForestAlgebra, generated_algebra, horizontal_monoid
+from .algebra import ForestAlgebra, _after, generated_algebra, horizontal_monoid
 from .errors import AlphabetMismatchError, StructuralError, UnknownLetterError
 from .joint import DEFAULT_MAX_JOINT, determines, evaluate, image, joint_image
 
@@ -30,6 +38,7 @@ class Homomorphism:
     alphabet: tuple
     target: ForestAlgebra
     assign: dict = field(repr=False)
+    onto: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.alphabet = tuple(self.alphabet)
@@ -55,7 +64,7 @@ class Homomorphism:
         return self.target.zero
 
     def plus_state(self, x, y):
-        return self.target.plus(x, y)
+        return self.target.H.row(x)[y]
 
     def letter_action(self, a, x):
         return self.row(a)[x]
@@ -159,9 +168,11 @@ def factors_through(beta, alpha):
 def generated(alphabet, states, act, plus, zero, names=None):
     """The homomorphism onto the algebra generated by the letter steps.
 
-    ``states`` holds ``zero`` and is closed under ``act(a, x)`` for every
-    letter a and under ``plus(x, y)``, as joint.image leaves a set.
-    Element i is ``states[i]``, named ``names[i]`` as horizontal_monoid
+    ``states`` is an image, as joint.image and joint.closure leave it: it
+    holds ``zero``, is closed under ``act(a, x)`` for every letter a and
+    under ``plus(x, y)``, and each state is reached from ``zero`` by those
+    steps.  So the result is onto its target, and is marked so.  Element
+    i is ``states[i]``, named ``names[i]`` as horizontal_monoid
     canonicalizes them.  V is closed from the letters and insertions on
     its first read.
     """
@@ -172,14 +183,18 @@ def generated(alphabet, states, act, plus, zero, names=None):
             for a in alphabet}
     alg, genmap = generated_algebra(H, gens)
     assign = {a: genmap[terms.print_label(a)] for a in alphabet}
-    return Homomorphism(alphabet, alg, assign)
+    hom = Homomorphism(alphabet, alg, assign)
+    hom.onto = True
+    return hom
 
 
 def quotient(hom, reps, rep):
     """The homomorphism onto the quotient of hom's image whose element i is
     the class of ``reps[i]``; ``rep`` sends each element of the image to
     its class's representative, and classes keep their representatives'
-    names."""
+    names.  The result is marked onto, which is true when every
+    representative is a value of hom; a caller that quotients all of a
+    non-onto H clears the mark."""
     alg = hom.target
     op = alg.H.op
     return generated(hom.alphabet, reps, lambda a, h: rep[hom.row(a)[h]],
@@ -187,14 +202,24 @@ def quotient(hom, reps, rep):
                      [alg.hname(h) for h in reps])
 
 
+def _carrier(hom):
+    """The values of hom in increasing order: all of H when it is onto."""
+    if hom.onto:
+        return range(hom.target.H.size)
+    return sorted(image(hom, hom.alphabet))
+
+
 def _restrict(hom):
     """Restriction onto the generated subalgebra; returns (hom, carrier).
 
     ``carrier`` lists the reachable horizontal indices in increasing order,
-    the order of the restricted algebra's elements.
+    the order of the restricted algebra's elements.  An onto hom is its
+    own restriction.
     """
+    carrier = _carrier(hom)
+    if hom.onto:
+        return hom, carrier
     alg = hom.target
-    carrier = sorted(image(hom, hom.alphabet))
     return generated(hom.alphabet, carrier, hom.letter_action, alg.plus,
                      alg.zero, [alg.hname(h) for h in carrier]), carrier
 
@@ -224,20 +249,24 @@ def syntactic(rec):
     representatives are tabulated.  Any recognizer of the language factors
     onto the result.
 
+    The reachable elements are all of H on a hom marked onto, and
+    joint.image's otherwise; the quotient is marked onto either way.
     Returns (recognizer, projection): the projection is a dict from each
     reachable element of the input to its class.
     """
     hom, alg = rec.hom, rec.hom.target
-    carrier = sorted(image(hom, hom.alphabet))
-    # steps[i]: the images of carrier[i] under every letter, inserting 0
-    # and inserting each tree value.  Every element of the image is a sum
-    # of tree values, whose insertion is the composite of theirs, so these
-    # insertions give the same partition as all of them.  Inserting 0 is
-    # the identity, so each new block refines the old one.
+    carrier = _carrier(hom)
+    # The steps of carrier[i] are its images under every letter, inserting
+    # 0 and inserting each tree value; signature[i] reads their blocks off
+    # block_of.  Every element of the image is a sum of tree values, whose
+    # insertion is the composite of theirs, so these insertions give the
+    # same partition as all of them.  Inserting 0 is the identity, so each
+    # new block refines the old one.
+    pick = _after(carrier)      # a row's entries at the carrier
     rows = [hom.row(a) for a in hom.alphabet]
-    trees = {row[h] for row in rows for h in carrier}
+    trees = set().union(*map(pick, rows))
     rows += [alg.H.row(g) for g in sorted(trees | {alg.zero})]
-    steps = [[row[h] for row in rows] for h in carrier]
+    signature = [_after(steps) for steps in zip(*map(pick, rows))]
     block, count = [h in rec.accept for h in carrier], 0
     block_of = [None] * alg.H.size    # the block of each reachable element
     while len(set(block)) > count:
@@ -245,8 +274,7 @@ def syntactic(rec):
         for h, b in zip(carrier, block):
             block_of[h] = b
         sigs = {}  # blocks numbered by first, hence least, member
-        block = [sigs.setdefault(tuple([block_of[x] for x in step]), len(sigs))
-                 for step in steps]
+        block = [sigs.setdefault(sig(block_of), len(sigs)) for sig in signature]
     reps = [carrier[block.index(c)] for c in range(count)]
     rep = [None] * alg.H.size   # the representative of each reachable element
     for h, b in zip(carrier, block):

@@ -105,7 +105,9 @@ def quotient_hom(alpha, ci, mode="strict", rs=None):
 
     The quotient is generated by alpha's letter rows on the collapsed sum
     table; kept elements keep their names, the collapsed ideal is ``inf``.
-    Returns (hom, (reps, hmap)), the pair as quotient_by_ideal gives it.
+    The quotient spans all of alpha's H, so it is onto when alpha is, and
+    is not marked onto otherwise.  Returns (hom, (reps, hmap)), the pair as
+    quotient_by_ideal gives it.
     """
     if rs is None:
         rs = reachability(alpha.target)
@@ -116,7 +118,9 @@ def quotient_hom(alpha, ci, mode="strict", rs=None):
     else:
         raise ValueError("mode must be strict or weak")
     reps, hmap = quotient_by_ideal(alpha.target, ideal)
-    return quotient(alpha, reps, [reps[q] for q in hmap]), (reps, hmap)
+    hom = quotient(alpha, reps, [reps[q] for q in hmap])
+    hom.onto = alpha.onto
+    return hom, (reps, hmap)
 
 
 def class_tag_names(alpha, ci, rs=None):

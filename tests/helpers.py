@@ -345,6 +345,19 @@ def all_partners_closure(starts, alphabet, act, plus, cap=None, what="closure"):
     return index
 
 
+def reference_check_table(table, rows, cols, size, what):
+    """The reference for algebra._check_table: every entry is tested one
+    at a time, in row order, and the first fault names the error."""
+    if len(table) != rows:
+        raise StructuralError("%s: expected %d rows, got %d" % (what, rows, len(table)))
+    for i, row in enumerate(table):
+        if len(row) != cols:
+            raise StructuralError("%s: row %d is ragged" % (what, i))
+        for x in row:
+            if not isinstance(x, int) or not (0 <= x < size):
+                raise StructuralError("%s: entry %r out of range" % (what, x))
+
+
 def printed_recognizer(rec):
     """A recognizer in the printed algebra form, letters and accepting set
     included."""

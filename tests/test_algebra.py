@@ -2,13 +2,15 @@ import random
 
 import pytest
 
-from forestalg.algebra import (FiniteMonoid, ForestAlgebra, quotient_by_ideal,
-                               u1, u2)
+from forestalg.algebra import (FiniteMonoid, ForestAlgebra, _check_table,
+                               generated_algebra, horizontal_monoid,
+                               quotient_by_ideal, u1, u2)
 from forestalg.errors import IdealViolation, StructuralError
 from forestalg.hom import generated
 from forestalg.reach import quotient_hom, reachability
 
-from helpers import AlgebraMorphism, direct_product, four_element_algebra
+from helpers import (AlgebraMorphism, direct_product, four_element_algebra,
+                     reference_check_table)
 
 
 def test_u1_valid():
@@ -58,6 +60,62 @@ def test_structural_error_distinct():
         FiniteMonoid(((0, 5), (1, 1)), 0)  # out of range
     with pytest.raises(StructuralError):
         ForestAlgebra(u1().H, u1().V, ((0, 1),))  # wrong action shape
+
+
+def _outcome(check, table, rows, cols, size):
+    try:
+        check(table, rows, cols, size, "table")
+    except StructuralError as err:
+        return str(err)
+    return None
+
+
+def test_check_table_matches_the_per_entry_walk():
+    """Seeded tables with one to three faults (bool, float, negative,
+    ``size``, None, a string, a ragged row, a wrong row count) raise, or
+    pass, with the message of the entry-by-entry walk."""
+    rng = random.Random(21)
+    faults = (True, False, 1.0, 0.0, -1, None, "1", 2 ** 70)
+    seen = {"raised": 0, "passed": 0}
+    for _ in range(3000):
+        size = rng.randrange(1, 6)
+        rows, cols = rng.randrange(0, 5), rng.randrange(0, 5)
+        table = [[rng.randrange(size) for _ in range(cols)] for _ in range(rows)]
+        for _ in range(rng.randrange(0, 4)):
+            roll = rng.random()
+            if roll < 0.1:
+                table.insert(rng.randrange(len(table) + 1), [0] * cols)
+            elif table and roll < 0.2:
+                del table[rng.randrange(len(table))]
+            elif table and roll < 0.3:
+                row = table[rng.randrange(len(table))]
+                if row and rng.random() < 0.5:
+                    row.pop()
+                else:
+                    row.append(0)
+            elif table and table[0]:
+                row = table[rng.randrange(len(table))]
+                if row:
+                    row[rng.randrange(len(row))] = rng.choice(faults + (size,))
+        if rng.random() < 0.5:
+            table = tuple(tuple(row) for row in table)
+        want = _outcome(reference_check_table, table, rows, cols, size)
+        assert _outcome(_check_table, table, rows, cols, size) == want, table
+        seen["passed" if want is None else "raised"] += 1
+    assert min(seen.values()) > 500
+
+
+def test_lazy_and_generator_rows_are_checked_like_tables():
+    H = horizontal_monoid(((0, 1), (1, 1)), 0)
+    for row in ((1.0, 1), (None, 1), (0,), (0, 2), (-1, 0)):
+        with pytest.raises(StructuralError):
+            generated_algebra(H, {"a": row})
+        lazy = FiniteMonoid(None, 0, row_fn=lambda i, row=row: row, size=2)
+        with pytest.raises(StructuralError):
+            lazy.row(1)
+    alg, genmap = generated_algebra(H, {"a": (1, 1)})
+    assert alg.vrow(genmap["a"]) == (1, 1)
+    assert FiniteMonoid(None, 0, row_fn=lambda i: (i, 1), size=2).row(0) == (0, 1)
 
 
 def test_absorbing_is_sum_of_all():

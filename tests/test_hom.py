@@ -4,6 +4,8 @@ import pytest
 
 from forestalg import hom as hom_module
 from forestalg import logic, terms
+from forestalg.decompose import wreath_compose
+from forestalg.defk import free_kdefinite
 from forestalg.algebra import close_vertical, horizontal_monoid, u1, u2
 from forestalg.hom import (Homomorphism, Recognizer,
                            constant_letter_realizers, factors_through,
@@ -15,11 +17,12 @@ from forestalg.errors import (AlphabetMismatchError, SizeLimitError,
 from forestalg.io import parse_algebra, print_algebra
 from forestalg.joint import image
 from forestalg.oracle import random_forest
-from forestalg.reach import quotient_hom
+from forestalg.reach import quotient_hom, reachability
 
-from helpers import (brute_isomorphism, four_element_algebra, permuted_copy,
-                     printed_recognizer, random_big_recognizer,
-                     random_recognizer, random_semilattice, reference_syntactic,
+from helpers import (brute_isomorphism, census_formulas, differential_homs,
+                     four_element_algebra, permuted_copy, printed_recognizer,
+                     random_big_recognizer, random_hom, random_recognizer,
+                     random_semilattice, reference_syntactic,
                      reference_vertical_names, u2_example_recognizer)
 
 
@@ -339,7 +342,9 @@ def test_generated_matches_eager_closure():
     """Same letter indices, generators as V's first rows and names, and the
     same printed algebra once V is read.  Letters may repeat a row, act as
     the identity or act as an insertion, and may be named like elements of
-    V: 1, an insertion, an automatic name v<i>, or v<i>_."""
+    V: 1, an insertion, an automatic name v<i>, or v<i>_.  Random rows need
+    not reach all of range(n), so only the tabulation is compared here,
+    not the onto mark."""
     rng = random.Random(4042)
     renamed = {"prefix": 0, "closure": 0}
     for _ in range(150):
@@ -382,3 +387,89 @@ def test_generated_matches_eager_closure():
         renamed["closure"] += any(name.endswith("_")
                                   for name in reference[len(names):])
     assert min(renamed.values()) >= 5  # 68 and 7 instances rename
+
+
+def _is_image(hom):
+    return sorted(image(hom, hom.alphabet)) == list(range(hom.target.H.size))
+
+
+def _unmarked(hom):
+    """The same letter assignment, built by hand and so not marked onto."""
+    return Homomorphism(hom.alphabet, hom.target, dict(hom.assign))
+
+
+def _quotients(hom):
+    rs = reachability(hom.target)
+    return [quotient_hom(hom, ci, mode, rs)[0]
+            for ci in range(len(rs.classes)) for mode in ("strict", "weak")]
+
+
+def test_onto_mark_is_true_wherever_it_is_set():
+    """Every hom that the compile, restriction, syntactic, depth-k, wreath
+    and ideal-quotient constructions return is marked onto exactly when
+    it is built from an image, and a marked hom is onto.  On marked homs
+    the shortcuts agree with the image computation: image_restrict is the
+    hom itself, printed as the restriction of an unmarked copy, and the
+    syntactic quotient prints as an unmarked copy's."""
+    marked, unmarked = [], []
+    for phi in census_formulas(5, (logic.EF, logic.EX)):
+        rec = logic.to_recognizer(phi, ("a", "b"))
+        syn = syntactic(rec)[0]
+        marked += [rec.hom, syn.hom] + _quotients(syn.hom)
+        assert image_restrict(rec.hom) is rec.hom
+        assert (printed_recognizer(syn)
+                == printed_recognizer(syntactic(Recognizer(
+                    _unmarked(rec.hom), rec.accept))[0]))
+    for hom in differential_homs():
+        sub = image_restrict(hom)
+        syn = syntactic(Recognizer(hom, frozenset({hom.target.zero})))[0]
+        marked += [sub, syn.hom] + _quotients(sub)
+        (marked if hom.onto else unmarked).extend([hom] + _quotients(hom))
+        if hom.onto:
+            assert sub is hom
+            copy = image_restrict(_unmarked(hom))
+            assert (print_algebra(copy.target, letters=copy.assign)
+                    == print_algebra(hom.target, letters=hom.assign))
+    for k in (1, 2):
+        marked.append(free_kdefinite(("a", "b"), k)[1])
+    rng = random.Random(21)
+    for _ in range(20):
+        alpha = random_hom(rng, max_h=4, max_letters=2)
+        B = [(a, alpha.target.hname(h)) for a in alpha.alphabet
+             for h in range(alpha.target.H.size)]
+        beta = Homomorphism(B, u2(), {b: rng.choice((0, 1, 2)) for b in B})
+        marked.append(wreath_compose(alpha, beta))
+    assert all(hom.onto for hom in marked)
+    assert not any(hom.onto for hom in unmarked)
+    assert all(_is_image(hom) for hom in marked)
+    assert len(marked) > 9000
+    assert sum(not _is_image(hom) for hom in unmarked) > 100
+
+
+# 0 < h1 < h2 < inf; a sends 0 to h1, b sends h1 to h2, and inf is no value
+_CHAIN_RESTRICTED = (
+    "H: 0 h1 inf\nplus:\n0 h1 inf\nh1 h1 inf\ninf inf inf\n"
+    "V: 1 a b ins_inf v4\ncompose:\n1 a b ins_inf v4\na a v4 ins_inf v4\n"
+    "b ins_inf b ins_inf ins_inf\nins_inf ins_inf ins_inf ins_inf ins_inf\n"
+    "v4 ins_inf v4 ins_inf ins_inf\nact:\n0 h1 inf\nh1 h1 inf\n0 inf inf\n"
+    "inf inf inf\nh1 inf inf\n")
+
+
+def test_hand_built_hom_with_unreachable_elements_is_not_marked():
+    H = horizontal_monoid([[max(i, j) for j in range(4)] for i in range(4)], 0,
+                          ["0", "h1", "h2", "inf"])
+    alg, genmap = close_vertical(H, {"a": (1, 1, 2, 3), "b": (0, 2, 2, 3)},
+                                 warn_on_merge=False)
+    hom = Homomorphism(("a", "b"), alg, dict(genmap))
+    assert not hom.onto and not _is_image(hom)
+    weak = quotient_hom(hom, 3, "weak")[0]
+    assert not weak.onto and weak.target.H.size == 4 and not _is_image(weak)
+    sub = image_restrict(hom)
+    assert sub.onto and sub is not hom
+    assert (print_algebra(sub.target, letters=sub.assign)
+            == _CHAIN_RESTRICTED + "letters: a=a b=b\n")
+    syn = syntactic(Recognizer(hom, frozenset({2})))[0]
+    assert syn.hom.onto
+    assert printed_recognizer(syn) == (_CHAIN_RESTRICTED
+                                       + "accept: inf\nletters: a=a b=b\n")
+    assert quotient_hom(sub, 2, "weak")[0].onto

@@ -1,13 +1,15 @@
+import inspect
 import random
 from operator import or_
 
 import pytest
 
 from forestalg import defk, logic, oracle, terms
+from forestalg.algebra import generated_algebra
 from forestalg.decompose import tensor_cascade
 from forestalg.defk import KdefEvaluator, alpha1, free_kdefinite
 from forestalg.errors import SizeLimitError
-from forestalg.hom import generated, reachable_pairs
+from forestalg.hom import Homomorphism, reachable_pairs
 from forestalg.joint import TensorEvaluator, closure, determines, image
 from forestalg.reach import class_tag_names, reachability
 
@@ -88,6 +90,129 @@ def test_summing_closure_callers_match_the_all_partners_closure(monkeypatch):
     assert len(sizes["forestalg.oracle"]) > 100
 
 
+def _logged(log, step, kind):
+    """``step`` that appends (kind, arguments, result) to ``log``."""
+    def logged(*args):
+        y = step(*args)
+        log.append((kind, args, y))
+        return y
+    return logged
+
+
+def _raise_point(full, starts, order, cap):
+    """The calls made before raising at cap: the full run's calls up to
+    the one that found ``order[cap]``, and none if it was a start."""
+    if order[cap] in starts:
+        return []
+    return full[:next(i for i, call in enumerate(full)
+                      if call[2] == order[cap]) + 1]
+
+
+def _capped_closure_calls(args, cap):
+    starts, alphabet, act, plus = args[:4]
+    log = []
+    got = None
+    try:
+        got = closure(starts, alphabet, _logged(log, act, "act"),
+                      plus and _logged(log, plus, "plus"), cap)
+    except SizeLimitError:
+        pass
+    return log, got
+
+
+def test_closure_raises_at_the_all_partners_element_for_every_cap(monkeypatch):
+    """On its summing callers, closure capped below |S| raises on element
+    ``cap`` (from 0) of the all-partners order, having made exactly the
+    calls that an uncapped run makes until it finds that element."""
+    calls = []
+
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return closure(*args, **kwargs)
+
+    for module in (logic, defk, oracle):
+        monkeypatch.setattr(module, "closure", recorded)
+    for phi in census_formulas(5, (logic.EF, logic.EX)):
+        logic.to_recognizer(phi, ("a", "b"))
+    for k in (1, 2):
+        free_kdefinite(("a", "b"), k)
+    rng = random.Random(21)
+    for _ in range(4):
+        hom = random_hom(rng, max_h=4, max_letters=2)
+        rs = reachability(hom.target)
+        for ci in range(len(rs.classes)):
+            oracle.brute_confused_pairs(hom, ci, 1, rs)
+    summing = [args for args in calls if args[3] is not None]
+    assert len(summing) > 1000
+    checked = 0
+    for args in summing:
+        order = list(all_partners_closure(*args[:4]))
+        full, got = _capped_closure_calls(args, None)
+        assert list(got) == order
+        for cap in range(1, len(order) + 1):
+            log, got = _capped_closure_calls(args, cap)
+            if cap == len(order):
+                assert list(got) == order
+            else:
+                assert got is None
+                assert log == _raise_point(full, set(args[0]), order, cap)
+                checked += 1
+    assert checked > 2000
+
+
+class _LoggedEvaluator:
+    def __init__(self, ev, log):
+        self.zero_state = ev.zero_state
+        self.letter_action = _logged(log, ev.letter_action, "act")
+        self.plus_state = _logged(log, ev.plus_state, "plus")
+
+
+def test_image_raises_at_the_same_point_for_every_cap():
+    """image capped below |S| raises on its value ``cap`` (from 0), having
+    made exactly the calls that an uncapped run makes until it finds it."""
+    rng = random.Random(22)
+    evs = [(hom, hom.alphabet) for hom in differential_homs()]
+    evs += [(casc, casc.alphabet)
+            for casc in (random_cascade(rng, max_h=4) for _ in range(10))]
+    evs.append((KdefEvaluator(2), ("a", "b")))
+    checked = 0
+    for ev, alphabet in evs:
+        full = []
+        order = image(_LoggedEvaluator(ev, full), alphabet)
+        for cap in range(1, len(order)):
+            log = []
+            with pytest.raises(SizeLimitError):
+                image(_LoggedEvaluator(ev, log), alphabet, cap)
+            assert log == _raise_point(full, {ev.zero_state()}, order, cap)
+            checked += 1
+        assert image(ev, alphabet, len(order)) == order
+    assert checked > 600
+
+
+def test_to_recognizer_records_each_letter_step_in_discovery_order(monkeypatch):
+    """The steps that to_recognizer records are the letter steps of the
+    all-partners loop, in its order: each mask's letters in turn."""
+    acts = []
+
+    def recorded(*args, **kwargs):
+        acts.append(args[2])
+        return closure(*args, **kwargs)
+
+    monkeypatch.setattr(logic, "closure", recorded)
+    for phi in census_formulas(5, (logic.EF, logic.EX)):
+        logic.to_recognizer(phi, ("a", "b"))
+        step = acts.pop()
+        steps = inspect.getclosurevars(step).nonlocals["steps"]
+        want = {}
+
+        def replayed(a, x):
+            want[a, x] = step(a, x)
+            return want[a, x]
+
+        all_partners_closure((0,), ("a", "b"), replayed, or_)
+        assert list(steps.items()) == list(want.items())
+
+
 def test_closure_cap_raises_with_the_callers_phase():
     with pytest.raises(SizeLimitError) as info:
         closure((0,), (1,), lambda a, x: x + a, None, 10, "counting phase")
@@ -159,14 +284,15 @@ def _reference_cascade(casc):
 
 
 def _random_tagged_hom(rng, alpha):
-    """A random generated homomorphism over alpha's letter/value pairs."""
+    """A random homomorphism over alpha's letter/value pairs, on a generated
+    algebra; random rows need not reach all of H, so it is built by hand."""
     H = random_semilattice(rng, 4)
     n = H.size
     letters = [(a, alpha.target.hname(h)) for a in alpha.alphabet
                for h in range(alpha.target.H.size)]
     rows = {b: tuple(rng.randrange(n) for _ in range(n)) for b in letters}
-    return generated(letters, range(n), lambda b, h: rows[b][h], H.mul,
-                     H.identity)
+    alg, genmap = generated_algebra(H, rows)
+    return Homomorphism(letters, alg, genmap)
 
 
 def _check_against_reference(casc):

@@ -254,3 +254,56 @@ def test_decompositions_share_one_recursion():
     """decompose_ef and decompose_efex both peel through _efex_rec; a
     second decomposition recursion would show up here."""
     assert _self_calling_functions("decompose") == {"_efex_rec"}
+
+
+def _count_image_calls(monkeypatch):
+    """Count the calls of joint.image under every name the package binds
+    it to."""
+    calls = []
+    real = importlib.import_module("forestalg.joint").image
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    for path in glob.glob(os.path.join(SRC, "*.py")):
+        name = os.path.splitext(os.path.basename(path))[0]
+        module = importlib.import_module("forestalg." + name)
+        if getattr(module, "image", None) is real:
+            monkeypatch.setattr(module, "image", counted)
+    return calls
+
+
+def test_formula_path_computes_no_image(monkeypatch):
+    """A compiled formula's hom is onto, and so is its syntactic quotient:
+    deciding runs joint.image neither for the syntactic carrier nor for
+    the restriction before the definiteness test."""
+    decide = importlib.import_module("forestalg.decide")
+    logic = importlib.import_module("forestalg.logic")
+    calls = _count_image_calls(monkeypatch)
+    for text in ("EF a & EX b", "EF(a & EX b) | EF(b & EX a)",
+                 "EX(a & EF b) | EX(b & EF a)", "EX EX a", "EF(a & EF b)"):
+        rec = logic.to_recognizer(logic.parse_formula(text), ("a", "b"))
+        for fragment in ("ef", "ex", "efex"):
+            decide.decide(rec, fragment)
+            assert calls == [], (text, fragment)
+
+
+def test_loaded_recognizer_computes_one_image_per_decision(monkeypatch):
+    """A recognizer read from a file may hold unreachable elements, so its
+    syntactic quotient computes the image once; the quotient is onto, so
+    nothing after it computes another."""
+    decide = importlib.import_module("forestalg.decide")
+    from forestalg.hom import Homomorphism, Recognizer
+    from forestalg.io import load_algebra
+
+    calls = _count_image_calls(monkeypatch)
+    fixtures = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
+    for name in ("chain4", "u1_efa", "u2_abc"):
+        alg, letters, accept = load_algebra(os.path.join(fixtures, name + ".fa"))
+        hom = Homomorphism(tuple(sorted(letters)), alg, dict(letters))
+        rec = Recognizer(hom, accept or frozenset())
+        for fragment in ("ef", "ex", "efex"):
+            del calls[:]
+            decide.decide(rec, fragment)
+            assert calls == [hom], (name, fragment)
