@@ -13,9 +13,10 @@ Tables are plain nested tuples of element indices.  Structural problems
 algebraic law violations are reported by check_axioms() instead.
 
 Besides the tables, the module builds generated algebras (H and the rows
-of V's generators, V closed on first read), the two building-block
-algebras, and the horizontal collapse of a reachability ideal from which
-reach builds quotients as generated algebras.
+of V's generators; ForestAlgebra closes V the first time V or the action
+is read, and nothing else in the package closes it), the two
+building-block algebras, and the horizontal collapse of a reachability
+ideal from which reach builds quotients as generated algebras.
 """
 
 import warnings
@@ -165,11 +166,10 @@ class ForestAlgebra:
     V, and they are V's first elements, named ``generator_names``: all of
     ``action`` and ``V.names`` for an algebra given by its tables.  An
     algebra made by generated_algebra() holds only H and its generators,
-    given in ``_named`` (None for tables), and closes V and ``action`` on
-    first read; close_vertical() returns the same object with both read.
+    and closes V and ``action`` when either is first read.
     """
 
-    _named = None
+    generated = False
 
     def __init__(self, H, V, action, faithful=False):
         if not isinstance(H, FiniteMonoid) or not isinstance(V, FiniteMonoid):
@@ -185,16 +185,30 @@ class ForestAlgebra:
 
     @cached_property
     def V(self):
-        return self._close().V
+        """A generated algebra's V: its generators closed under composition,
+        so the action rows are the elements and identical ones are merged.
+        Element i past the generators is named ``v<i>``, renamed by
+        _fresh().  Sets ``action`` too; raises SizeLimitError past
+        DEFAULT_MAX_VERTICAL elements.
+        """
+        index = closure(self.generators, self.generators,
+                        lambda ra, rb: tuple(ra[x] for x in rb),
+                        None, DEFAULT_MAX_VERTICAL, "vertical closure")
+        rows = self.action = tuple(index)
+        used = set(self.generator_names)
+        names = self.generator_names + tuple(
+            _fresh("v%d" % i, i, used) for i in range(len(self.generators), len(rows)))
+
+        def vrow(a):
+            ra = rows[a]
+            return tuple(index[tuple(ra[x] for x in rb)] for rb in rows)
+
+        return FiniteMonoid(None, 0, names, row_fn=vrow, size=len(rows))
 
     @cached_property
     def action(self):
-        return self._close().action
-
-    def _close(self):
-        alg = close_vertical(self.H, self._named, warn_on_merge=False)[0]
-        self.__dict__.update(V=alg.V, action=alg.action)
-        return alg
+        self.V  # closing V sets the action
+        return self.action
 
     # -- basic operations ---------------------------------------------------
 
@@ -265,7 +279,7 @@ class ForestAlgebra:
                                                 "h+g != g+h"))
             if plus[h][h] != h:
                 horizontal.append(Violation("H-idempotence", (hn[h],), "h+h != h"))
-        if self._named is not None:
+        if self.generated:
             return out + horizontal
         V, action = self.V, self.action
         vn = V.names
@@ -375,29 +389,16 @@ def generated_algebra(hmonoid, generators):
     alg = ForestAlgebra.__new__(ForestAlgebra)
     alg.H, alg.generators, alg.faithful = hmonoid, tuple(rows), True
     alg.generator_names = tuple(names)
-    alg._named = generators
+    alg.generated = True
     return alg, genmap
 
 
-def close_vertical(hmonoid, generators, max_vertical=DEFAULT_MAX_VERTICAL,
-                   warn_on_merge=True):
-    """generated_algebra() with V and the action table built at once.
-
-    The generators are closed under composition, so the action rows are
-    the elements, the result is faithful and generators with identical
-    action are merged.  Element i past the generators is named ``v<i>``,
-    renamed by _fresh().  Raises SizeLimitError past ``max_vertical``
-    elements.  Returns (ForestAlgebra, genmap).
+def close_vertical(hmonoid, generators, warn_on_merge=True):
+    """generated_algebra(), warning unless ``warn_on_merge`` is false when
+    generators with identical action are merged.  Returns (ForestAlgebra,
+    genmap).
     """
     alg, genmap = generated_algebra(hmonoid, generators)
-    index = closure(alg.generators, alg.generators,
-                    lambda ra, rb: tuple(ra[x] for x in rb),
-                    None, max_vertical, "vertical closure")
-    rows = tuple(index)
-    used = set(alg.generator_names)
-    names = alg.generator_names + tuple(
-        _fresh("v%d" % i, i, used) for i in range(len(alg.generators), len(rows)))
-
     if warn_on_merge:
         owner = {0: None}  # vertical index -> the first name sent to it
         merged = {str(name) for name in genmap  # in sorted-name order
@@ -405,13 +406,6 @@ def close_vertical(hmonoid, generators, max_vertical=DEFAULT_MAX_VERTICAL,
         if merged:
             warnings.warn("merged vertical generators with duplicate actions: %s"
                           % ", ".join(sorted(merged)))
-
-    def vrow(a):
-        ra = rows[a]
-        return tuple(index[tuple(ra[x] for x in rb)] for rb in rows)
-
-    alg.V = FiniteMonoid(None, 0, names, row_fn=vrow, size=len(rows))
-    alg.action = rows
     return alg, genmap
 
 

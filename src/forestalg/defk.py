@@ -15,6 +15,7 @@ decider reads only the sum table and the letter rows, on pairs of values.
 """
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from . import terms
 from .algebra import DEFAULT_MAX_VERTICAL, _after
@@ -157,25 +158,27 @@ def definiteness_degree(alpha):
     degree is the first empty level, 0 on a one-element image.  The levels
     descend, so a level that keeps its size repeats for ever: None.  Every
     level is symmetric, so each letter pair (x, y) is summed only when
-    x < y, and the transposes are added after.
+    x < y, and the transposes are added after.  Level 0 is never listed:
+    its letter pairs are the pairs x < y within each letter row's values.
     """
     hom = image_restrict(alpha)
     op = hom.target.H.op
     n = len(op)
     rows = {hom.row(a) for a in hom.alphabet}
-    level = {(h, g) for h in range(n) for g in range(n) if h != g}
-    k = 0
-    while level:
+    pairs = {p for row in rows for p in combinations(sorted(set(row)), 2)}
+    size, k = n * (n - 1), 0
+    while size:
         k += 1
-        nxt = set()
-        for x, y in {(row[h], row[g]) for row in rows for h, g in level}:
+        level = set()
+        for x, y in pairs:
             if x < y:
-                nxt.update(zip(op[x], op[y]))
-        nxt.update([(y, x) for x, y in nxt])
-        nxt.difference_update(zip(range(n), range(n)))
-        if len(nxt) == len(level):
+                level.update(zip(op[x], op[y]))
+        level.update([(y, x) for x, y in level])
+        level.difference_update(zip(range(n), range(n)))
+        if len(level) == size:
             return None
-        level = nxt
+        size = len(level)
+        pairs = {(row[h], row[g]) for row in rows for h, g in level}
     return k
 
 

@@ -8,16 +8,18 @@ sys.path.insert(0, os.path.dirname(__file__))
 
 @pytest.fixture
 def vertical_closures(monkeypatch):
-    """The argument tuples of every algebra.close_vertical call made while
-    the test runs, in call order."""
+    """The generator rows of every vertical closure made while the test
+    runs, in call order: the calls of joint.closure that ForestAlgebra
+    makes when V is first read."""
     from forestalg import algebra
 
     calls = []
-    close_vertical = algebra.close_vertical
+    closure = algebra.closure
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return close_vertical(*args, **kwargs)
+    def counted(starts, *args):
+        if args[-1] == "vertical closure":
+            calls.append(starts)
+        return closure(starts, *args)
 
-    monkeypatch.setattr(algebra, "close_vertical", counted)
+    monkeypatch.setattr(algebra, "closure", counted)
     return calls

@@ -7,11 +7,12 @@ from dataclasses import dataclass
 
 from forestalg.algebra import (DEFAULT_MAX_VERTICAL, FiniteMonoid,
                                ForestAlgebra, Violation, _canonical_names,
-                               close_vertical, horizontal_monoid)
+                               close_vertical, generated_algebra,
+                               horizontal_monoid)
 from forestalg.defk import KdefEvaluator
 from forestalg.errors import IdealViolation, SizeLimitError, StructuralError
 from forestalg.hom import Homomorphism, Recognizer
-from forestalg.joint import TensorEvaluator, determines, image
+from forestalg.joint import TensorEvaluator, closure, determines, image
 from forestalg.oracle import DEFAULT_MAX_PAIRS
 from forestalg.reach import class_tag_names, reachability
 from forestalg import logic, terms
@@ -185,10 +186,12 @@ def random_hom(rng, max_h=5, max_letters=3, max_vertical=150):
         nletters = rng.randint(1, max_letters)
         letters = tuple("abc"[:nletters])
         gens = {a: tuple(rng.randrange(n) for _ in range(n)) for a in letters}
-        try:
-            alg, genmap = close_vertical(H, gens, max_vertical=max_vertical,
-                                         warn_on_merge=False)
-        except Exception:
+        alg, genmap = generated_algebra(H, gens)
+        try:  # reject a V past max_vertical without closing all of it
+            closure(alg.generators, alg.generators,
+                    lambda ra, rb: tuple(ra[x] for x in rb), None,
+                    max_vertical)
+        except SizeLimitError:
             continue
         hom = Homomorphism(letters, alg, {a: genmap[a] for a in letters})
         return image_restrict(hom)
@@ -471,6 +474,31 @@ def reference_vertical_names(hmonoid, generators, size):
         seen.add(name)
         names.append(name)
     return names
+
+
+def reference_vertical_closure(hmonoid, generators):
+    """V of the algebra generated by ``generators`` (names to action rows)
+    and the insertions, by a plain breadth-first search: its action rows,
+    names and multiplication table.  V starts with the identity, then the
+    distinct rows of the generators in sorted-name order and of the
+    insertions; each element in turn is composed on the left with each of
+    those, and new rows are appended."""
+    n = hmonoid.size
+    starts = [tuple(range(n))]
+    for row in ([tuple(generators[name]) for name in sorted(generators, key=str)]
+                + list(hmonoid.op)):
+        if row not in starts:
+            starts.append(row)
+    rows, index = list(starts), {row: i for i, row in enumerate(starts)}
+    for row in rows:
+        for g in starts:
+            after = tuple(g[h] for h in row)
+            if after not in index:
+                index[after] = len(rows)
+                rows.append(after)
+    op = tuple(tuple(index[tuple(a[h] for h in b)] for b in rows) for a in rows)
+    names = reference_vertical_names(hmonoid, generators, len(rows))
+    return tuple(rows), tuple(names), op
 
 
 def reference_ef_violation(alg):

@@ -5,7 +5,7 @@ import pytest
 from forestalg.algebra import (FiniteMonoid, ForestAlgebra, _check_table,
                                generated_algebra, horizontal_monoid,
                                quotient_by_ideal, u1, u2)
-from forestalg.errors import IdealViolation, StructuralError
+from forestalg.errors import IdealViolation, SizeLimitError, StructuralError
 from forestalg.hom import generated
 from forestalg.reach import quotient_hom, reachability
 
@@ -350,14 +350,15 @@ def test_valid_explicit_file_skips_vertical_laws(monkeypatch):
     assert checked == [alg.H]
 
 
-def test_close_vertical_is_the_generated_algebra_with_V_read():
-    """close_vertical builds V and the action at once, on the object that
-    generated_algebra returns; a merged or renamed extra generator is
+def test_generated_V_matches_reference_closure():
+    """close_vertical returns generated_algebra's algebra unread; reading V
+    or the action closes V as a plain breadth-first search does, with the
+    same rows, names and table.  A merged or renamed extra generator is
     added to half the instances."""
     from forestalg import logic
     from forestalg.algebra import close_vertical, generated_algebra
     from forestalg.terms import print_label
-    from helpers import random_formula, random_hom
+    from helpers import random_formula, random_hom, reference_vertical_closure
 
     rng = random.Random(1515)
     homs = [random_hom(rng) for _ in range(60)]
@@ -369,11 +370,32 @@ def test_close_vertical_is_the_generated_algebra_with_V_read():
         if rng.random() < 0.5:
             gens["ins_0"] = rng.choice(list(gens.values()) + [
                 tuple(range(H.size)), H.op[rng.randrange(H.size)]])
-        eager, genmap = close_vertical(H, gens, warn_on_merge=False)
-        lazy, lazy_genmap = generated_algebra(H, gens)
-        assert genmap == lazy_genmap, trial
-        assert eager.generators == lazy.generators, trial
-        assert eager.generator_names == lazy.generator_names, trial
-        assert "V" not in vars(lazy) and "action" not in vars(lazy)
-        assert eager.V.names == lazy.V.names, trial
-        assert eager.V.op == lazy.V.op and eager.action == lazy.action, trial
+        alg, genmap = close_vertical(H, gens, warn_on_merge=False)
+        other, other_genmap = generated_algebra(H, gens)
+        assert genmap == other_genmap, trial
+        assert alg.generators == other.generators, trial
+        assert alg.generator_names == other.generator_names, trial
+        assert "V" not in vars(alg) and "action" not in vars(alg)
+        rows, names, op = reference_vertical_closure(H, gens)
+        assert alg.generators == rows[:len(alg.generators)], trial
+        assert (alg.V.names, alg.action, alg.V.op) == (names, rows, op), trial
+        assert (other.action, other.V.names, other.V.op) == (rows, names, op), trial
+
+
+def test_vertical_closure_is_capped(monkeypatch):
+    """V is closed on first read under DEFAULT_MAX_VERTICAL, read at that
+    point; past it, reading V or the action raises SizeLimitError."""
+    from forestalg import algebra
+    from forestalg.algebra import close_vertical, horizontal_monoid
+
+    H = horizontal_monoid([[max(i, j) for j in range(4)] for i in range(4)], 0)
+    gens = {"a": (3, 3, 0, 3)}
+    monkeypatch.setattr(algebra, "DEFAULT_MAX_VERTICAL", 9)
+    alg = close_vertical(H, gens)[0]
+    assert (alg.V.size, len(alg.action)) == (9, 9)
+    monkeypatch.setattr(algebra, "DEFAULT_MAX_VERTICAL", 8)
+    for read in ("V", "action"):
+        alg = close_vertical(H, gens)[0]
+        with pytest.raises(SizeLimitError) as exc:
+            getattr(alg, read)
+        assert (exc.value.what, exc.value.limit) == ("vertical closure", 8)

@@ -93,6 +93,18 @@ def test_written_files_close_V_only_to_print_it(tmp_path, capsys,
     assert (code, len(calls)) == (0, 1) and "|V|=" in out
 
 
+def test_compile_output_past_the_vertical_cap_exits_3(tmp_path, capsys,
+                                                      monkeypatch):
+    from forestalg import algebra
+
+    monkeypatch.setattr(algebra, "DEFAULT_MAX_VERTICAL", 3)
+    psi = tmp_path / "psi.fa"
+    code, _, err = run(capsys, "compile", "EF(a & EX b)", "--alphabet", "a,b",
+                       "-o", str(psi))
+    assert (code, err) == (3, "error: size limit exceeded: vertical closure"
+                               " (cap 3)\n")
+
+
 def test_reach_dot(capsys):
     code, out, _ = run(capsys, "reach", fx("chain4.fa"), "--dot")
     assert code == 0

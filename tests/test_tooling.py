@@ -194,8 +194,8 @@ def _algebra_constructions():
 
 def test_only_table_algebras_call_the_constructor():
     """Algebras given by tables are built by ForestAlgebra(...); every
-    algebra built from action rows comes from generated_algebra, also
-    when close_vertical reads its V at once."""
+    algebra built from action rows comes from generated_algebra, which
+    close_vertical returns as it is."""
     assert _algebra_constructions() == {
         ("io", "_parse_tables", "ForestAlgebra"),
         ("algebra", "u1", "ForestAlgebra"),
@@ -254,6 +254,44 @@ def test_decompositions_share_one_recursion():
     """decompose_ef and decompose_efex both peel through _efex_rec; a
     second decomposition recursion would show up here."""
     assert _self_calling_functions("decompose") == {"_efex_rec"}
+
+
+def _closure_calls():
+    """(module, enclosing definitions, ``what`` argument) of every call of
+    closure(...) in the package, one entry per call site; ``what`` is None
+    unless it is given as a constant."""
+    found = []
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                inner = scope + (child.name,)
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                    and child.func.id == "closure"):
+                what = [kw.value for kw in child.keywords if kw.arg == "what"]
+                what += child.args[5:6]
+                found.append((module, ".".join(scope),
+                              what[0].value if what and isinstance(
+                                  what[0], ast.Constant) else None))
+            visit(child, module, inner)
+
+    for path in glob.glob(os.path.join(SRC, "*.py")):
+        module = os.path.splitext(os.path.basename(path))[0]
+        with open(path, encoding="utf-8") as fh:
+            visit(ast.parse(fh.read(), path), module, ())
+    return found
+
+
+def test_vertical_monoids_are_closed_in_one_place():
+    """ForestAlgebra closes V when it is first read; close_vertical only
+    builds the generated algebra, so it closes nothing."""
+    calls = _closure_calls()
+    assert [(module, scope) for module, scope, what in calls
+            if what == "vertical closure"] == [("algebra", "ForestAlgebra.V")]
+    assert all(scope.split(".")[0] != "close_vertical"
+               for module, scope, _ in calls if module == "algebra")
 
 
 def _count_image_calls(monkeypatch):
