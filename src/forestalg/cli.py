@@ -110,37 +110,39 @@ def _parse_alphabet(text):
     return letters
 
 
+def _write_recognizer(args, rec, command, vertical):
+    """Print ``rec`` in the recognizer form, or write it to ``-o`` and
+    report.  |V| is read only to be reported (in ``--json`` when
+    ``vertical``, and in the text line), and the report is made before the
+    file is opened, so a V past its cap leaves no file behind."""
+    text = io.print_recognizer(rec)
+    if not args.output:
+        sys.stdout.write(text)
+        return EXIT_TRUE
+    target = rec.hom.target
+    report = {"command": command, "output": args.output,
+              "horizontal": target.H.size}
+    if vertical:
+        report["vertical"] = target.V.size
+    lines = [] if args.json else [
+        "wrote %s (%s)" % (args.output, target.summary())]
+    with open(args.output, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    _emit(args, report, lines)
+    return EXIT_TRUE
+
+
 def _cmd_compile(args):
     phi = logic.parse_formula(args.formula, require=logic.FOREST)
     alphabet = _parse_alphabet(args.alphabet)
     rec = logic.to_recognizer(phi, alphabet)
-    text = io.print_recognizer(rec)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        _emit(args, {"command": "compile", "output": args.output,
-                     "horizontal": rec.hom.target.H.size,
-                     "vertical": rec.hom.target.V.size},
-              ["wrote %s (%s)" % (args.output, rec.hom.target.summary())])
-    else:
-        sys.stdout.write(text)
-    return EXIT_TRUE
+    return _write_recognizer(args, rec, "compile", vertical=True)
 
 
 def _cmd_syntactic(args):
     rec = _load_recognizer(args.file)
     syn, _ = syntactic(rec)
-    text = io.print_recognizer(syn)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        lines = [] if args.json else [  # |V| is read only to be printed
-            "wrote %s (%s)" % (args.output, syn.hom.target.summary())]
-        _emit(args, {"command": "syntactic", "output": args.output,
-                     "horizontal": syn.hom.target.H.size}, lines)
-    else:
-        sys.stdout.write(text)
-    return EXIT_TRUE
+    return _write_recognizer(args, syn, "syntactic", vertical=False)
 
 
 def _cmd_reach(args):

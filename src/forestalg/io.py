@@ -1,7 +1,11 @@
 """Line-oriented text format for algebras and recognizers.
 
-Both forms open with H and its sum table; ``#`` starts a comment anywhere.
-An algebra is written with all of its tables::
+A file is a sequence of sections.  A token ending in ``:`` opens one, and
+the tokens up to the next such token are its contents, whatever the line
+breaks; so no element or letter name can end in ``:``, and nothing may
+come before the first section.  ``#`` starts a comment anywhere.
+
+Both forms open with H and its sum table.  An algebra is written with all of its tables::
 
     H: <names>
     plus:
@@ -39,42 +43,63 @@ from .algebra import FiniteMonoid, ForestAlgebra, generated_algebra
 from .errors import ParseError, StructuralError
 
 
-def _tokenize(text):
-    tokens = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0]
-        for tok in line.split():
-            tokens.append((tok, lineno))
+def _sections(text):
+    """The file as a list of (keyword, tokens), one per section, in order."""
+    sections = []
+    for line in text.splitlines():
+        for tok in line.split("#", 1)[0].split():
+            if tok.endswith(":"):
+                sections.append((tok, []))
+            elif sections:
+                sections[-1][1].append(tok)
+            else:
+                raise ParseError("expected 'H:', got %r" % tok)
+    return sections
+
+
+def _expect(sections, keyword):
+    """Take the next section, which must be ``keyword``; returns its tokens."""
+    if not sections:
+        raise ParseError("unexpected end of file, expected %s" % keyword)
+    got, tokens = sections.pop(0)
+    if got != keyword:
+        raise ParseError("expected %r, got %r" % (keyword, got))
     return tokens
 
 
-class _TokenStream:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
+def _names(tokens, what):
+    """The element names of an ``H:`` or ``V:`` section, and the lookup
+    from a name to its index."""
+    if not tokens:
+        raise ParseError("empty %s section" % what)
+    index = {n: i for i, n in enumerate(tokens)}
+    if len(index) != len(tokens):
+        raise StructuralError("duplicate %s names" % what)
 
-    def peek(self):
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos][0]
-        return None
+    def lookup(name):
+        try:
+            return index[name]
+        except KeyError:
+            raise ParseError("unknown %s element %r" % (what, name)) from None
+    return tokens, lookup
 
-    def next(self, what="token"):
-        if self.pos >= len(self.tokens):
-            raise ParseError("unexpected end of file, expected %s" % what)
-        tok, _ = self.tokens[self.pos]
-        self.pos += 1
-        return tok
 
-    def expect(self, tok):
-        got = self.next(tok)
-        if got != tok:
-            raise ParseError("expected %r, got %r" % (tok, got))
+def _table(tokens, rows, cols, lookup, what):
+    """A table section: one row per name in ``rows``, each with one entry
+    per name in ``cols``, looked up by ``lookup``."""
+    n = len(cols)
+    if len(tokens) != len(rows) * n:
+        raise ParseError("%s: expected %d entries, got %d"
+                         % (what, len(rows) * n, len(tokens)))
+    entries = list(map(lookup, tokens))
+    return [entries[i:i + n] for i in range(0, len(entries), n)]
 
-    def names_until_keyword(self):
-        out = []
-        while self.peek() is not None and not self.peek().endswith(":"):
-            out.append(self.next())
-        return out
+
+def _identity(names, name, what):
+    """The index of an identity, which the file must name ``name``."""
+    if name not in names:
+        raise StructuralError("the %s identity must be named %s" % (what, name))
+    return names.index(name)
 
 
 def _letter(name, seen):
@@ -92,95 +117,46 @@ def parse_algebra(text):
     A recognizer file gives a generated algebra, and ``letters`` sends each
     letter to the vertical index of its generator.
     """
-    ts = _TokenStream(_tokenize(text))
-    ts.expect("H:")
-    hnames = ts.names_until_keyword()
-    if not hnames:
-        raise ParseError("empty H section")
-    hindex = {n: i for i, n in enumerate(hnames)}
-    if len(hindex) != len(hnames):
-        raise StructuralError("duplicate H names")
-
-    def hname(tok):
-        if tok not in hindex:
-            raise ParseError("unknown H element %r" % tok)
-        return hindex[tok]
-
-    ts.expect("plus:")
-    plus = [[hname(ts.next("plus entry")) for _ in hnames] for _ in hnames]
-    if ts.peek() == "V:":
-        return _parse_tables(ts, hnames, hname, plus)
-
+    sections = _sections(text)
+    hnames, hname = _names(_expect(sections, "H:"), "H")
+    plus = _table(_expect(sections, "plus:"), hnames, hnames, hname, "plus")
+    tables = bool(sections) and sections[0][0] == "V:"
+    if tables:
+        vnames, vname = _names(_expect(sections, "V:"), "V")
+        compose = _table(_expect(sections, "compose:"), vnames, vnames, vname,
+                         "compose")
+        act = _table(_expect(sections, "act:"), vnames, hnames, hname, "act")
+    # the tables are followed by accept: and letters:, each at most once;
+    # H alone by letter: sections and then accept:, which ends the file
+    accept = letters = None
     rows = {}
-    while ts.peek() == "letter:":
-        ts.next()
-        items = ts.names_until_keyword()
-        if not items:
-            raise ParseError("letter: section without a letter")
-        a = _letter(items[0], rows)
-        if len(items) != len(hnames) + 1:
-            raise StructuralError("letter %s: expected %d entries, got %d"
-                                  % (a, len(hnames), len(items) - 1))
-        rows[a] = tuple(hname(t) for t in items[1:])
-    # accept: ends a recognizer file, so a file cut at a section is refused
-    if ts.peek() != "accept:":
-        raise ParseError("expected 'V:', 'letter:' or 'accept:', got %s"
-                         % ("end of file" if ts.peek() is None else repr(ts.peek())))
-    ts.next()
-    accept = frozenset(hname(t) for t in ts.names_until_keyword())
-    if ts.peek() is not None:
-        raise ParseError("unexpected section %r after accept:" % ts.peek())
-    if "0" not in hindex:
-        raise StructuralError("the horizontal identity must be named 0")
-    H = FiniteMonoid(plus, hindex["0"], hnames)
-    alg, letters = generated_algebra(H, rows)
-    return alg, letters, accept
-
-
-def _parse_tables(ts, hnames, hname, plus):
-    """The algebra form from ``V:`` on."""
-    ts.expect("V:")
-    vnames = ts.names_until_keyword()
-    if not vnames:
-        raise ParseError("empty V section")
-    vindex = {n: i for i, n in enumerate(vnames)}
-    if len(vindex) != len(vnames):
-        raise StructuralError("duplicate V names")
-
-    def vname(tok):
-        if tok not in vindex:
-            raise ParseError("unknown V element %r" % tok)
-        return vindex[tok]
-
-    ts.expect("compose:")
-    compose = [[vname(ts.next("compose entry")) for _ in vnames] for _ in vnames]
-    ts.expect("act:")
-    act = [[hname(ts.next("act entry")) for _ in hnames] for _ in vnames]
-
-    accept = None
-    letters = None
-    while ts.peek() is not None:
-        section = ts.next()
-        if section == "accept:" and accept is None:
-            accept = frozenset(hname(t) for t in ts.names_until_keyword())
-        elif section == "letters:" and letters is None:
+    for keyword, tokens in sections:
+        if keyword == "accept:" and accept is None:
+            accept = frozenset(map(hname, tokens))
+        elif keyword == "letters:" and tables and letters is None:
             letters = {}
-            for item in ts.names_until_keyword():
+            for item in tokens:
                 if "=" not in item:
                     raise ParseError("letters entries look like a=vname, got %r" % item)
                 a, v = item.split("=", 1)
                 letters[_letter(a, letters)] = vname(v)
+        elif keyword == "letter:" and not tables and accept is None:
+            if not tokens:
+                raise ParseError("letter: section without a letter")
+            a = _letter(tokens[0], rows)
+            if len(tokens) != len(hnames) + 1:
+                raise StructuralError("letter %s: expected %d entries, got %d"
+                                      % (a, len(hnames), len(tokens) - 1))
+            rows[a] = tuple(map(hname, tokens[1:]))
         else:
-            raise ParseError("unexpected section %r" % section)
-
-    if "0" not in hnames:
-        raise StructuralError("the horizontal identity must be named 0")
-    if "1" not in vindex:
-        raise StructuralError("the vertical identity must be named 1")
-    H = FiniteMonoid(plus, hnames.index("0"), hnames)
-    V = FiniteMonoid(compose, vindex["1"], vnames)
-    alg = ForestAlgebra(H, V, act, faithful=False)
-    return alg, letters, accept
+            raise ParseError("unexpected section %r" % keyword)
+    if not tables and accept is None:  # so a file cut at a section is refused
+        raise ParseError("a recognizer file must end with an accept: section")
+    H = FiniteMonoid(plus, _identity(hnames, "0", "horizontal"), hnames)
+    if not tables:
+        return (*generated_algebra(H, rows), accept)
+    V = FiniteMonoid(compose, _identity(vnames, "1", "vertical"), vnames)
+    return ForestAlgebra(H, V, act, faithful=False), letters, accept
 
 
 def _horizontal_lines(alg):

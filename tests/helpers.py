@@ -10,7 +10,8 @@ from forestalg.algebra import (DEFAULT_MAX_VERTICAL, FiniteMonoid,
                                close_vertical, generated_algebra,
                                horizontal_monoid)
 from forestalg.defk import KdefEvaluator
-from forestalg.errors import IdealViolation, SizeLimitError, StructuralError
+from forestalg.errors import (IdealViolation, ParseError, SizeLimitError,
+                              StructuralError)
 from forestalg.hom import Homomorphism, Recognizer
 from forestalg.joint import TensorEvaluator, closure, determines, image
 from forestalg.oracle import DEFAULT_MAX_PAIRS
@@ -95,6 +96,40 @@ BAD_LETTER_FILES = {
     "row: no accept": "H: 0 inf\nplus:\n0 inf\ninf inf\nletter: a\ninf inf\n",
     "row: letter after accept": "H: 0 inf\nplus:\n0 inf\ninf inf\naccept:\n"
                                 "letter: a\ninf inf\n",
+}
+
+ROW_FILE = "H: 0 inf\nplus:\n0 inf\ninf inf\nletter: a\ninf inf\naccept: inf\n"
+
+
+def _u1(old, new):
+    return U1_ACCEPTING.replace(old, new, 1)
+
+
+# Files with content before H:, a table an entry short or long, a token
+# ending in ":" inside a table or a row (it opens a section wherever it
+# stands), or a section doubled or out of place; each with its error.
+BAD_SECTION_FILES = {
+    "content before H:": (ParseError, "x\n" + U1_ACCEPTING),
+    "plus: one short": (ParseError, _u1("inf inf\nV:", "inf\nV:")),
+    "plus: one long": (ParseError, _u1("inf inf\nV:", "inf inf inf\nV:")),
+    "compose: one short": (ParseError, _u1("cinf cinf\nact:", "cinf\nact:")),
+    "compose: one long": (ParseError, _u1("cinf cinf\nact:", "cinf cinf 1\nact:")),
+    "act: one short": (ParseError, _u1("inf inf\naccept:", "inf\naccept:")),
+    "act: one long": (ParseError, _u1("inf inf\naccept:", "inf inf 0\naccept:")),
+    "row: plus: one short": (ParseError, ROW_FILE.replace("inf inf\nletter:",
+                                                          "inf\nletter:")),
+    "row: plus: one long": (ParseError, ROW_FILE.replace("inf inf\nletter:",
+                                                         "inf inf 0\nletter:")),
+    "colon in plus:": (ParseError, _u1("0 inf\ninf inf", "0 x:\ninf inf")),
+    "colon in compose:": (ParseError, _u1("cinf cinf\nact:", "cinf x:\nact:")),
+    "colon in act:": (ParseError, _u1("inf inf\naccept:", "inf x:\naccept:")),
+    "colon in a letter row": (StructuralError, ROW_FILE.replace(
+        "letter: a\ninf inf", "letter: a\ninf x:")),
+    "accept: twice": (ParseError, U1_ACCEPTING + "accept: 0\n"),
+    "letters: twice": (ParseError, U1_ACCEPTING + "letters: a=1\nletters: b=1\n"),
+    "letter: after accept:": (ParseError, ROW_FILE + "letter: b\n0 inf\n"),
+    "V: after letter:": (ParseError, ROW_FILE.replace(
+        "accept:", "V: 1\ncompose:\n1\nact:\n0 inf\naccept:")),
 }
 
 

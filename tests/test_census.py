@@ -2,13 +2,17 @@
 {a, b} is decided definable in its own fragment, and on each distinct
 syntactic table the EX degree matches the full-chain reference and the
 pair fixpoint matches the all-partners reference.  The syntactic quotient
-of each table's first formula matches the V-signature reference."""
+of each table's first formula matches the V-signature reference, and
+each table factors into a cascade or is refused in a depth-k carrier."""
 
+import re
 from collections import Counter
 
 from forestalg import logic
 from forestalg.decide import is_ef_algebra, nonconfusion
+from forestalg.decompose import decompose_efex
 from forestalg.defk import definiteness_degree
+from forestalg.errors import SizeLimitError
 from forestalg.hom import syntactic
 
 from helpers import (census_formulas, printed_recognizer,
@@ -61,3 +65,25 @@ def test_census_formulas_are_definable_in_their_fragment():
     assert all(nonconfusion(hom).nonconfusing for hom in tables.values())
     assert all(_fixpoint(nonconfusion(hom)) == _fixpoint(reference_nonconfusion(hom))
                for hom in tables.values())
+
+
+def test_census_tables_factor_or_refuse_in_a_depth_k_carrier():
+    """decompose_efex returns a cascade that it has checked to factor the
+    hom, or refuses in a depth-k definite level carrier.  The refusal
+    count is an upper bound: cascades that fit can only lower it."""
+    tables = {}
+    for phi in census_formulas(5, (logic.EF, logic.EX)):
+        syn = syntactic(logic.to_recognizer(phi, LETTERS))[0]
+        tables.setdefault(_table(syn), syn.hom)
+    assert len(tables) == 87
+    refused = Counter()
+    for hom in tables.values():
+        try:
+            casc = decompose_efex(hom)
+        except SizeLimitError as exc:
+            refused[exc.what] += 1
+        else:
+            assert casc.factors(hom) == (True, None)
+    assert sum(refused.values()) <= 20, refused
+    assert all(re.fullmatch(r"depth-[1-9]\d* definite level carrier", what)
+               for what in refused), refused

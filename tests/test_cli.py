@@ -6,7 +6,7 @@ import random
 from forestalg import cli, hom
 from forestalg.cli import main
 
-from helpers import BAD_LETTER_FILES
+from helpers import BAD_LETTER_FILES, BAD_SECTION_FILES
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
@@ -95,14 +95,22 @@ def test_written_files_close_V_only_to_print_it(tmp_path, capsys,
 
 def test_compile_output_past_the_vertical_cap_exits_3(tmp_path, capsys,
                                                       monkeypatch):
+    """The -o summary reads |V|; past the cap the command exits 3 before
+    it opens the file, so no file is left behind."""
     from forestalg import algebra
 
     monkeypatch.setattr(algebra, "DEFAULT_MAX_VERTICAL", 3)
-    psi = tmp_path / "psi.fa"
-    code, _, err = run(capsys, "compile", "EF(a & EX b)", "--alphabet", "a,b",
-                       "-o", str(psi))
-    assert (code, err) == (3, "error: size limit exceeded: vertical closure"
-                               " (cap 3)\n")
+    psi, syn = tmp_path / "psi.fa", tmp_path / "syn.fa"
+    refused = (3, "", "error: size limit exceeded: vertical closure (cap 3)\n")
+    for extra in ((), ("--json",)):
+        assert run(capsys, "compile", "EF(a & EX b)", "--alphabet", "a,b",
+                   "-o", str(psi), *extra) == refused, extra
+        assert not psi.exists(), extra
+    code, out, _ = run(capsys, "compile", "EF(a & EX b)", "--alphabet", "a,b")
+    assert code == 0
+    psi.write_text(out)
+    assert run(capsys, "syntactic", str(psi), "-o", str(syn)) == refused
+    assert not syn.exists()
 
 
 def test_reach_dot(capsys):
@@ -283,15 +291,23 @@ def test_reach_validates_like_every_command(tmp_path, capsys):
                        "at cinf/cinf/0: (vw).h != v.(w.h)\n" % bad)
 
 
-def test_bad_letter_names_are_input_errors(tmp_path, capsys):
-    path = tmp_path / "bad.fa"
-    for case, text in sorted(BAD_LETTER_FILES.items()):
+def _refused_as_input(capsys, path, files):
+    for case, text in sorted(files.items()):
         path.write_text(text)
         for argv in (("decide", "--logic", "ef", str(path)),
                      ("decompose", "--logic", "ef", str(path))):
             code, out, err = run(capsys, *argv)
             assert (code, out) == (2, ""), case
             assert err.startswith("error: ") and err.count("\n") == 1, case
+
+
+def test_bad_letter_names_are_input_errors(tmp_path, capsys):
+    _refused_as_input(capsys, tmp_path / "bad.fa", BAD_LETTER_FILES)
+
+
+def test_bad_sections_are_input_errors(tmp_path, capsys):
+    _refused_as_input(capsys, tmp_path / "bad.fa",
+                      {case: text for case, (_, text) in BAD_SECTION_FILES.items()})
 
 
 def test_decide_timings_add_only_seconds(capsys):

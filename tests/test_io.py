@@ -5,7 +5,7 @@ from forestalg.algebra import u1, u2
 from forestalg.errors import ParseError, StructuralError
 from forestalg.hom import Homomorphism, Recognizer
 
-from helpers import BAD_LETTER_FILES, four_element_algebra
+from helpers import BAD_LETTER_FILES, BAD_SECTION_FILES, four_element_algebra
 
 
 def test_round_trip_bit_exact():
@@ -90,6 +90,13 @@ def test_recognizer_without_letters_round_trips():
 def test_bad_letters_and_rows_rejected(case):
     with pytest.raises((ParseError, StructuralError)):
         io.parse_algebra(BAD_LETTER_FILES[case])
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SECTION_FILES))
+def test_bad_sections_rejected(case):
+    error, text = BAD_SECTION_FILES[case]
+    with pytest.raises(error):
+        io.parse_algebra(text)
 
 
 def test_unwritable_letter_refused():

@@ -7,6 +7,7 @@ import ast
 import glob
 import importlib
 import importlib.util
+import inspect
 import os
 import random
 import re
@@ -54,6 +55,42 @@ def test_workload_library_calls_resolve_on_the_package():
     lib = _lib()
     for modname, attr in used:
         assert hasattr(getattr(lib, modname), attr), "%s.%s" % (modname, attr)
+
+
+def _workload_calls():
+    """(module, name, positional count, keyword names, line) of every
+    direct call ``lib.<module>.<name>(...)`` in the workloads."""
+    with open(WORKLOADS, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), WORKLOADS)
+    calls = []
+    for node in ast.walk(tree):
+        func = getattr(node, "func", None)
+        if (isinstance(node, ast.Call) and isinstance(func, ast.Attribute)
+                and isinstance(func.value, ast.Attribute)
+                and isinstance(func.value.value, ast.Name)
+                and func.value.value.id == "lib"):
+            assert not any(isinstance(a, ast.Starred) for a in node.args)
+            assert all(kw.arg is not None for kw in node.keywords)
+            calls.append((func.value.attr, func.attr, len(node.args),
+                          tuple(kw.arg for kw in node.keywords), node.lineno))
+    return calls
+
+
+def test_workload_library_calls_bind_on_the_package():
+    """Each call's arguments bind to the signature it calls, so a dropped
+    or renamed parameter fails here and not only in a bench run."""
+    calls = _workload_calls()
+    assert ("defk", "definiteness_oracle", 2, ("depth_bound", "fill_depth",
+                                               "fill_width")) in [
+        call[:4] for call in calls]
+    lib = _lib()
+    for modname, attr, npos, keywords, line in calls:
+        signature = inspect.signature(getattr(getattr(lib, modname), attr))
+        try:
+            signature.bind(*[None] * npos, **dict.fromkeys(keywords))
+        except TypeError as exc:
+            raise AssertionError("workloads.py:%d: lib.%s.%s: %s"
+                                 % (line, modname, attr, exc)) from None
 
 
 def test_workload_vertical_closures_run():
@@ -197,7 +234,7 @@ def test_only_table_algebras_call_the_constructor():
     algebra built from action rows comes from generated_algebra, which
     close_vertical returns as it is."""
     assert _algebra_constructions() == {
-        ("io", "_parse_tables", "ForestAlgebra"),
+        ("io", "parse_algebra", "ForestAlgebra"),
         ("algebra", "u1", "ForestAlgebra"),
         ("algebra", "u2", "ForestAlgebra"),
         ("algebra", "generated_algebra", "ForestAlgebra.__new__")}
