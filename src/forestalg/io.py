@@ -1,11 +1,12 @@
-"""Line-oriented text format for algebras and recognizers.
+"""The text format of algebras and recognizers.
 
 A file is a sequence of sections.  A token ending in ``:`` opens one, and
 the tokens up to the next such token are its contents, whatever the line
 breaks; so no element or letter name can end in ``:``, and nothing may
 come before the first section.  ``#`` starts a comment anywhere.
 
-Both forms open with H and its sum table.  An algebra is written with all of its tables::
+Both forms open with H and its sum table.  An algebra is written with all
+of its tables::
 
     H: <names>
     plus:
