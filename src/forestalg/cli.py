@@ -6,6 +6,7 @@ error, 3 size limit.  ``--json`` emits machine-readable reports with a
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -307,7 +308,11 @@ def _cmd_oracle_check(args):
     return EXIT_TRUE if not mismatches else EXIT_FALSE
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, and building it costs more than most commands on a small
+    file."""
     p = argparse.ArgumentParser(
         prog="forestalg",
         description="Forest-algebra toolkit: evaluation, temporal-logic "

@@ -5,8 +5,10 @@ the definiteness degree, and the combined test runs, per reachability
 class, a descending fixpoint over pairs of distinct class members: a level
 starts from letter images of the previous level and saturates under adding
 a common summand or summing two pairs, always filtered back into the base
-set.  The class is clean when some level empties; confusion is certified by
-unwinding the recorded derivations into an explicit forest pair.
+set.  Saturation is skipped when the letter images already form, with the
+diagonal, an equivalence that adding a common summand respects.  The class
+is clean when some level empties; confusion is certified by unwinding the
+recorded derivations into an explicit forest pair.
 """
 
 from dataclasses import dataclass, field
@@ -82,6 +84,46 @@ class NonconfusionReport:
         return sorted(ci for ci, t in self.traces.items() if t.confused)
 
 
+def _closed_images(pairs, members, loc, lo):
+    """A certificate that a level's letter images need no saturation.
+
+    pairs is S, the distinct pairs of one class C that the letter step
+    queued; C is closed under + (the caller checks that once per class);
+    loc numbers C's members 0..m-1 and sends every other value to m, and
+    lo[h][c] = loc[h + c].  With D the diagonal of C, True means:
+    (ii) S u D is an equivalence on C.  With row[i] = {i} u {j : (i, j) in
+    S}, it is one iff row[i] == row[j] for every (i, j) in S, that is iff
+    the distinct rows are disjoint: as each holds its own i, they cover
+    the m members, so iff their sizes sum to m.
+    (iii) For each block K of it and each c in H, the members of K + c
+    that lie in C fall in one block.
+    Then no sum is fresh.  A constant sum (h + c, g + c) in base lies in S
+    by (iii).  Take x = (h, g) and y = (h2, g2) in S with x + y in base.
+    g + h2 is in C, since C is closed under +, so by (iii) x + (h2, h2) =
+    (h + h2, g + h2) and y + (g, g) = (g + h2, g + g2) lie in S u D, and by
+    (ii) so does (h + h2, g + g2), which is distinct, so in S.  False
+    proves nothing: the caller then saturates.
+    """
+    m = len(members)
+    row = [1 << i for i in range(m)]
+    for h, g in pairs:
+        row[loc[h]] |= 1 << loc[g]
+    blocks = {}
+    for h, r in zip(members, row):
+        blocks.setdefault(r, []).append(h)
+    if sum(r.bit_count() for r in blocks) != m:
+        return False
+    block = row + [0]            # block[loc[x]] is x's block, 0 outside C
+    for ks in blocks.values():
+        if len(ks) > 1:
+            for col in zip(*[lo[k] for k in ks]):     # col[i] = loc[ks[i] + c]
+                ids = set(map(block.__getitem__, col))
+                ids.discard(0)
+                if len(ids) > 1:
+                    return False
+    return True
+
+
 def nonconfusion(alpha, rs=None):
     """Run the per-class pair fixpoint; exact decision of nonconfusion.
 
@@ -89,7 +131,9 @@ def nonconfusion(alpha, rs=None):
     outer iterations (asserted).  Every surviving pair carries the
     derivation that produced it, for witness extraction.  H must be
     commutative and idempotent, as check_axioms() enforces: each pair is
-    summed only with the pairs queued behind it when its turn comes.
+    summed only with the pairs queued behind it when its turn comes, and
+    a level whose letter images pass _closed_images is not saturated at
+    all; the records are the same either way.
     The fixpoint runs on all of H, so the verdict is alpha's only when
     alpha is onto its target: otherwise run it on image_restrict(alpha),
     which returns alpha itself, at no cost, when alpha is marked onto.
@@ -125,6 +169,7 @@ def nonconfusion(alpha, rs=None):
             base_fresh[loc[h] * width + loc[g]] = 1
         hi = {h: [loc[x] * width for x in op[h]] for h in members}
         lo = {h: [loc[x] for x in op[h]] for h in members}
+        plus_closed = all(lo[h][g] < m for h in members for g in members)
         j = 0
         while True:
             j += 1
@@ -143,6 +188,11 @@ def nonconfusion(alpha, rs=None):
                         fresh[code] = 0
                         cur[q] = ("letter", a, parent)
                         queue.append(q)
+            # Letter images that _closed_images certifies closed would
+            # queue nothing: start the saturation past them.
+            at = 0
+            if plus_closed and _closed_images(queue, members, loc, lo):
+                at = len(queue)
             # Each pair sums only with queue[at + 1:start], the pairs waiting
             # behind it when its turn came; its other sums queue nothing.  By
             # h + h = h its sum with a pair it queued is that pair.  By
@@ -150,7 +200,6 @@ def nonconfusion(alpha, rs=None):
             # was queued (i < m < l), i + m was queued, diagonal or outside
             # the class, which sums never reenter, so i + `at` is outside base
             # or a sum that an ended turn already formed.
-            at = 0
             while at < len(queue):
                 p = queue[at]
                 h, g = p

@@ -65,6 +65,31 @@ def u2_example_recognizer():
     return Recognizer(hom, frozenset({alg.H.names.index("inf")}))
 
 
+def xor_u2_hom(n):
+    """The syntactic hom of EX^n a xor the language of u2_example_recognizer,
+    on {a, b, c}, the decide-deep bench's boolean-closure shape.  At n = 3
+    and 4 all of H is one reachability class, of 16 and 32 members."""
+    from forestalg.hom import syntactic
+
+    letters = ("a", "b", "c")
+    power = syntactic(logic.to_recognizer(
+        logic.parse_formula("EX " * n + "a"), letters))[0]
+    u2_rec = u2_example_recognizer()
+    A, B = power.hom.target, u2_rec.hom.target
+    nb = B.H.size
+    pairs = [(i, j) for i in range(A.H.size) for j in range(nb)]
+    plus = [[A.plus(i, k) * nb + B.plus(j, l) for (k, l) in pairs]
+            for (i, j) in pairs]
+    H = horizontal_monoid(plus, A.zero * nb + B.zero)
+    gens = {a: tuple(power.hom.row(a)[i] * nb + u2_rec.hom.row(a)[j]
+                     for (i, j) in pairs) for a in letters}
+    alg, genmap = close_vertical(H, gens, warn_on_merge=False)
+    hom = Homomorphism(letters, alg, {a: genmap[a] for a in letters})
+    accept = frozenset(i * nb + j for (i, j) in pairs
+                       if (i in power.accept) != (j in u2_rec.accept))
+    return syntactic(Recognizer(hom, accept))[0].hom
+
+
 # u1 with an accepting set, as printed by io.print_algebra(u1())
 U1_ACCEPTING = ("H: 0 inf\nplus:\n0 inf\ninf inf\nV: 1 cinf\ncompose:\n1 cinf\n"
                 "cinf cinf\nact:\n0 inf\ninf inf\naccept: inf\n")

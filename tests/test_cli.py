@@ -3,6 +3,8 @@ import json
 import os
 import random
 
+import pytest
+
 from forestalg import cli, hom
 from forestalg.cli import main
 
@@ -238,6 +240,20 @@ def test_input_error_exit_code(capsys, tmp_path):
     garbage.write_text("H: onlyone\n")
     code, _, err = run(capsys, "check", str(garbage))
     assert code == 2
+
+
+def test_main_builds_one_parser(capsys):
+    cli.build_parser.cache_clear()
+    for _ in range(2):
+        code, out, _ = run(capsys, "models", "a(b)", "EX a")
+        assert code == 0 and out == "satisfied: true\n"
+    assert cli.build_parser.cache_info().misses == 1
+    code, out, err = run(capsys, "simk", "--k", "-1", "a", "a")
+    assert code == 2 and out == "" and err.startswith("error: ")
+    with pytest.raises(SystemExit) as exc:
+        main(["decide", fx("u1.fa"), "--logic", "fo"])
+    assert exc.value.code == 2
+    assert cli.build_parser.cache_info().misses == 1
 
 
 NO_INSERTIONS = "H: 0 inf\nplus:\n0 inf\ninf inf\nV: 1\ncompose:\n1\nact:\n0 inf\n"

@@ -1,5 +1,6 @@
 import random
 import sys
+from collections import Counter
 
 import pytest
 
@@ -16,7 +17,7 @@ from helpers import (differential_homs, direct_product,
                      example_language_recognizer, four_element_algebra,
                      random_big_recognizer, random_hom, random_recognizer,
                      reference_ef_violation, reference_nonconfusion,
-                     u2_example_recognizer)
+                     u2_example_recognizer, xor_u2_hom)
 
 CYCLE3 = "EF(a0 & EX a1) | EF(a1 & EX a2) | EF(a2 & EX a0)"
 
@@ -72,18 +73,38 @@ def test_nonconfusion_trivial():
     assert report.nonconfusing
 
 
+def _closed_by_certificate(alg, members, images):
+    """The three conditions under which nonconfusion skips saturating a
+    level's letter images S, recomputed on sets: (i) the class C is closed
+    under +, (ii) S with the diagonal of C is an equivalence, (iii) each
+    block's members that a common summand keeps in C stay in one block."""
+    plus, C = alg.plus, set(members)
+    if any(plus(h, g) not in C for h in C for g in C):
+        return False
+    block = {h: frozenset([h] + [g for x, g in images if x == h]) for h in C}
+    if any(block[h] != block[g] for h, g in images):
+        return False
+    return all(len({block[plus(h, c)] for h in K if plus(h, c) in C}) <= 1
+               for K in set(block.values()) for c in range(alg.H.size))
+
+
 def test_nonconfusion_matches_plus_fixpoint():
     # stepping pairs on the sum table's rows visits them in the same order
     # as stepping through alg.plus, so every record comes out identical.
     # Beyond differential_homs: syntactic homs of random |H| = 64
     # recognizers on four letters (the bench's decide-deep shape) and on
-    # one or two, and one unreduced hom with a 64-member class, whose long
-    # queues leave many pairs unsummed with the pairs ahead of them
+    # one or two, one unreduced hom with a 64-member class, whose long
+    # queues leave many pairs unsummed with the pairs ahead of them, and
+    # EX^n a xor u2_abc, whose letter images are often closed already.
+    # Both paths run: levels where the skip certificate holds (and the
+    # level is its letter images) and levels where it fails.
     rng = random.Random(1414)
     recs = [random_big_recognizer(rng, nletters=k) for k in (4,) * 6 + (2, 1)]
     homs = differential_homs() + [syntactic(rec)[0].hom for rec in recs]
     homs.append(random_big_recognizer(random.Random(6)).hom)
+    homs += [xor_u2_hom(n) for n in (3, 4)]
     confused = 0
+    certified = Counter()
     for hom in homs:
         got, want = nonconfusion(hom), reference_nonconfusion(hom)
         assert (got.nonconfusing, got.parameter) == (want.nonconfusing,
@@ -95,8 +116,14 @@ def test_nonconfusion_matches_plus_fixpoint():
                 ref.levels, ref.verdict, ref.k)
             assert ([list(d.items()) for d in trace.derivations]
                     == [list(d.items()) for d in ref.derivations])
+            for level, records in zip(trace.levels[1:], trace.derivations[1:]):
+                images = [p for p, d in records.items() if d[0] == "letter"]
+                held = _closed_by_certificate(hom.target, trace.members, images)
+                assert not held or level == frozenset(images)
+                certified[held] += 1
         confused += not got.nonconfusing
     assert confused
+    assert certified[True] and certified[False]
 
 
 def test_nonconfusion_levels_are_least_closed_sets():
