@@ -65,7 +65,8 @@ class ClassTrace:
     class_index: int
     members: tuple
     levels: list                 # levels[j] = frozenset of pairs at level j
-    derivations: list            # derivations[j][pair] = derivation record
+    derivations: list            # derivations[j][pair] = derivation record;
+                                 # level 0 has none, its pairs are base values
     verdict: str                 # "empty" or "confused"
     k: int                       # first empty level, or the stable level
 
@@ -149,7 +150,7 @@ def nonconfusion(alpha, rs=None):
     for ci, members in enumerate(rs.classes):
         base = frozenset((h, g) for h in members for g in members if h != g)
         levels = [base]
-        derivations = [{p: ("base",) for p in sorted(base)}]
+        derivations = [{}]
         if not base:
             traces[ci] = ClassTrace(ci, members, levels, derivations, "empty", 0)
             continue

@@ -197,7 +197,8 @@ def quotient(hom, reps, rep):
     non-onto H clears the mark."""
     alg = hom.target
     op = alg.H.op
-    return generated(hom.alphabet, reps, lambda a, h: rep[hom.row(a)[h]],
+    rows = {a: hom.row(a) for a in hom.alphabet}
+    return generated(hom.alphabet, reps, lambda a, h: rep[rows[a][h]],
                      lambda h, g: rep[op[h][g]], rep[alg.zero],
                      [alg.hname(h) for h in reps])
 
@@ -290,30 +291,85 @@ def syntactic(rec):
 def realize(hom):
     """Minimal witness forest for every value in the image.
 
-    Smallest node count first, ties broken by printed form, so the result is
-    deterministic and certificates are readable.
+    A Dijkstra-style search over candidate forests in normal form
+    (terms.ic_normalize), ordered by (node count, printed form, value), so
+    the result is deterministic and certificates are readable.  A value is
+    fixed by the first of its candidates to leave the heap.  Fixing h with
+    forest f yields, for each letter a, the candidate a(f) of value
+    row(a)[h], and for each fixed g, h included, the normal form of f plus
+    g's forest, of value h + g.  Returns the dict from each value to its
+    forest, in the order the values were fixed.
+
+    Each fixed value keeps its forest as a list of (tree_key, text, size,
+    tree) entries, one per top-level tree, sorted by key.  A normal forest
+    is its trees sorted by tree_key without repeats, so the normal form of
+    a sum is the merge of the two lists with repeats dropped, and its size
+    and text are joined from the entries; a letter candidate is one entry
+    built from f's.  No candidate is normalized, counted or printed.
+
+    best[v] is the least (size, text) pushed for a value v, and only a
+    candidate below it is pushed.  A value is fixed by the least candidate
+    pushed before its first pop, which every skipped candidate exceeds, so
+    the forests and their order are those of pushing every candidate.  A
+    sum holds all of f's trees, so it is never below f's (size, text), and
+    the merge is skipped when best[h + g] is already at most that.
     """
     alg = hom.target
-    letters = sorted(set(hom.alphabet), key=terms.label_key)
-    done = {}
-    heap = [(0, "0", alg.zero, ())]
+    op = alg.H.op
+    letters = [(terms.label_key(a), terms.print_label(a), a, hom.row(a))
+               for a in sorted(set(hom.alphabet), key=terms.label_key)]
+    done, parts = {}, {}
+    best = {alg.zero: (0, "0")}
+    heap = [(0, "0", alg.zero, [])]
     while heap:
-        size, text, h, forest = heapq.heappop(heap)
+        size, text, h, entries = heapq.heappop(heap)
         if h in done:
             continue
-        done[h] = forest
-        for a in letters:
-            val = hom.row(a)[h]
-            if val not in done:
-                f = (terms.tree(a, forest),)
-                heapq.heappush(heap, (size + 1, terms.print_forest(f), val, f))
-        for g, gf in done.items():
-            val = alg.plus(h, g)
-            if val not in done:
-                f = terms.ic_normalize(forest + gf)
-                heapq.heappush(heap, (terms.node_count(f), terms.print_forest(f),
-                                      val, f))
+        done[h] = tuple(e[3] for e in entries)
+        parts[h] = entries
+        keys = tuple(e[0] for e in entries)
+        for key, name, a, row in letters:
+            val = row[h]
+            if val in done:
+                continue
+            cand = (size + 1, name + "(" + text + ")" if entries else name)
+            if val not in best or cand < best[val]:
+                best[val] = cand
+                heapq.heappush(heap, (*cand, val,
+                                      [((key, keys), cand[1], cand[0], (a, done[h]))]))
+        least = (size, text)
+        sums = op[h]
+        for g, other in parts.items():
+            val = sums[g]
+            if val in done or (val in best and best[val] <= least):
+                continue
+            merged = _merge(entries, other)
+            cand = (sum(e[2] for e in merged),
+                    "+".join(e[1] for e in merged) if merged else "0")
+            if val not in best or cand < best[val]:
+                best[val] = cand
+                heapq.heappush(heap, (*cand, val, merged))
     return done
+
+
+def _merge(xs, ys):
+    """Merge two entry lists, each sorted by distinct keys, into one sorted
+    list that holds each key once."""
+    out = []
+    i = j = 0
+    while i < len(xs) and j < len(ys):
+        x, y = xs[i], ys[j]
+        if x[0] < y[0]:
+            out.append(x)
+            i += 1
+        elif y[0] < x[0]:
+            out.append(y)
+            j += 1
+        else:
+            out.append(x)
+            i += 1
+            j += 1
+    return out + xs[i:] + ys[j:]
 
 
 def constant_letter_realizers(hom):

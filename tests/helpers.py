@@ -1,6 +1,7 @@
 """Shared fixtures, random-instance generators and slow reference
 algorithms for the test suite."""
 
+import heapq
 import itertools
 import random
 from dataclasses import dataclass
@@ -799,7 +800,7 @@ def reference_nonconfusion(alpha, rs=None):
     for ci, members in enumerate(rs.classes):
         base = frozenset((h, g) for h in members for g in members if h != g)
         levels = [base]
-        derivations = [{p: ("base",) for p in sorted(base)}]
+        derivations = [{}]
         if not base:
             traces[ci] = ClassTrace(ci, members, levels, derivations, "empty", 0)
             continue
@@ -841,6 +842,33 @@ def reference_nonconfusion(alpha, rs=None):
     ok = all(t.verdict == "empty" for t in traces.values())
     parameter = max((t.k for t in traces.values()), default=0)
     return NonconfusionReport(ok, parameter, traces)
+
+
+def reference_realize(hom):
+    """hom.realize without its cached tree lists: every candidate is
+    normalized, counted and printed anew, and every one is
+    pushed."""
+    alg = hom.target
+    letters = sorted(set(hom.alphabet), key=terms.label_key)
+    done = {}
+    heap = [(0, "0", alg.zero, ())]
+    while heap:
+        size, text, h, forest = heapq.heappop(heap)
+        if h in done:
+            continue
+        done[h] = forest
+        for a in letters:
+            val = hom.row(a)[h]
+            if val not in done:
+                f = (terms.tree(a, forest),)
+                heapq.heappush(heap, (size + 1, terms.print_forest(f), val, f))
+        for g, gf in done.items():
+            val = alg.plus(h, g)
+            if val not in done:
+                f = terms.ic_normalize(forest + gf)
+                heapq.heappush(heap, (terms.node_count(f), terms.print_forest(f),
+                                      val, f))
+    return done
 
 
 def differential_homs():

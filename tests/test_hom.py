@@ -22,8 +22,9 @@ from forestalg.reach import quotient_hom, reachability
 from helpers import (brute_isomorphism, census_formulas, differential_homs,
                      four_element_algebra, permuted_copy, printed_recognizer,
                      random_big_recognizer, random_hom, random_recognizer,
-                     random_semilattice, reference_syntactic,
-                     reference_vertical_closure, u2_example_recognizer)
+                     random_semilattice, reference_realize,
+                     reference_syntactic, reference_vertical_closure,
+                     u2_example_recognizer, xor_u2_hom)
 
 
 def F(text):
@@ -268,6 +269,35 @@ def test_realize():
     wit2 = realize(hom2)
     assert terms.print_forest(wit2[hom2.target.H.names.index("inf")]) == "c"
     assert wit2[0] == ()
+
+
+def test_realize_matches_reference():
+    """The merged tree lists and improving-only pushes fix the same forest
+    for every value, in the same order, as normalizing, printing and
+    pushing every candidate: on seeded random homs, the syntactic homs of
+    the EF+EX census up to 5 nodes, and EX^n a xor u2_abc for n = 3, 4."""
+    rng = random.Random(2525)
+    homs = [random_hom(rng) for _ in range(200)]
+    homs += [syntactic(logic.to_recognizer(phi, ("a", "b")))[0].hom
+             for phi in census_formulas(5, (logic.EF, logic.EX))]
+    homs += [xor_u2_hom(n) for n in (3, 4)]
+    for hom in homs:
+        got, want = realize(hom), reference_realize(hom)
+        assert got == want
+        assert list(got) == list(want)
+    # A sum whose two forests share a tree wins on none of these homs, so
+    # the merge's dropping of repeats is checked on its own: merging the
+    # entry lists of two forests found for EX^4 a xor u2_abc, the last
+    # hom, gives their normal form's trees.
+    def entries(forest):
+        return [(terms.tree_key(t), terms.print_forest((t,)),
+                 terms.node_count((t,)), t) for t in forest]
+
+    forests = list(got.values())
+    for f in forests:
+        for g in forests:
+            assert tuple(e[3] for e in hom_module._merge(entries(f), entries(g))) \
+                == terms.ic_normalize(f + g)
 
 
 def test_constant_letter_realizers():

@@ -382,3 +382,28 @@ def test_loaded_recognizer_computes_one_image_per_decision(monkeypatch):
             del calls[:]
             decide.decide(rec, fragment)
             assert calls == [hom], (name, fragment)
+
+
+def test_realize_rebuilds_no_candidate(monkeypatch):
+    """realize joins each candidate's size and text from cached tree
+    lists: it neither normalizes nor prints a forest per candidate.  On
+    EX^4 a xor u2_abc (32 values) helpers.reference_realize makes over
+    a thousand calls of each, recursive ones included; a cap of one call
+    per fixed value leaves no room for that."""
+    from helpers import xor_u2_hom
+
+    terms = importlib.import_module("forestalg.terms")
+    hom_module = importlib.import_module("forestalg.hom")
+    hom = xor_u2_hom(4)
+    calls = {"ic_normalize": 0, "print_forest": 0}
+    for name in calls:
+        real = getattr(terms, name)
+
+        def counted(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(terms, name, counted)
+    done = hom_module.realize(hom)
+    assert len(done) == hom.target.H.size == 32
+    assert all(n <= len(done) for n in calls.values()), calls
