@@ -8,14 +8,12 @@ pairs.
 
 A homomorphism is k-definite when the image of p.s does not depend on s for
 any context p with its hole at depth at least k.  Such a context acts by a
-product of k guarded generators h -> c + letter.h, so this is the test for
-definite automata of Perles, Rabin and Shamir: every such product is
-constant exactly when no pair of distinct values survives k steps.  The
-decider reads only the sum table and the letter rows, on pairs of values.
+product of guarded maps h -> c + letter.(h + u), so this is the test for
+definite automata of Perles, Rabin and Shamir.  The decider reads only the
+sum table and the letter rows, and refines a chain of congruences on H.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from . import terms
 from .algebra import DEFAULT_MAX_VERTICAL, _after
@@ -152,33 +150,33 @@ def guarded_semigroup(hom):
 def definiteness_degree(alpha):
     """Least k such that alpha is k-definite, or None.
 
-    Level 0 holds the ordered pairs of distinct values of the image, and
-    level k the distinct pairs (c + a.h, c + a.g) for (h, g) in level k-1:
-    the pairs that some product of k guarded generators keeps apart.  The
-    degree is the first empty level, 0 on a one-element image.  The levels
-    descend, so a level that keeps its size repeats for ever: None.  Every
-    level is symmetric, so each letter pair (x, y) is summed only when
-    x < y, and the transposes are added after.  Level 0 is never listed:
-    its letter pairs are the pairs x < y within each letter row's values.
+    On the image H, E_m relates the values on which every product of m
+    guarded maps h -> c + a.(h + u) agrees.  A context with its hole at
+    depth d >= k acts by a product of d such maps, so alpha is k-definite
+    exactly when E_k is one class.  E_0 is equality, and h E_{m+1} g when
+    a.(h + u) E_m a.(g + u) for every letter a and u in H.  Each E_m is a
+    congruence for +, as (h + w) + u = h + (w + u), so no c needs a test.
+    E_{m+1} is monotone in E_m, so E_m lies in E_{m+1}, and so (u = 0) in
+    the relation of E_m-related letter images.  A round with c classes
+    numbers every value by its letter images (|A|.|H| steps), then reads
+    the numbers at the sums of c members, one per class (c^2 steps).  A
+    round that keeps the class count keeps the partition for ever: None.
     """
     hom = image_restrict(alpha)
     op = hom.target.H.op
-    n = len(op)
-    rows = {hom.row(a) for a in hom.alphabet}
-    pairs = {p for row in rows for p in combinations(sorted(set(row)), 2)}
-    size, k = n * (n - 1), 0
-    while size:
+    letters = [_after(hom.row(a)) for a in set(hom.alphabet)]
+    ids = reps = range(len(op))     # E_m's classes, named by least members
+    k = 0
+    while len(reps) > 1:
         k += 1
-        level = set()
-        for x, y in pairs:
-            if x < y:
-                level.update(zip(op[x], op[y]))
-        level.update([(y, x) for x, y in level])
-        level.difference_update(zip(range(n), range(n)))
-        if len(level) == size:
+        seen = {}
+        images = [seen.setdefault(sig, len(seen))
+                  for sig in zip(*[by(ids) for by in letters])]
+        at_reps, seen = _after(reps), {}
+        rep = {r: seen.setdefault(_after(at_reps(op[r]))(images), r) for r in reps}
+        if len(seen) == len(reps):
             return None
-        size = len(level)
-        pairs = {(row[h], row[g]) for row in rows for h, g in level}
+        ids, reps = [rep[i] for i in ids], list(seen.values())
     return k
 
 

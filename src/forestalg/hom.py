@@ -6,18 +6,18 @@ provides evaluation of forests and contexts, the exact reachable-pair
 closure used for factoring tests, image restriction, syntactic quotients
 of recognizers, and witness-term realization.
 
-generated() builds every algebra the package computes, from a state list
-closed under the letter steps and the sum; it alone tabulates states into
-sum tables and letter rows (io loads recognizer files through the same
-algebra.generated_algebra).  V is closed only when first read.  quotient()
-builds every quotient, syntactic or by an ideal, from its classes'
-representatives.  Image restriction and the syntactic quotient (partition
-refinement on H under letters and tree-value insertions) never build a
-vertical monoid.
+tabulated() builds every algebra the package computes, from a sum table and
+letter rows (io loads recognizer files through the same
+algebra.generated_algebra).  V is closed only when first read.
+generated() tabulates a state list closed under the letter steps and the
+sum.  quotient() reads every quotient, syntactic, by an ideal or onto an
+image, off the rows of the hom's tables at its classes' representatives.
+Image restriction and the syntactic quotient (partition refinement on H
+under letters and tree-value insertions) never build a vertical monoid.
 
 A homomorphism's ``onto`` mark records that every element of its target
-is the value of some forest.  generated() sets it, as its states are an
-image; a quotient keeps it when its representatives are values, so every
+is the value of some forest.  tabulated() sets it, as its tables are an
+image's; a quotient keeps it when its representatives are values, so every
 syntactic quotient has it, and a quotient of all of a non-onto H does not.
 Homomorphisms built by hand or loaded from files never have it.  On a
 marked homomorphism image restriction and the syntactic quotient take all
@@ -171,35 +171,42 @@ def generated(alphabet, states, act, plus, zero, names=None):
     ``states`` is an image, as joint.image and joint.closure leave it: it
     holds ``zero``, is closed under ``act(a, x)`` for every letter a and
     under ``plus(x, y)``, and each state is reached from ``zero`` by those
-    steps.  So the result is onto its target, and is marked so.  Element
-    i is ``states[i]``, named ``names[i]`` as horizontal_monoid
-    canonicalizes them.  V is closed from the letters and insertions on
-    its first read.
+    steps.  Element i is ``states[i]``, named ``names[i]``; tabulated()
+    builds the result.
     """
     pos = {x: i for i, x in enumerate(states)}
-    table = [[pos[plus(x, y)] for y in states] for x in states]
-    H = horizontal_monoid(table, pos[zero], names)
-    gens = {terms.print_label(a): tuple(pos[act(a, x)] for x in states)
-            for a in alphabet}
-    alg, genmap = generated_algebra(H, gens)
-    assign = {a: genmap[terms.print_label(a)] for a in alphabet}
-    hom = Homomorphism(alphabet, alg, assign)
+    return tabulated(alphabet, [[pos[plus(x, y)] for y in states] for x in states],
+                     pos[zero], [[pos[act(a, x)] for x in states] for a in alphabet],
+                     names)
+
+
+def tabulated(alphabet, table, zero, rows, names=None):
+    """The homomorphism onto the algebra with sum table ``table`` and
+    identity ``zero`` in which ``alphabet[i]`` acts by ``rows[i]``, marked
+    onto: the tables are an image's.  Elements are named ``names`` as
+    horizontal_monoid canonicalizes them; V is closed on its first read."""
+    H = horizontal_monoid(table, zero, names)
+    labels = [terms.print_label(a) for a in alphabet]
+    alg, genmap = generated_algebra(H, dict(zip(labels, rows)))
+    hom = Homomorphism(alphabet, alg, {a: genmap[n] for a, n in zip(alphabet, labels)})
     hom.onto = True
     return hom
 
 
-def quotient(hom, reps, rep):
+def quotient(hom, reps, cls):
     """The homomorphism onto the quotient of hom's image whose element i is
-    the class of ``reps[i]``; ``rep`` sends each element of the image to
-    its class's representative, and classes keep their representatives'
-    names.  The result is marked onto, which is true when every
+    the class of ``reps[i]``; ``cls`` sends each element of the image to
+    its class's index, and classes keep their representatives' names.
+    Each row of the tables is one lookup of a row of hom's tables at the
+    representatives.  The result is marked onto, which is true when every
     representative is a value of hom; a caller that quotients all of a
     non-onto H clears the mark."""
     alg = hom.target
-    op = alg.H.op
-    rows = {a: hom.row(a) for a in hom.alphabet}
-    return generated(hom.alphabet, reps, lambda a, h: rep[rows[a][h]],
-                     lambda h, g: rep[op[h][g]], rep[alg.zero],
+    pick = _after(reps)     # a row's entries at the representatives
+    return tabulated(hom.alphabet,
+                     [tuple(map(cls.__getitem__, pick(alg.H.row(r)))) for r in reps],
+                     cls[alg.zero],
+                     [tuple(map(cls.__getitem__, pick(hom.row(a)))) for a in hom.alphabet],
                      [alg.hname(h) for h in reps])
 
 
@@ -220,9 +227,7 @@ def _restrict(hom):
     carrier = _carrier(hom)
     if hom.onto:
         return hom, carrier
-    alg = hom.target
-    return generated(hom.alphabet, carrier, hom.letter_action, alg.plus,
-                     alg.zero, [alg.hname(h) for h in carrier]), carrier
+    return quotient(hom, carrier, {h: i for i, h in enumerate(carrier)}), carrier
 
 
 def image_restrict(hom):
@@ -276,13 +281,10 @@ def syntactic(rec):
             block_of[h] = b
         sigs = {}  # blocks numbered by first, hence least, member
         block = [sigs.setdefault(sig(block_of), len(sigs)) for sig in signature]
-    reps = [carrier[block.index(c)] for c in range(count)]
-    rep = [None] * alg.H.size   # the representative of each reachable element
-    for h, b in zip(carrier, block):
-        rep[h] = reps[b]
-    qhom = quotient(hom, reps, rep)
+    proj = dict(zip(carrier, block))
+    qhom = quotient(hom, [carrier[block.index(c)] for c in range(count)], proj)
     accept = {c for c, h in zip(block, carrier) if h in rec.accept}
-    return Recognizer(qhom, accept), dict(zip(carrier, block))
+    return Recognizer(qhom, accept), proj
 
 
 # ---------------------------------------------------------------------------

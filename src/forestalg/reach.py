@@ -118,7 +118,7 @@ def quotient_hom(alpha, ci, mode="strict", rs=None):
     else:
         raise ValueError("mode must be strict or weak")
     reps, hmap = quotient_by_ideal(alpha.target, ideal)
-    hom = quotient(alpha, reps, [reps[q] for q in hmap])
+    hom = quotient(alpha, reps, hmap)
     hom.onto = alpha.onto
     return hom, (reps, hmap)
 

@@ -774,6 +774,55 @@ def reference_definiteness_degree(alpha):
     return None
 
 
+def reference_quotient(hom, reps, rep):
+    """hom.quotient by one Python call per table entry: generated()
+    tabulates the representatives through ``rep``, which sends each element
+    of the image to its class's representative."""
+    from forestalg.hom import generated
+
+    alg = hom.target
+    op = alg.H.op
+    rows = {a: hom.row(a) for a in hom.alphabet}
+    return generated(hom.alphabet, reps, lambda a, h: rep[rows[a][h]],
+                     lambda h, g: rep[op[h][g]], rep[alg.zero],
+                     [alg.hname(h) for h in reps])
+
+
+def reference_definiteness_levels(alpha):
+    """defk.definiteness_degree by forward pair levels.
+
+    Level 0 holds the ordered pairs of distinct values of the image, and
+    level k the distinct pairs (c + a.h, c + a.g) for (h, g) in level k-1:
+    the pairs that some product of k guarded generators keeps apart.  The
+    degree is the first empty level, 0 on a one-element image.  The levels
+    descend, so a level that keeps its size repeats for ever: None.  Every
+    level is symmetric, so each letter pair (x, y) is summed only when
+    x < y, and the transposes are added after.  Level 0 is never listed:
+    its letter pairs are the pairs x < y within each letter row's values.
+    """
+    from forestalg.hom import image_restrict
+
+    hom = image_restrict(alpha)
+    op = hom.target.H.op
+    n = len(op)
+    rows = {hom.row(a) for a in hom.alphabet}
+    pairs = {p for row in rows for p in itertools.combinations(sorted(set(row)), 2)}
+    size, k = n * (n - 1), 0
+    while size:
+        k += 1
+        level = set()
+        for x, y in pairs:
+            if x < y:
+                level.update(zip(op[x], op[y]))
+        level.update([(y, x) for x, y in level])
+        level.difference_update(zip(range(n), range(n)))
+        if len(level) == size:
+            return None
+        size = len(level)
+        pairs = {(row[h], row[g]) for row in rows for h, g in level}
+    return k
+
+
 def reference_idempotent_criterion(alpha):
     """Every idempotent e of the guarded semigroup S has e.s = e for all s
     in S, tested against all of S."""

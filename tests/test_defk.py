@@ -4,6 +4,7 @@ import random
 import pytest
 
 from forestalg import defk, logic, terms
+from forestalg.algebra import close_vertical, horizontal_monoid
 from forestalg.cli import _load_recognizer
 from forestalg.decide import decide
 from forestalg.defk import (KdefEvaluator, alpha1, definiteness_degree,
@@ -11,14 +12,16 @@ from forestalg.defk import (KdefEvaluator, alpha1, definiteness_degree,
                             free_kdefinite, guarded_semigroup, key_sum,
                             simk_equiv, simk_key)
 from forestalg.errors import SizeLimitError
-from forestalg.hom import factors_through, image_restrict, syntactic
+from forestalg.hom import (Homomorphism, factors_through, image_restrict,
+                           syntactic)
 from forestalg.joint import TensorEvaluator, evaluate, mutually_determine
 from forestalg.oracle import enumerate_forests, random_forest
 
 from helpers import (differential_homs, example_language_recognizer,
-                     reference_definiteness_degree,
+                     random_big_recognizer, reference_definiteness_degree,
+                     reference_definiteness_levels,
                      reference_idempotent_criterion, simk_tset,
-                     u2_example_recognizer)
+                     u2_example_recognizer, xor_u2_hom)
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
@@ -214,9 +217,8 @@ def test_idempotent_criterion_matches_chain():
 
 
 def test_generator_chain_matches_full_semigroup_chain():
-    # a pair of distinct values survives level k exactly when some product
-    # of k guarded generators keeps it apart, so the pair levels give the
-    # full chain's answers
+    # E_k is one class exactly when every product of k guarded generators
+    # is constant, so the congruence chain gives the full chain's answers
     degrees = set()
     for hom in differential_homs():
         degree = definiteness_degree(hom)
@@ -227,9 +229,52 @@ def test_generator_chain_matches_full_semigroup_chain():
     assert {0, 1, 2, None} <= degrees
 
 
+def _ex_power(n, letters=("a", "b")):
+    return logic.to_recognizer(logic.parse_formula("EX " * n + letters[0]),
+                               letters)
+
+
+def test_congruence_chain_matches_pair_levels():
+    """The congruence chain gives the forward pair levels' degree, on homs
+    with degrees 0 to 8 and None."""
+    rng = random.Random(26)
+    homs = differential_homs()
+    homs += [xor_u2_hom(n) for n in range(3, 7)]
+    homs += [syntactic(_ex_power(n))[0].hom for n in range(1, 9)]
+    homs += [syntactic(random_big_recognizer(rng))[0].hom for _ in range(20)]
+    degrees = [definiteness_degree(hom) for hom in homs]
+    assert degrees == [reference_definiteness_levels(hom) for hom in homs]
+    assert None in degrees
+    assert set(range(9)) <= set(degrees)
+
+
+def test_degree_reads_the_sums_between_letters():
+    """On H = {0, x, y, inf = x + y} with b and c constant y and x, and a
+    sending inf to x and the rest to 0, every word of two letters is
+    constant.  Yet a.(y + a.h) is 0 at h = 0 and x at h = inf, and so
+    is every longer product of that shape: the degree is None, where a
+    chain that read only the letter images would give 2."""
+    H = horizontal_monoid([[i | j for j in range(4)] for i in range(4)], 0,
+                          ["0", "x", "y", "inf"])
+    alg, genmap = close_vertical(H, {"a": (0, 0, 0, 1), "b": (2, 2, 2, 2),
+                                     "c": (1, 1, 1, 1)}, warn_on_merge=False)
+    hom = Homomorphism(("a", "b", "c"), alg, dict(genmap))
+    assert image_restrict(hom).target.H.size == 4
+    assert definiteness_degree(hom) is None
+    assert reference_definiteness_levels(hom) is None
+    assert reference_definiteness_degree(hom) is None
+
+
+def test_ex_decider_scales_to_hundreds_of_elements():
+    decision = decide(_ex_power(9, ("a0", "a1")), "ex")
+    assert decision.syntactic.hom.target.H.size == 512
+    assert decision.definable and decision.detail == "definiteness degree 9"
+    assert definiteness_degree(xor_u2_hom(6)) is None
+
+
 def test_ex_decider_builds_no_semigroup(monkeypatch):
-    """The degree comes from pairs of H, so the EX answers stand when the
-    guarded semigroup cannot be built."""
+    """The degree comes from a chain of congruences on H, so the EX answers
+    stand when the guarded semigroup cannot be built."""
     homs = differential_homs()
     recs = [_load_recognizer(os.path.join(FIXTURES, name))
             for name in ("chain4.fa", "u1_efa.fa", "u2_abc.fa")]

@@ -1,3 +1,4 @@
+import os
 import random
 
 import pytest
@@ -7,11 +8,12 @@ from forestalg import logic, terms
 from forestalg.decompose import wreath_compose
 from forestalg.defk import free_kdefinite
 from forestalg.algebra import close_vertical, horizontal_monoid, u1, u2
+from forestalg.cli import _load_recognizer
 from forestalg.hom import (Homomorphism, Recognizer,
                            constant_letter_realizers, factors_through,
-                           generated, image_restrict, reachable_pairs, realize,
-                           recognizers_isomorphic, relabeled,
-                           restrict_recognizer, syntactic)
+                           generated, image_restrict, quotient,
+                           reachable_pairs, realize, recognizers_isomorphic,
+                           relabeled, restrict_recognizer, syntactic)
 from forestalg.errors import (AlphabetMismatchError, SizeLimitError,
                              StructuralError)
 from forestalg.io import parse_algebra, print_algebra
@@ -22,9 +24,10 @@ from forestalg.reach import quotient_hom, reachability
 from helpers import (brute_isomorphism, census_formulas, differential_homs,
                      four_element_algebra, permuted_copy, printed_recognizer,
                      random_big_recognizer, random_hom, random_recognizer,
-                     random_semilattice, reference_realize,
-                     reference_syntactic, reference_vertical_closure,
-                     u2_example_recognizer, xor_u2_hom)
+                     random_semilattice, reference_quotient,
+                     reference_realize, reference_syntactic,
+                     reference_vertical_closure, u2_example_recognizer,
+                     xor_u2_hom)
 
 
 def F(text):
@@ -431,6 +434,51 @@ def _quotients(hom):
     rs = reachability(hom.target)
     return [quotient_hom(hom, ci, mode, rs)[0]
             for ci in range(len(rs.classes)) for mode in ("strict", "weak")]
+
+
+def _tables(hom):
+    alg = hom.target
+    return (alg.H.op, alg.H.names, alg.generators, alg.generator_names,
+            hom.assign, hom.onto)
+
+
+def test_quotient_matches_per_entry_reference():
+    """quotient reads its tables off hom's rows at the representatives;
+    the reference tabulates them one entry at a time.  Both give the same
+    tables, names, generators, letter assignment and onto mark, on
+    syntactic quotients, ideal quotients and image restrictions."""
+    fixtures = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
+    recs = [logic.to_recognizer(phi, ("a", "b"))
+            for phi in census_formulas(4, (logic.EF, logic.EX))]
+    recs += [_load_recognizer(os.path.join(fixtures, name))
+             for name in ("chain4.fa", "u1_efa.fa", "u2_abc.fa")]
+    recs.append(Recognizer(xor_u2_hom(4), frozenset({0})))
+    checked = 0
+    for rec in recs:
+        syn, proj = syntactic(rec)
+        reps = {}
+        for h in sorted(proj):
+            reps.setdefault(proj[h], h)
+        reps = [reps[c] for c in range(len(reps))]
+        rep = {h: reps[c] for h, c in proj.items()}
+        ref = reference_quotient(rec.hom, reps, rep)
+        assert _tables(syn.hom) == _tables(ref)
+        sub = image_restrict(rec.hom)
+        assert _tables(quotient(rec.hom, reps, proj)) == _tables(ref)
+        if not rec.hom.onto:
+            assert _tables(sub) == _tables(reference_quotient(
+                rec.hom, sorted(proj), {h: h for h in proj}))
+        for alpha in {id(h): h for h in (rec.hom, sub, syn.hom)}.values():
+            rs = reachability(alpha.target)
+            for ci in range(len(rs.classes)):
+                for mode in ("strict", "weak"):
+                    q, (reps, hmap) = quotient_hom(alpha, ci, mode, rs)
+                    ref = reference_quotient(alpha, reps,
+                                             [reps[c] for c in hmap])
+                    ref.onto = alpha.onto
+                    assert _tables(q) == _tables(ref)
+                    checked += 1
+    assert checked > 1000
 
 
 def test_onto_mark_is_true_wherever_it_is_set():
