@@ -192,7 +192,7 @@ class ForestAlgebra:
         DEFAULT_MAX_VERTICAL elements.
         """
         index = closure(self.generators, self.generators,
-                        lambda ra, rb: tuple(ra[x] for x in rb),
+                        lambda ra, rb: _after(rb)(ra),
                         None, DEFAULT_MAX_VERTICAL, "vertical closure")
         rows = self.action = tuple(index)
         used = set(self.generator_names)
@@ -200,8 +200,7 @@ class ForestAlgebra:
             _fresh("v%d" % i, i, used) for i in range(len(self.generators), len(rows)))
 
         def vrow(a):
-            ra = rows[a]
-            return tuple(index[tuple(ra[x] for x in rb)] for rb in rows)
+            return tuple(index[_after(rb)(rows[a])] for rb in rows)
 
         return FiniteMonoid(None, 0, names, row_fn=vrow, size=len(rows))
 

@@ -179,14 +179,11 @@ def _cmd_simk(args):
 
 
 def _cmd_definiteness(args):
-    rec = _load_recognizer(args.file)
-    syn, _ = syntactic(rec)
-    degree = defk.definiteness_degree(syn.hom)
-    report = {"command": "definiteness",
-              "degree": degree if degree is not None else "none"}
-    _emit(args, report, ["definiteness degree: %s"
-                         % (degree if degree is not None else "none")])
-    return EXIT_TRUE if degree is not None else EXIT_FALSE
+    decision = decide(_load_recognizer(args.file), "ex")
+    degree = "none" if decision.certificate is None else decision.certificate
+    report = {"command": "definiteness", "degree": degree}
+    _emit(args, report, ["definiteness degree: %s" % degree])
+    return EXIT_TRUE if decision.definable else EXIT_FALSE
 
 
 def _decide_input(args):

@@ -31,7 +31,7 @@ from .errors import (AlphabetMismatchError, InternalError, NotEFAlgebra,
                      NotKDefinite, NotNonconfusing, SizeLimitError)
 from .hom import generated, image_restrict
 from .joint import TensorEvaluator, determines, evaluate, image
-from .reach import quotient_hom, reachability
+from .reach import quotient_hom, reachability, subminimal_factorization
 
 DEFAULT_MAX_SIZE = 4096
 
@@ -307,8 +307,8 @@ def _efex_rec(casc, alpha, ef):
             raise NotNonconfusing(report)
     fat = len(rs.classes[rs.min_class]) > 1
     if not fat and len(rs.subminimal) > 1:
-        for cj in rs.subminimal:
-            _efex_rec(casc, quotient_hom(alpha, cj, "weak", rs)[0], ef)
+        for weak in subminimal_factorization(alpha, rs):
+            _efex_rec(casc, weak, ef)
         return
     if not fat and not rs.subminimal:
         raise InternalError("nontrivial algebra without subminimal classes")

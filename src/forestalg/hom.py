@@ -302,76 +302,61 @@ def realize(hom):
     g's forest, of value h + g.  Returns the dict from each value to its
     forest, in the order the values were fixed.
 
-    Each fixed value keeps its forest as a list of (tree_key, text, size,
-    tree) entries, one per top-level tree, sorted by key.  A normal forest
-    is its trees sorted by tree_key without repeats, so the normal form of
-    a sum is the merge of the two lists with repeats dropped, and its size
-    and text are joined from the entries; a letter candidate is one entry
-    built from f's.  No candidate is normalized, counted or printed.
+    Each pushed letter candidate is one tree, numbered when it is pushed,
+    with its tree_key, text, size and tree kept under that id; a fixed
+    value's forest is the tuple of its trees' ids sorted by key.  A normal
+    forest is its trees sorted by tree_key without repeats, and a tree is
+    pushed at most once, so the normal form of a sum is the sorted union of
+    the two id tuples (as in defk.key_sum), its size and text joined from
+    the ids.  No candidate is normalized, counted or printed.
 
     best[v] is the least (size, text) pushed for a value v, and only a
     candidate below it is pushed.  A value is fixed by the least candidate
     pushed before its first pop, which every skipped candidate exceeds, so
     the forests and their order are those of pushing every candidate.  A
     sum holds all of f's trees, so it is never below f's (size, text), and
-    the merge is skipped when best[h + g] is already at most that.
+    the union is skipped when best[h + g] is already at most that.
     """
     alg = hom.target
     op = alg.H.op
     letters = [(terms.label_key(a), terms.print_label(a), a, hom.row(a))
                for a in sorted(set(hom.alphabet), key=terms.label_key)]
-    done, parts = {}, {}
+    keys, texts, sizes, trees = [], [], [], []  # indexed by tree id
+    done, ids = {}, {}
     best = {alg.zero: (0, "0")}
-    heap = [(0, "0", alg.zero, [])]
+    heap = [(0, "0", alg.zero, ())]
     while heap:
-        size, text, h, entries = heapq.heappop(heap)
+        size, text, h, forest = heapq.heappop(heap)
         if h in done:
             continue
-        done[h] = tuple(e[3] for e in entries)
-        parts[h] = entries
-        keys = tuple(e[0] for e in entries)
+        done[h] = tuple(map(trees.__getitem__, forest))
+        ids[h] = forest
+        below = tuple(map(keys.__getitem__, forest))
         for key, name, a, row in letters:
             val = row[h]
             if val in done:
                 continue
-            cand = (size + 1, name + "(" + text + ")" if entries else name)
+            cand = (size + 1, name + "(" + text + ")" if forest else name)
             if val not in best or cand < best[val]:
                 best[val] = cand
-                heapq.heappush(heap, (*cand, val,
-                                      [((key, keys), cand[1], cand[0], (a, done[h]))]))
+                heapq.heappush(heap, (*cand, val, (len(trees),)))
+                keys.append((key, below))
+                texts.append(cand[1])
+                sizes.append(cand[0])
+                trees.append((a, done[h]))
         least = (size, text)
         sums = op[h]
-        for g, other in parts.items():
+        for g, other in ids.items():
             val = sums[g]
             if val in done or (val in best and best[val] <= least):
                 continue
-            merged = _merge(entries, other)
-            cand = (sum(e[2] for e in merged),
-                    "+".join(e[1] for e in merged) if merged else "0")
+            union = tuple(sorted(set(forest).union(other), key=keys.__getitem__))
+            cand = (sum(map(sizes.__getitem__, union)),
+                    "+".join(map(texts.__getitem__, union)) or "0")
             if val not in best or cand < best[val]:
                 best[val] = cand
-                heapq.heappush(heap, (*cand, val, merged))
+                heapq.heappush(heap, (*cand, val, union))
     return done
-
-
-def _merge(xs, ys):
-    """Merge two entry lists, each sorted by distinct keys, into one sorted
-    list that holds each key once."""
-    out = []
-    i = j = 0
-    while i < len(xs) and j < len(ys):
-        x, y = xs[i], ys[j]
-        if x[0] < y[0]:
-            out.append(x)
-            i += 1
-        elif y[0] < x[0]:
-            out.append(y)
-            j += 1
-        else:
-            out.append(x)
-            i += 1
-            j += 1
-    return out + xs[i:] + ys[j:]
 
 
 def constant_letter_realizers(hom):

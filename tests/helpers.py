@@ -894,7 +894,7 @@ def reference_nonconfusion(alpha, rs=None):
 
 
 def reference_realize(hom):
-    """hom.realize without its cached tree lists: every candidate is
+    """hom.realize without its numbered trees: every candidate is
     normalized, counted and printed anew, and every one is
     pushed."""
     alg = hom.target

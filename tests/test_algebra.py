@@ -354,11 +354,12 @@ def test_generated_V_matches_reference_closure():
     """close_vertical returns generated_algebra's algebra unread; reading V
     or the action closes V as a plain breadth-first search does, with the
     same rows, names and table.  A merged or renamed extra generator is
-    added to half the instances."""
+    added to half the random instances."""
     from forestalg import logic
     from forestalg.algebra import close_vertical, generated_algebra
     from forestalg.terms import print_label
-    from helpers import random_formula, random_hom, reference_vertical_closure
+    from helpers import (random_formula, random_hom, reference_vertical_closure,
+                         xor_u2_hom)
 
     rng = random.Random(1515)
     homs = [random_hom(rng) for _ in range(60)]
@@ -380,6 +381,18 @@ def test_generated_V_matches_reference_closure():
         assert alg.generators == rows[:len(alg.generators)], trial
         assert (alg.V.names, alg.action, alg.V.op) == (names, rows, op), trial
         assert (other.action, other.V.names, other.V.op) == (rows, names, op), trial
+    # Past the random homs' 150-element cap: the compiled cycle n=3
+    # recognizer (|H| 57, |V| 183) and EX^4 a xor u2_abc (|H| 32, |V| 142),
+    # whose every lazy row is read.
+    cycle = logic.parse_formula("EF(a0 & EX a1) | EF(a1 & EX a2) | EF(a2 & EX a0)")
+    for hom, sizes in ((logic.to_recognizer(cycle, ("a0", "a1", "a2")).hom, (57, 183)),
+                       (xor_u2_hom(4), (32, 142))):
+        alg = hom.target
+        gens = {print_label(a): hom.row(a) for a in hom.alphabet}
+        rows, names, op = reference_vertical_closure(alg.H, gens)
+        assert alg.generators == rows[:len(alg.generators)]
+        assert (alg.V.names, alg.action, alg.V.op) == (names, rows, op)
+        assert (alg.H.size, alg.V.size) == sizes
 
 
 def test_vertical_closure_is_capped(monkeypatch):

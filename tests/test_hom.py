@@ -275,32 +275,34 @@ def test_realize():
 
 
 def test_realize_matches_reference():
-    """The merged tree lists and improving-only pushes fix the same forest
+    """The tree-id unions and improving-only pushes fix the same forest
     for every value, in the same order, as normalizing, printing and
     pushing every candidate: on seeded random homs, the syntactic homs of
-    the EF+EX census up to 5 nodes, and EX^n a xor u2_abc for n = 3, 4."""
+    the EF+EX census up to 5 nodes and of 10 random |H| = 64 recognizers
+    (the decide-deep shape), EX^n a for n <= 6, and EX^n a xor u2_abc for
+    n = 3, 4, 5."""
     rng = random.Random(2525)
     homs = [random_hom(rng) for _ in range(200)]
     homs += [syntactic(logic.to_recognizer(phi, ("a", "b")))[0].hom
              for phi in census_formulas(5, (logic.EF, logic.EX))]
-    homs += [xor_u2_hom(n) for n in (3, 4)]
+    homs += [syntactic(random_big_recognizer(rng))[0].hom for _ in range(10)]
+    homs += [syntactic(logic.to_recognizer(
+        logic.parse_formula("EX " * n + "a"), ("a", "b")))[0].hom
+        for n in range(1, 7)]
+    homs += [xor_u2_hom(n) for n in (3, 4, 5)]
     for hom in homs:
         got, want = realize(hom), reference_realize(hom)
         assert got == want
         assert list(got) == list(want)
-    # A sum whose two forests share a tree wins on none of these homs, so
-    # the merge's dropping of repeats is checked on its own: merging the
-    # entry lists of two forests found for EX^4 a xor u2_abc, the last
-    # hom, gives their normal form's trees.
-    def entries(forest):
-        return [(terms.tree_key(t), terms.print_forest((t,)),
-                 terms.node_count((t,)), t) for t in forest]
-
-    forests = list(got.values())
-    for f in forests:
-        for g in forests:
-            assert tuple(e[3] for e in hom_module._merge(entries(f), entries(g))) \
-                == terms.ic_normalize(f + g)
+        # realize forms a sum's forest as the sorted union of two fixed
+        # forests' trees.  No sum of two forests that share a tree fixes a
+        # value on these homs, so the union's dropping of repeats is
+        # checked on its own, on every pair of fixed forests.
+        forests = list(got.values())
+        for f in forests:
+            for g in forests:
+                assert tuple(sorted(set(f) | set(g), key=terms.tree_key)) \
+                    == terms.ic_normalize(f + g)
 
 
 def test_constant_letter_realizers():

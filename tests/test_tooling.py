@@ -385,11 +385,12 @@ def test_loaded_recognizer_computes_one_image_per_decision(monkeypatch):
 
 
 def test_realize_rebuilds_no_candidate(monkeypatch):
-    """realize joins each candidate's size and text from cached tree
-    lists: it neither normalizes nor prints a forest per candidate.  On
-    EX^4 a xor u2_abc (32 values) helpers.reference_realize makes over
-    a thousand calls of each, recursive ones included; a cap of one call
-    per fixed value leaves no room for that."""
+    """realize joins each candidate's size and text from the numbered
+    trees of its forest: it neither normalizes nor prints a forest per
+    candidate.  On EX^4 a xor u2_abc (32 values)
+    helpers.reference_realize makes over a thousand calls of each,
+    recursive ones included; a cap of one call per fixed value leaves no
+    room for that."""
     from helpers import xor_u2_hom
 
     terms = importlib.import_module("forestalg.terms")
