@@ -22,13 +22,16 @@ Produced cascades:
 """
 
 from dataclasses import dataclass, field
+from itertools import islice
+from operator import or_
 
 from . import terms
 from .algebra import u1, u2
 from .decide import is_ef_algebra, nonconfusion
 from .defk import definiteness_degree
 from .errors import (AlphabetMismatchError, InternalError, NotEFAlgebra,
-                     NotKDefinite, NotNonconfusing, SizeLimitError)
+                     NotKDefinite, NotNonconfusing, SizeLimitError,
+                     StructuralError)
 from .hom import generated, image_restrict
 from .joint import TensorEvaluator, determines, evaluate, image
 from .reach import quotient_hom, reachability, subminimal_factorization
@@ -53,10 +56,6 @@ class Stage:
     prefix_len: int
     letters: dict = field(repr=False)
 
-    def rows(self):
-        """The letters as action rows, keyed like ``letters``."""
-        return {key: self.target.vrow(v) for key, v in self.letters.items()}
-
     def describe(self):
         return "%s stage (%s), reads %d earlier coordinates" % (
             self.kind, self.target.summary(), self.prefix_len)
@@ -65,9 +64,16 @@ class Stage:
 class Cascade:
     """A list of stages, evaluated as one evaluator (see joint).
 
-    Stages are added with append(), which records the stage's sum table
-    and its letters as action rows, so a state step is one table lookup
-    per stage.
+    A state is an int in which stage i owns a bit field: h in the stage's
+    H is coded as {g != inf : h + g != g}, which on an idempotent,
+    commutative H (append() checks) is injective and sends + to |.  A
+    letter step is one lookup per stage under (letter, prefix bits).
+    Steps are memoized per (letter, state); append() keeps the last
+    closure's memo for its stages, as a stage reads only the letter, its
+    own field and earlier fields.  Two threads stepping one cascade may
+    compute a memo entry twice, identically; append() must not overlap a
+    step.  decode() and encode() convert to the tuples of element indices
+    that eval(), reachable_states(), joint_image() and factor_map() use.
     """
 
     def __init__(self, alphabet, max_size=DEFAULT_MAX_SIZE):
@@ -75,34 +81,91 @@ class Cascade:
         self.stages = []
         self.max_size = max_size
         self._states = None
-        self._sums = []      # per stage: target.H.op
-        self._rows = []      # per stage: (prefix_len, Stage.rows())
+        self._ends = [0]       # _ends[i]: bits held by the first i stages
+        self._codes = []       # per stage: element -> code, in place
+        self._masks = []       # per stage: its field
+        self._letters = dict(zip(self.alphabet, range(len(self.alphabet))))
+        # per stage: (prefix mask, field mask, maps by key), where the key
+        # of (letter, state) is state * len(alphabet) + the letter's index
+        self._steps = []
+        self._memo = {}          # key of (letter, state) -> step
+        self._kept = (0, 0, {})  # (m, mask of m stages, memo on m stages)
 
     def __len__(self):
         return len(self.stages)
 
     def append(self, stage):
+        """Add a stage that reads at most the stages before it."""
+        n = len(self.stages)
+        op = stage.target.H.op
+        elements = range(len(op))
+        if op != tuple(zip(*op)) or list(map(tuple.__getitem__, op, elements)) != list(elements):
+            raise StructuralError(
+                "cascade stage %d: H is not idempotent and commutative" % n)
+        width = self._ends[n]
+        code, bit = [0] * len(op), 1 << width
+        for g, col in enumerate(zip(*op)):      # col[h] is h + g
+            if col.count(g) < len(col):         # g is not inf: it gets a bit
+                for h, hg in enumerate(col):
+                    if hg != g:
+                        code[h] |= bit
+                bit <<= 1
+        maps = {}       # per vertical element: code -> its image's code
+        for v in set(stage.letters.values()):
+            maps[v] = dict(zip(code, map(code.__getitem__, stage.target.vrow(v))))
+        keys, size = {}, len(self.alphabet)
+        for key, v in stage.letters.items():
+            if key[0] in self._letters:
+                keys[self.encode(islice(key, 1, None)) * size
+                     + self._letters[key[0]]] = maps[v]
+        if self._memo:
+            self._kept = (n, (1 << width) - 1, self._memo)
+            self._memo = {}
+        mask = bit - (1 << width)
+        self._steps.append(((1 << self._ends[stage.prefix_len]) - 1, mask, keys))
         self.stages.append(stage)
-        self._sums.append(stage.target.H.op)
-        self._rows.append((stage.prefix_len, stage.rows()))
+        self._ends.append(bit.bit_length() - 1)
+        self._codes.append(code)
+        self._masks.append(mask)
         self._states = None
 
-    def zero_state(self):
-        return tuple(st.target.zero for st in self.stages)
+    def encode(self, state):
+        """The int of a tuple state or of its first stages' values."""
+        return sum(map(list.__getitem__, self._codes, state))
 
-    def plus_state(self, x, y):
-        return tuple([t[a][b] for t, a, b in zip(self._sums, x, y)])
+    def decode(self, state):
+        """The tuple of an int state: one element index per stage."""
+        # via a list, the tuple is built at its length: tuple() of an
+        # iterator over-allocates and shrinks, so freed decoded tuples
+        # would pile up in the interpreter's per-length free lists
+        return tuple(list(map(list.index, self._codes,
+                              map(state.__and__, self._masks))))
+
+    def zero_state(self):
+        return 0
+
+    plus_state = staticmethod(or_)
 
     def letter_action(self, a, state):
-        return tuple([rows[(a,) + state[:n]][h]
-                      for (n, rows), h in zip(self._rows, state)])
+        size, i = len(self.alphabet), self._letters[a]
+        got = self._memo.get(state * size + i)
+        if got is None:
+            m, mask, kept = self._kept
+            got = kept.get((state & mask) * size + i)
+            if got is None:
+                got = m = 0
+            for read, own, maps in self._steps[m:]:
+                got |= maps[(state & read) * size + i][state & own]
+            self._memo[state * size + i] = got
+        return got
 
-    eval = evaluate
+    def eval(self, forest):
+        return self.decode(evaluate(self, forest))
 
     def reachable_states(self):
         if self._states is None:
-            self._states = sorted(image(self, self.alphabet, self.max_size,
-                                        "cascade states"))
+            self._states = sorted(map(self.decode, image(
+                self, self.alphabet, self.max_size, "cascade states")))
         return self._states
 
     def joint_image(self, hom):
@@ -110,8 +173,9 @@ class Cascade:
         if tuple(sorted(set(hom.alphabet), key=terms.label_key)) != self.alphabet:
             raise AlphabetMismatchError("cascade and homomorphism alphabets differ")
         cap = self.max_size * hom.target.H.size
-        return image(TensorEvaluator(self, hom, lambda a, x: a),
-                     self.alphabet, cap, "cascade joint image")
+        states, values = zip(*image(TensorEvaluator(self, hom, lambda a, x: a),
+                                    self.alphabet, cap, "cascade joint image"))
+        return list(zip(map(self.decode, states), values))
 
     def factors(self, hom):
         """Does the cascade value determine the hom value?  Exact."""
@@ -168,9 +232,9 @@ def wreath_compose(alpha, beta, max_size=DEFAULT_MAX_SIZE):
     """
     casc = tensor_cascade(alpha, beta, max_size)
     states = sorted(image(casc, casc.alphabet, max_size,
-                          "wreath composition carrier"))
+                          "wreath composition carrier"), key=casc.decode)
     names = ["(%s,%s)" % (alpha.target.hname(s[0]), beta.target.hname(s[1]))
-             for s in states]
+             for s in map(casc.decode, states)]
     return generated(casc.alphabet, states, casc.letter_action,
                      casc.plus_state, casc.zero_state(), names)
 

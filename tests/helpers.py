@@ -341,6 +341,60 @@ def random_cascade(rng, **kwargs):
     return casc
 
 
+def random_tagged_hom(rng, alpha):
+    """A random homomorphism over alpha's letter/value pairs, on a generated
+    algebra; random rows need not reach all of H, so it is built by hand."""
+    H = random_semilattice(rng, 4)
+    n = H.size
+    letters = [(a, alpha.target.hname(h)) for a in alpha.alphabet
+               for h in range(alpha.target.H.size)]
+    rows = {b: tuple(rng.randrange(n) for _ in range(n)) for b in letters}
+    alg, genmap = generated_algebra(H, rows)
+    return Homomorphism(letters, alg, genmap)
+
+
+class TupleCascade:
+    """The stages of a cascade, evaluated on tuple states with one element
+    index per stage: a sum is a table lookup per stage, and a letter step
+    looks each stage up under (letter,) + the state's first prefix_len
+    values.  The reference that Cascade's bit-field protocol is checked
+    against."""
+
+    def __init__(self, casc):
+        self.alphabet = casc.alphabet
+        self.max_size = casc.max_size
+        self.stages = list(casc.stages)
+        self._sums = [st.target.H.op for st in self.stages]
+        self._rows = [(st.prefix_len, {key: st.target.vrow(v)
+                                       for key, v in st.letters.items()})
+                      for st in self.stages]
+
+    def zero_state(self):
+        return tuple(st.target.zero for st in self.stages)
+
+    def plus_state(self, x, y):
+        return tuple([t[a][b] for t, a, b in zip(self._sums, x, y)])
+
+    def letter_action(self, a, state):
+        return tuple([rows[(a,) + state[:n]][h]
+                      for (n, rows), h in zip(self._rows, state)])
+
+    def reachable_states(self):
+        return sorted(image(self, self.alphabet, self.max_size,
+                            "cascade states"))
+
+    def joint_image(self, hom):
+        return image(TensorEvaluator(self, hom, lambda a, x: a), self.alphabet,
+                     self.max_size * hom.target.H.size, "cascade joint image")
+
+    def factors(self, hom):
+        witness = determines(self.joint_image(hom))[1]
+        return witness is None, witness
+
+    def factor_map(self, hom):
+        return determines(self.joint_image(hom))[0]
+
+
 def permuted_copy(rec, perm):
     """The same recognizer with horizontal element h renamed perm[h]."""
     alg = rec.hom.target
@@ -1086,8 +1140,10 @@ def reference_class_tag_map(casc, view, k):
     stages instead."""
     if k <= 0:
         return {s: () for s in casc.reachable_states()}
-    tagged = image(TensorEvaluator(casc, KdefEvaluator(k), view), casc.alphabet,
-                   casc.max_size, "depth-%d tag closure" % k)
+    decode = casc.decode    # the view reads tuple states, the cascade steps ints
+    tagged = image(TensorEvaluator(casc, KdefEvaluator(k),
+                                   lambda a, x: view(a, decode(x))),
+                   casc.alphabet, casc.max_size, "depth-%d tag closure" % k)
     mapping = determines(tagged)[0]
     assert mapping is not None, "cascade prefix does not determine the class tag"
-    return mapping
+    return {decode(s): key for s, key in mapping.items()}

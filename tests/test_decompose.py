@@ -5,22 +5,23 @@ import pytest
 from forestalg import logic, terms
 from forestalg.algebra import u1, u2
 from forestalg.decide import is_ef_algebra, nonconfusion
-from forestalg.decompose import (ONE_DEFINITE_STAGE, U1_STAGE, Cascade,
-                                 decompose_ef, decompose_efex,
+from forestalg.decompose import (ONE_DEFINITE_STAGE, OTHER_STAGE, U1_STAGE,
+                                 Cascade, Stage, decompose_ef, decompose_efex,
                                  decompose_kdefinite, tensor_cascade,
                                  wreath_compose)
 from forestalg.defk import alpha1, definiteness_degree, free_kdefinite
 from forestalg.errors import (AlphabetMismatchError, InternalError,
                               NotEFAlgebra, NotKDefinite, NotNonconfusing,
-                              SizeLimitError)
+                              SizeLimitError, StructuralError)
 from forestalg.hom import (Homomorphism, factors_through, generated,
                            image_restrict, relabeled, syntactic)
 from forestalg.joint import TensorEvaluator, evaluate, mutually_determine
 from forestalg.oracle import random_forest
 
-from helpers import (census_formulas, differential_homs,
+from helpers import (TupleCascade, census_formulas, differential_homs,
                      example_language_recognizer, four_element_algebra,
-                     random_formula, random_hom, random_recognizer,
+                     random_cascade, random_formula, random_hom,
+                     random_recognizer, random_tagged_hom,
                      reference_alarm_fires, reference_class_tag_map,
                      reference_decompose_ef, u2_example_recognizer)
 
@@ -93,14 +94,16 @@ def test_wreath_compose_of_generated_algebras_closes_no_vertical_monoid(
 
 
 def _counter(alphabet, counted, n):
-    """Counts the nodes labeled in ``counted``, saturating at n."""
+    """The most nodes labeled in ``counted`` on one root path, saturating
+    at n; H is the chain 0 < 1 < ... < n under max."""
     return generated(alphabet, list(range(n + 1)),
                      lambda a, x: min(x + 1, n) if a in counted else x,
-                     lambda x, y: min(x + y, n), 0)
+                     max, 0)
 
 
 def _counter_pair(n):
-    """alpha counts a's, beta counts b's: (n + 1)^2 cascade states."""
+    """alpha counts a's, beta counts b's on root paths: (n + 1)^2 cascade
+    states."""
     alpha = _counter(("a", "b"), ("a",), n)
     tagged = _tagged_alphabet(alpha)
     return alpha, _counter(tagged, {b for b in tagged if b[0] == "b"}, n)
@@ -612,12 +615,165 @@ def test_efex_stage_kinds_sound():
 
 
 def test_cascade_evaluator_protocol():
+    """eval() decodes the int state that the protocol computes, and that
+    is the state of the tuple reference."""
     alpha = four_element_algebra().hom
     casc = decompose_efex(alpha)
+    ref = TupleCascade(casc)
     rng = random.Random(43)
     for _ in range(30):
         s = random_forest(rng, ("a", "b"), 3, 2)
-        assert casc.eval(s) == evaluate(casc, s)
+        assert casc.eval(s) == casc.decode(evaluate(casc, s)) == evaluate(ref, s)
+
+
+def _copy(casc, stages=None, cap=None):
+    """A cascade built with the given stages (default: all) at once."""
+    out = Cascade(casc.alphabet, cap or casc.max_size)
+    for st in casc.stages if stages is None else stages:
+        out.append(st)
+    return out
+
+
+def _closes(closure):
+    """The closure's result, or the phase and cap it is refused at."""
+    try:
+        return closure()
+    except SizeLimitError as err:
+        return err.what, err.limit
+
+
+def _check_tuple_reference(casc, hom, rng):
+    """Bit-field cascade against the tuple reference: reachable states in
+    order, joint images in order, the factoring verdict and witness, the
+    factor map, and refusal or not at caps around both closures."""
+    ref = TupleCascade(casc)
+    states = casc.reachable_states()
+    assert states == ref.reachable_states()
+    pairs = casc.joint_image(hom)
+    assert pairs == ref.joint_image(hom)
+    verdict = casc.factors(hom)
+    assert verdict == ref.factors(hom)
+    if verdict[0]:
+        assert casc.factor_map(hom) == ref.factor_map(hom)
+    n = hom.target.H.size
+    least = -(-len(pairs) // n)  # the least cap whose joint cap holds them
+    for cap in {len(states) - 1, len(states), rng.randint(1, len(states)),
+                least - 1, least} - {0}:
+        bits = _copy(casc, cap=cap)
+        tuples = TupleCascade(bits)
+        assert (_closes(bits.reachable_states)
+                == _closes(tuples.reachable_states))
+        assert (_closes(lambda: bits.joint_image(hom))
+                == _closes(lambda: tuples.joint_image(hom)))
+
+
+def test_bit_cascades_match_the_tuple_reference():
+    """On decompositions of seeded homs and of the census, and on random
+    two-stage cascades over random semilattices, the bit-field protocol
+    gives what the tuple protocol gives."""
+    rng = random.Random(2028)
+    counts = {"ef": 0, "efex": 0, "random": 0, "tensor": 0, "witnesses": 0}
+    for alpha in _ef_homs()[::3]:
+        _check_tuple_reference(decompose_ef(alpha), alpha, rng)
+        counts["ef"] += 1
+    tables = {}
+    for phi in census_formulas(5, (logic.EF, logic.EX)):
+        alpha = syntactic(logic.to_recognizer(phi, ("a", "b")))[0].hom
+        tables.setdefault((alpha.target.H.op,
+                           tuple(alpha.row(a) for a in ("a", "b"))), alpha)
+    for alpha in list(tables.values()) + differential_homs()[::4]:
+        try:
+            casc = decompose_efex(alpha)
+        except (NotNonconfusing, SizeLimitError):
+            continue
+        _check_tuple_reference(casc, alpha, rng)
+        counts["efex"] += 1
+    for _ in range(40):
+        casc = random_cascade(rng, max_h=4)
+        first = casc.stages[0]
+        hom = Homomorphism(casc.alphabet, first.target,
+                           {a: first.letters[(a,)] for a in casc.alphabet})
+        _check_tuple_reference(casc, hom, rng)
+        counts["random"] += 1
+        alpha = random_hom(rng, max_h=4)
+        casc = tensor_cascade(alpha, random_tagged_hom(rng, alpha))
+        other = random_hom(rng, max_h=4)
+        while other.alphabet != casc.alphabet:
+            other = random_hom(rng, max_h=4)
+        for hom in (alpha, other):
+            counts["witnesses"] += not casc.factors(hom)[0]
+            _check_tuple_reference(casc, hom, rng)
+        counts["tensor"] += 1
+    assert counts["ef"] > 60 and counts["efex"] > 90, counts
+    assert counts["witnesses"] > 10, counts
+
+
+def test_letter_steps_survive_appends_closures_and_evals():
+    """A cascade grown by append(), with closures, joint images, evals and
+    full step checks interleaved at random (eval right after an append
+    among them), steps every state as a cascade built with all its stages
+    at once does: the memo that append() keeps covers only its stages."""
+    rng = random.Random(2029)
+    homs = [(decompose_ef, _syn("EF a & EF b & EF c", ("a", "b", "c"))),
+            (decompose_efex, _syn("EF(a & EX b) | EF(b & EX a)")),
+            (decompose_efex, _syn("EX(EX a)")),
+            (decompose_efex, four_element_algebra().hom),
+            (decompose_efex, _syn("EF(b & !EX a) & (EF a | EX a)"))]
+    actions = {"eval": 0, "close": 0, "joint": 0, "steps": 0, "none": 0,
+               "eval after close": 0}
+    for decompose, alpha in homs:
+        for _ in range(3):
+            full = decompose(alpha, 65536)
+            grown = Cascade(full.alphabet, full.max_size)
+            last = None
+            for i, st in enumerate(full.stages):
+                grown.append(st)
+                action = rng.choice(tuple(actions)[:5])
+                if action == "eval" and last == "close":
+                    actions["eval after close"] += 1
+                actions[action] += 1
+                last = action
+                if action == "none":
+                    continue
+                at_once = _copy(full, full.stages[:i + 1])
+                if action == "eval":
+                    for _ in range(5):
+                        s = random_forest(rng, full.alphabet, 4, 3)
+                        assert grown.eval(s) == at_once.eval(s), i
+                elif action == "close":
+                    assert grown.reachable_states() == at_once.reachable_states()
+                elif action == "joint":
+                    assert grown.joint_image(alpha) == at_once.joint_image(alpha)
+                else:
+                    for x in map(at_once.encode, at_once.reachable_states()):
+                        for a in full.alphabet:
+                            assert (grown.letter_action(a, x)
+                                    == at_once.letter_action(a, x)), i
+            assert grown.reachable_states() == full.reachable_states()
+            assert grown.factors(alpha) == (True, None)
+    assert min(actions.values()) > 5, actions
+
+
+def test_append_refuses_a_stage_whose_h_is_not_a_semilattice():
+    """The bit code needs an idempotent, commutative H: a saturating sum
+    counter, or a left-zero sum, is refused."""
+    counter = generated(("a", "b"), range(4),
+                        lambda a, x: min(x + 1, 3) if a == "a" else x,
+                        lambda x, y: min(x + y, 3), 0)
+    left = [[0, 1, 2], [1, 1, 1], [2, 2, 2]]    # x + y = x off the identity
+    left_zero = generated(("a", "b"), range(3),
+                          lambda a, x: {"a": 1, "b": 2}[a] if x == 0 else x,
+                          lambda x, y: left[x][y], 0)
+    for alpha in (counter, left_zero):
+        casc = Cascade(alpha.alphabet)
+        with pytest.raises(StructuralError,
+                           match="cascade stage 0: H is not idempotent and commutative"):
+            casc.append(Stage(OTHER_STAGE, alpha.target, 0,
+                              {(a,): alpha.letter(a) for a in casc.alphabet}))
+        assert len(casc) == 0
+    tagged = _tagged_alphabet(counter)
+    with pytest.raises(StructuralError):
+        tensor_cascade(counter, _counter(tagged, set(tagged), 3))
 
 
 def test_decompositions_close_no_vertical_monoid(vertical_closures):

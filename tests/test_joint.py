@@ -5,17 +5,16 @@ from operator import or_
 import pytest
 
 from forestalg import defk, logic, oracle, terms
-from forestalg.algebra import generated_algebra
 from forestalg.decompose import tensor_cascade
 from forestalg.defk import KdefEvaluator, alpha1, free_kdefinite
 from forestalg.errors import SizeLimitError
-from forestalg.hom import Homomorphism, reachable_pairs
+from forestalg.hom import reachable_pairs
 from forestalg.joint import TensorEvaluator, closure, determines, image
 from forestalg.reach import class_tag_names, reachability
 
 from helpers import (all_partners_closure, census_formulas,
                      differential_homs, random_cascade, random_hom,
-                     random_semilattice, reference_closure,
+                     random_tagged_hom, reference_closure,
                      tagged_class_closure)
 
 
@@ -283,27 +282,20 @@ def _reference_cascade(casc):
     return tuple(st.target.zero for st in stages), act, plus
 
 
-def _random_tagged_hom(rng, alpha):
-    """A random homomorphism over alpha's letter/value pairs, on a generated
-    algebra; random rows need not reach all of H, so it is built by hand."""
-    H = random_semilattice(rng, 4)
-    n = H.size
-    letters = [(a, alpha.target.hname(h)) for a in alpha.alphabet
-               for h in range(alpha.target.H.size)]
-    rows = {b: tuple(rng.randrange(n) for _ in range(n)) for b in letters}
-    alg, genmap = generated_algebra(H, rows)
-    return Homomorphism(letters, alg, genmap)
-
-
 def _check_against_reference(casc):
+    """The cascade's int steps, decoded, are the stage targets' steps on
+    tuple states."""
     zero, act, plus = _reference_cascade(casc)
     want = reference_closure(zero, casc.alphabet, act, plus)
     assert casc.reachable_states() == sorted(want)
+    code = {x: casc.encode(x) for x in want}
+    assert casc.encode(zero) == casc.zero_state() == 0
     for x in want:
+        assert casc.decode(code[x]) == x
         for a in casc.alphabet:
-            assert casc.letter_action(a, x) == act(a, x)
+            assert casc.decode(casc.letter_action(a, code[x])) == act(a, x)
         for y in want:
-            assert casc.plus_state(x, y) == plus(x, y)
+            assert casc.decode(casc.plus_state(code[x], code[y])) == plus(x, y)
 
 
 def test_cascade_states_match_reference():
@@ -315,7 +307,7 @@ def test_cascade_states_match_reference():
         # generated algebras on both stages; letters are generator indices
         alpha = random_hom(rng, max_h=4)
         _check_against_reference(
-            tensor_cascade(alpha, _random_tagged_hom(rng, alpha)))
+            tensor_cascade(alpha, random_tagged_hom(rng, alpha)))
 
 
 def test_tagged_class_closure_matches_reference():
@@ -366,7 +358,7 @@ def test_image_matches_the_all_partners_closure_on_cascades():
         casc = random_cascade(rng, max_h=4)
         _check_image(casc, casc.alphabet)
         alpha = random_hom(rng, max_h=4)
-        casc = tensor_cascade(alpha, _random_tagged_hom(rng, alpha))
+        casc = tensor_cascade(alpha, random_tagged_hom(rng, alpha))
         _check_image(casc, casc.alphabet)
 
 
