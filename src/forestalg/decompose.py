@@ -42,6 +42,12 @@ U1_STAGE = "u1"
 ONE_DEFINITE_STAGE = "one_definite"
 OTHER_STAGE = "other"
 
+# the stage algebras on H = {0, inf}: u1's V is {1, cinf}, u2's {1, cinf, c0}
+_U1 = u1()
+_U1_CINF = _U1.V.names.index("cinf")
+_U2 = u2()
+_U2_CINF, _U2_C0 = map(_U2.V.names.index, ("cinf", "c0"))
+
 
 @dataclass
 class Stage:
@@ -256,10 +262,7 @@ def _append_kdef_group(casc, view, k):
     is checked up front, which is conservative but avoids crawling an
     exponential closure just to discover the overflow.
     """
-    target = u2()
-    cinf = target.V.names.index("cinf")
-    c0 = target.V.names.index("c0")
-    inf = target.absorbing()
+    inf = _U2.absorbing()
     occurring, prefix = [], len(casc.stages)
     for level in range(1, k + 1):
         states = casc.reachable_states()
@@ -274,8 +277,8 @@ def _append_kdef_group(casc, view, k):
                 "depth-%d definite level carrier" % level, casc.max_size)
         prefix = len(casc.stages)
         for c in occurring:
-            casc.append(Stage(ONE_DEFINITE_STAGE, target, prefix,
-                              {key: cinf if label == c else c0
+            casc.append(Stage(ONE_DEFINITE_STAGE, _U2, prefix,
+                              {key: _U2_CINF if label == c else _U2_C0
                                for key, label in labels.items()}))
 
 
@@ -358,10 +361,9 @@ def _efex_rec(casc, alpha, ef):
         return
     if ef and alg.H.size == 2:
         # the letter alone decides, so the stage reads no coordinates
-        target, inf = u1(), alg.absorbing()
-        cinf = target.V.names.index("cinf")
-        casc.append(Stage(U1_STAGE, target, 0, {
-            (a,): cinf if alpha.row(a)[alg.zero] == inf else target.one
+        inf = alg.absorbing()
+        casc.append(Stage(U1_STAGE, _U1, 0, {
+            (a,): _U1_CINF if alpha.row(a)[alg.zero] == inf else _U1.one
             for a in casc.alphabet}))
         return
     rs = reachability(alg)
@@ -410,8 +412,7 @@ def _append_u1_stage(casc, fires):
     """Two-element stage over every reachable state: letter a at a node
     whose strict descendants reach state s acts as cinf if fires(a, s),
     and as the identity otherwise."""
-    target = u1()
-    one, cinf = target.one, target.V.names.index("cinf")
-    letters = {(a,) + tuple(s): cinf if fires(a, s) else one
-               for a in casc.alphabet for s in casc.reachable_states()}
-    casc.append(Stage(U1_STAGE, target, len(casc.stages), letters))
+    states = casc.reachable_states()
+    letters = {(a,) + s: _U1_CINF if fires(a, s) else _U1.one
+               for a in casc.alphabet for s in states}
+    casc.append(Stage(U1_STAGE, _U1, len(casc.stages), letters))

@@ -11,7 +11,7 @@ syntactic quotient: a generated algebra on the collapsed sum table and
 letter rows, with no vertical monoid built.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .algebra import quotient_by_ideal
 from .errors import ForestAlgError
@@ -25,13 +25,14 @@ class ReachabilityStructure:
     class_of: tuple         # horizontal index -> class index
     min_class: int
     subminimal: tuple       # class indices covering the minimum
+    rows: tuple = field(repr=False)  # bit g of rows[h]: g reachable from h
 
     def leq(self, ci, cj):
         """Class ci reachable from (below or equal to) class cj."""
-        return self._leq[ci][cj]
+        return self.rows[self.classes[cj][0]] >> self.classes[ci][0] & 1 == 1
 
     def lt(self, ci, cj):
-        return ci != cj and self._leq[ci][cj]
+        return ci != cj and self.leq(ci, cj)
 
     def class_names(self, ci):
         return [self.alg.hname(h) for h in self.classes[ci]]
@@ -39,7 +40,10 @@ class ReachabilityStructure:
 
 def reachability(alg):
     """Classes are the strongly connected components of reachability, the
-    one step under the generators closed by Warshall's algorithm on bit sets."""
+    one step under the generators closed by Warshall's algorithm on bit
+    sets.  These rows are the class order: a representative's row holds
+    the members of every class at or below its own, so a class is
+    subminimal when that row holds only its own members and the minimum's."""
     n = alg.H.size
     reach = [1 << h for h in range(n)]  # bit x of reach[y]: x reachable from y
     for row in alg.generators:
@@ -52,51 +56,43 @@ def reachability(alg):
                 reach[y] |= via
 
     class_of = [None] * n
-    classes = []
+    classes, own = [], []   # own[c]: the bits of class c's members
     for h in range(n):
-        if class_of[h] is not None:
-            continue
-        members = tuple(g for g in range(n)
-                        if reach[h] >> g & 1 and reach[g] >> h & 1)
-        idx = len(classes)
-        classes.append(members)
-        for g in members:
-            class_of[g] = idx
-    m = len(classes)
-    leq = [[reach[classes[cj][0]] >> classes[ci][0] & 1 == 1 for cj in range(m)]
-           for ci in range(m)]
-    # leq[ci][cj]: ci <= cj, i.e. ci's members reachable from cj's
+        if class_of[h] is None:
+            members = tuple(g for g in range(n)
+                            if reach[h] >> g & 1 and reach[g] >> h & 1)
+            own.append(sum(1 << g for g in members))
+            for g in members:
+                class_of[g] = len(classes)
+            classes.append(members)
 
     absorbing = alg.absorbing()
     min_class = class_of[absorbing]
-    for c in range(m):
-        if not leq[min_class][c]:
+    for members in classes:
+        if not reach[members[0]] >> absorbing & 1:
             raise ForestAlgError(
                 "insertion-closure violated: the absorbing element %s is not "
                 "reachable from %s" % (alg.hname(absorbing),
-                                       alg.hname(classes[c][0])))
-    subminimal = tuple(
-        c for c in range(m)
-        if c != min_class and leq[min_class][c]
-        and not any(c2 != min_class and c2 != c and leq[min_class][c2] and leq[c2][c]
-                    for c2 in range(m))
-    )
-    rs = ReachabilityStructure(alg, tuple(classes), tuple(class_of),
-                               min_class, subminimal)
-    rs._leq = leq
-    return rs
+                                       alg.hname(members[0])))
+    low = own[min_class]
+    subminimal = tuple(c for c, members in enumerate(classes)
+                       if c != min_class and reach[members[0]] == own[c] | low)
+    return ReachabilityStructure(alg, tuple(classes), tuple(class_of),
+                                 min_class, subminimal, tuple(reach))
 
 
 def ideal_below(rs, ci):
     """I_Gamma: everything not strictly above the class."""
+    rep = rs.classes[ci][0]
     return frozenset(h for h in range(rs.alg.H.size)
-                     if not rs.lt(ci, rs.class_of[h]))
+                     if rs.class_of[h] == ci or not rs.rows[h] >> rep & 1)
 
 
 def ideal_not_above(rs, ci):
     """The weak variant: everything not above-or-equal."""
+    rep = rs.classes[ci][0]
     return frozenset(h for h in range(rs.alg.H.size)
-                     if not rs.leq(ci, rs.class_of[h]))
+                     if not rs.rows[h] >> rep & 1)
 
 
 def quotient_hom(alpha, ci, mode="strict", rs=None):

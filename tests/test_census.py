@@ -3,28 +3,36 @@
 syntactic table the EX degree matches the full-chain reference and the
 pair fixpoint matches the all-partners reference.  The syntactic quotient
 of each table's first formula matches the V-signature reference, and
-each table factors into a cascade or is refused in a depth-k carrier."""
+each table factors into a cascade or is refused in a depth-k carrier.
 
+The algebra census: every letter row on every small lattice H, with every
+accepting set; on each distinct syntactic table reachability matches the
+full-V reference, the three verdicts are consistent, and each positive
+answer decomposes or is refused at a size cap."""
+
+import itertools
 import re
 from collections import Counter
 
 from forestalg import logic
+from forestalg.algebra import generated_algebra, horizontal_monoid
 from forestalg.decide import is_ef_algebra, nonconfusion
-from forestalg.decompose import decompose_efex
-from forestalg.defk import definiteness_degree
+from forestalg.decompose import decompose_ef, decompose_efex
+from forestalg.defk import definiteness_degree, ex_definable_by_idempotents
 from forestalg.errors import SizeLimitError
-from forestalg.hom import syntactic
+from forestalg.hom import Homomorphism, Recognizer, syntactic
+from forestalg.reach import reachability
 
 from helpers import (census_formulas, printed_recognizer,
                      reference_definiteness_degree, reference_nonconfusion,
-                     reference_syntactic)
+                     reference_reachability, reference_syntactic)
 
 LETTERS = ("a", "b")
 
 
-def _table(syn):
+def _table(syn, letters=LETTERS):
     """A syntactic recognizer as its sum table, letter rows and accepting set."""
-    return (syn.hom.target.H.op, tuple(syn.hom.row(a) for a in LETTERS),
+    return (syn.hom.target.H.op, tuple(syn.hom.row(a) for a in letters),
             syn.accept)
 
 
@@ -87,3 +95,62 @@ def test_census_tables_factor_or_refuse_in_a_depth_k_carrier():
     assert sum(refused.values()) <= 20, refused
     assert all(re.fullmatch(r"depth-[1-9]\d* definite level carrier", what)
                for what in refused), refused
+
+
+# every lattice of at most four elements, as union-closed bit masks from 0:
+# the one-element, two-element and three-element chains, the four-element
+# chain and the diamond
+LATTICES = ((0,), (0, 1), (0, 1, 3), (0, 1, 3, 7), (0, 1, 2, 3))
+
+
+def _algebra_census(letters, max_h):
+    """Each distinct syntactic table, with its hom, of the recognizers on a
+    lattice H of at most ``max_h`` elements whose letters act by any maps
+    H -> H, V their closure, under any accepting set."""
+    tables = {}
+    for masks in (masks for masks in LATTICES if len(masks) <= max_h):
+        n = len(masks)
+        H = horizontal_monoid([[masks.index(x | y) for y in masks]
+                               for x in masks], 0)
+        maps = list(itertools.product(range(n), repeat=n))
+        for rows in itertools.product(maps, repeat=len(letters)):
+            alg, genmap = generated_algebra(H, dict(zip(letters, rows)))
+            hom = Homomorphism(letters, alg, genmap)
+            for accept in itertools.product((False, True), repeat=n):
+                syn = syntactic(Recognizer(hom, itertools.compress(
+                    range(n), accept)))[0]
+                tables.setdefault(_table(syn, letters), syn.hom)
+    return tables
+
+
+def test_algebra_census_verdicts_agree_and_positive_answers_decompose():
+    """decompose_ef and decompose_efex check that the cascade factors the
+    hom before returning it."""
+    verdicts = Counter()
+    for letters, max_h, size in ((LETTERS, 3, 2204), (("a",), 4, 782)):
+        tables = _algebra_census(letters, max_h)
+        assert len(tables) == size  # pinned, so that a broken enumerator fails
+        for hom in tables.values():
+            alg = hom.target
+            rs = reachability(alg)
+            classes, order, low, subminimal = reference_reachability(alg)
+            m = len(classes)
+            assert (list(rs.classes), rs.min_class, rs.subminimal) == (
+                classes, low, subminimal)
+            assert [[rs.leq(ci, cj) for cj in range(m)]
+                    for ci in range(m)] == order
+            ef = is_ef_algebra(alg)[0]
+            ex = definiteness_degree(hom) is not None
+            efex = nonconfusion(hom, rs).nonconfusing
+            assert efex or not (ef or ex)
+            assert ex_definable_by_idempotents(hom) == ex
+            verdicts[ef, ex, efex] += 1
+            for positive, decompose in ((ef, decompose_ef), (efex, decompose_efex)):
+                if positive:
+                    try:
+                        decompose(hom)
+                    except SizeLimitError:
+                        pass
+    assert verdicts == {(False, False, False): 2646, (False, True, True): 148,
+                        (False, False, True): 100, (True, False, True): 56,
+                        (True, True, True): 36}

@@ -1,7 +1,8 @@
 import random
 
-from forestalg.algebra import quotient_by_ideal, u1, u2
-from forestalg.errors import IdealViolation
+from forestalg.algebra import (FiniteMonoid, ForestAlgebra, quotient_by_ideal,
+                               u1, u2)
+from forestalg.errors import ForestAlgError, IdealViolation
 from forestalg.hom import (Homomorphism, factors_through, image_restrict,
                            syntactic)
 from forestalg.reach import (class_tag_names, dot_export, ideal_below,
@@ -177,8 +178,36 @@ def _algebras_for_reachability(rng):
         yield syntactic(rec)[0].hom.target
 
 
+def _without_insertion(alg, g):
+    """The table algebra on alg's H whose V is the closure of alg's
+    generators other than the insertion of g, or None when the others
+    compose to that insertion."""
+    n = alg.H.size
+    insertion = alg.H.op[g]
+    starts = [tuple(range(n))]
+    starts += [row for row in alg.generators
+               if row not in starts and row != insertion]
+    rows, index = list(starts), {row: i for i, row in enumerate(starts)}
+    for row in rows:
+        for step in starts:
+            after = tuple(step[h] for h in row)
+            if after not in index:
+                index[after] = len(rows)
+                rows.append(after)
+    if insertion in index:
+        return None
+    op = tuple(tuple(index[tuple(a[h] for h in b)] for b in rows) for a in rows)
+    V = FiniteMonoid(op, 0, tuple("v%d" % i for i in range(len(rows))))
+    return ForestAlgebra(alg.H, V, rows)
+
+
 def test_reachability_matches_full_vertical_reference():
+    """Classes, order, minimum, subminimal classes and both ideals at every
+    class equal the sets read off the reference order; with one insertion
+    missing from V, reachability refuses exactly the algebras in which
+    some class does not reach the absorbing element."""
     rng = random.Random(4040)
+    refused = {True: 0, False: 0}
     for alg in _algebras_for_reachability(rng):
         rs = reachability(alg)
         classes, order, low, subminimal = reference_reachability(alg)
@@ -187,6 +216,33 @@ def test_reachability_matches_full_vertical_reference():
         assert [[rs.leq(ci, cj) for cj in range(m)] for ci in range(m)] == order
         assert rs.min_class == low
         assert rs.subminimal == subminimal
+        n = alg.H.size
+        class_of = [next(c for c in range(m) if h in classes[c])
+                    for h in range(n)]
+        hom = Homomorphism((), alg, {})
+        for ci in range(m):
+            below = frozenset(h for h in range(n) if class_of[h] == ci
+                              or not order[ci][class_of[h]])
+            assert ideal_below(rs, ci) == below
+            assert ideal_not_above(rs, ci) == frozenset(
+                h for h in range(n) if not order[ci][class_of[h]])
+            assert class_tag_names(hom, ci, rs) == tuple(
+                "inf" if h in below else alg.hname(h) for h in range(n))
+        for g in range(1, n):
+            lacking = _without_insertion(alg, g)
+            if lacking is None:
+                continue
+            classes, order, low, _ = reference_reachability(lacking)
+            expected = not all(order[low][c] for c in range(len(classes)))
+            try:
+                reachability(lacking)
+            except ForestAlgError:
+                got = True
+            else:
+                got = False
+            assert got == expected
+            refused[got] += 1
+    assert refused[True] and refused[False]
 
 
 def _homs_for_quotients(rng):

@@ -4,6 +4,7 @@ break a bench run.  The package's own imports are checked here too, and
 no private module-level name in the package may be left unused."""
 
 import ast
+import dataclasses
 import glob
 import importlib
 import importlib.util
@@ -408,3 +409,15 @@ def test_realize_rebuilds_no_candidate(monkeypatch):
     done = hom_module.realize(hom)
     assert len(done) == hom.target.H.size == 32
     assert all(n <= len(done) for n in calls.values()), calls
+
+
+def test_reachability_structures_hold_only_their_fields():
+    """A reachability result is what its dataclass declares: no structure
+    is patched onto it after it is built."""
+    from helpers import four_element_algebra
+
+    algebra = importlib.import_module("forestalg.algebra")
+    reach = importlib.import_module("forestalg.reach")
+    for alg in (algebra.u1(), algebra.u2(), four_element_algebra().hom.target):
+        rs = reach.reachability(alg)
+        assert vars(rs).keys() == {f.name for f in dataclasses.fields(rs)}
