@@ -229,12 +229,16 @@ def _cmd_decide(args):
     return EXIT_TRUE if decision.definable else EXIT_FALSE
 
 
-def _cmd_witness(args):
-    rec = _load_recognizer(args.file)
-    syn, _ = syntactic(rec)
-    mu = syn.hom
+def _nonconfusion_of_file(path):
+    """The syntactic hom of a recognizer file, its reachability structure
+    and its nonconfusion report."""
+    mu = syntactic(_load_recognizer(path))[0].hom
     rs = reach.reachability(mu.target)
-    report_nc = nonconfusion(mu, rs)
+    return mu, rs, nonconfusion(mu, rs)
+
+
+def _cmd_witness(args):
+    mu, rs, report_nc = _nonconfusion_of_file(args.file)
     lines = []
     witnesses = []
     confused = report_nc.confused_classes()
@@ -285,11 +289,7 @@ def _cmd_decompose(args):
 
 
 def _cmd_oracle_check(args):
-    rec = _load_recognizer(args.file)
-    syn, _ = syntactic(rec)
-    mu = syn.hom
-    rs = reach.reachability(mu.target)
-    report_nc = nonconfusion(mu, rs)
+    mu, rs, report_nc = _nonconfusion_of_file(args.file)
     mismatches = []
     for ci, trace in report_nc.traces.items():
         for k in range(0, args.max_k + 1):

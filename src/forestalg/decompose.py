@@ -34,7 +34,8 @@ from .errors import (AlphabetMismatchError, InternalError, NotEFAlgebra,
                      StructuralError)
 from .hom import generated, image_restrict
 from .joint import TensorEvaluator, determines, evaluate, image
-from .reach import quotient_hom, reachability, subminimal_factorization
+from .reach import (class_tag_names, quotient_hom, reachability,
+                    subminimal_factorization)
 
 DEFAULT_MAX_SIZE = 4096
 
@@ -269,9 +270,7 @@ def _append_kdef_group(casc, view, k):
         labels = {(a,) + s: (view(a, s), tuple(
                       c for c, x in zip(occurring, s[prefix:]) if x == inf))
                   for a in casc.alphabet for s in states}
-        occurring = sorted(set(labels.values()),
-                           key=lambda c: (terms.label_key(c[0]),
-                                          terms.tree_key(("r", c[1]))))
+        occurring = sorted(set(labels.values()), key=terms.tree_key)
         if len(states) << len(occurring) > casc.max_size:
             raise SizeLimitError(
                 "depth-%d definite level carrier" % level, casc.max_size)
@@ -284,10 +283,10 @@ def _append_kdef_group(casc, view, k):
 
 def decompose_kdefinite(alpha, k, max_size=DEFAULT_MAX_SIZE):
     """Expand a k-definite homomorphism into two-constant stages."""
+    alpha = image_restrict(alpha)
     degree = definiteness_degree(alpha)
     if degree is None or degree > k:
         raise NotKDefinite(degree, k)
-    alpha = image_restrict(alpha)
     casc = Cascade(alpha.alphabet, max_size)
     _append_kdef_group(casc, lambda a, s: a, k)
     ok, witness = casc.factors(alpha)
@@ -339,19 +338,6 @@ def _decompose(alpha, max_size, ef):
     return casc
 
 
-def _quotient_view(casc, qhom):
-    rho = casc.factor_map(qhom)
-    qalg = qhom.target
-    qinf = qalg.absorbing()
-    n = len(casc.stages)
-
-    def view(a, state):
-        hq = rho[tuple(state[:n])]
-        return (a, "inf" if hq == qinf else qalg.hname(hq))
-
-    return view
-
-
 def _efex_rec(casc, alpha, ef):
     """Peel alpha onto casc.  With ef, alpha maps onto an EF-algebra: a
     two-element image is one stage on the letter alone, and no peel needs
@@ -379,10 +365,13 @@ def _efex_rec(casc, alpha, ef):
     if not fat and not rs.subminimal:
         raise InternalError("nontrivial algebra without subminimal classes")
     ci = rs.min_class if fat else rs.subminimal[0]
-    qhom = quotient_hom(alpha, ci, "strict", rs)[0]
+    qhom, (reps, _) = quotient_hom(alpha, ci, "strict", rs)
     _efex_rec(casc, qhom, ef)
     if not ef:
-        _append_kdef_group(casc, _quotient_view(casc, qhom),
+        # a node is tagged as its children's quotient value, read off the
+        # cascade so far, by that value's representative in alpha's H
+        tags, rho, n = class_tag_names(alpha, ci, rs), casc.factor_map(qhom), len(casc.stages)
+        _append_kdef_group(casc, lambda a, s: (a, tags[reps[rho[s[:n]]]]),
                            max(1, report.traces[ci].k))
     if not fat:
         _append_alarm_stage(casc, alpha)

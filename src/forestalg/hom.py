@@ -119,22 +119,13 @@ def relabeled(forest, hom, tag_names=None):
 
     Labels in the result are pairs (letter, element name); ``tag_names``
     overrides the printed name per element, e.g. to anonymize a collapsed
-    ideal.
+    ideal.  Each node's forest is evaluated anew, so the cost is the node
+    count times the depth; the package relabels only witness forests, to
+    verify them.
     """
-    alg = hom.target
     if tag_names is None:
-        tag_names = alg.H.names
-
-    def go(f):
-        out = []
-        val = alg.zero
-        for label, children in f:
-            nc, cv = go(children)
-            out.append(((label, tag_names[cv]), nc))
-            val = alg.plus(val, hom.row(label)[cv])
-        return tuple(out), val
-
-    return go(forest)[0]
+        tag_names = hom.target.H.names
+    return terms.relabel(forest, lambda children: tag_names[hom.eval(children)])
 
 
 # ---------------------------------------------------------------------------

@@ -82,10 +82,9 @@ def reachability(alg):
 
 
 def ideal_below(rs, ci):
-    """I_Gamma: everything not strictly above the class."""
-    rep = rs.classes[ci][0]
-    return frozenset(h for h in range(rs.alg.H.size)
-                     if rs.class_of[h] == ci or not rs.rows[h] >> rep & 1)
+    """I_Gamma: everything not strictly above the class, which is the
+    not-above ideal plus the class."""
+    return ideal_not_above(rs, ci) | set(rs.classes[ci])
 
 
 def ideal_not_above(rs, ci):

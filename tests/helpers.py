@@ -324,6 +324,19 @@ def census_formulas(max_nodes, modalities, letters=("a", "b")):
             if logic.role(phi) == logic.FOREST]
 
 
+def census_table_homs(max_nodes, modalities, letters=("a", "b")):
+    """The syntactic homs of the census formulas, one per distinct table
+    (sum table, letter rows, accepting set), in census order."""
+    from forestalg.hom import syntactic
+
+    tables = {}
+    for phi in census_formulas(max_nodes, modalities, letters):
+        syn = syntactic(logic.to_recognizer(phi, letters))[0]
+        tables.setdefault((syn.hom.target.H.op, tuple(map(syn.hom.row, letters)),
+                           syn.accept), syn.hom)
+    return list(tables.values())
+
+
 def random_cascade(rng, **kwargs):
     """A two-stage cascade: a random hom, then a random second target whose
     letters read the first stage's value."""
@@ -994,6 +1007,42 @@ def differential_homs():
     return homs
 
 
+def reference_quotient_view(casc, qhom):
+    """The view of the EF+EX depth-k group as decompose once built it: a
+    letter with the strict quotient's value of the children, read off the
+    cascade's factor map, named by the quotient's names with its absorbing
+    element anonymous as inf."""
+    rho = casc.factor_map(qhom)
+    qalg = qhom.target
+    qinf = qalg.absorbing()
+    n = len(casc.stages)
+
+    def view(a, state):
+        hq = rho[tuple(state[:n])]
+        return (a, "inf" if hq == qinf else qalg.hname(hq))
+
+    return view
+
+
+def reference_relabeled(forest, hom, tag_names=None):
+    """hom.relabeled by one bottom-up walk that returns each subforest's
+    value with its relabeling, linear in the nodes."""
+    alg = hom.target
+    if tag_names is None:
+        tag_names = alg.H.names
+
+    def go(f):
+        out = []
+        val = alg.zero
+        for label, children in f:
+            nc, cv = go(children)
+            out.append(((label, tag_names[cv]), nc))
+            val = alg.plus(val, hom.row(label)[cv])
+        return tuple(out), val
+
+    return go(forest)[0]
+
+
 def reference_alarm_fires(casc, alpha):
     """The EF+EX alarm stage's letters by the depth-k key resolution, as
     {(letter,) + state: fires} over the cascade's reachable states.
@@ -1005,7 +1054,6 @@ def reference_alarm_fires(casc, alpha):
     the resolved values, or the letter applied to it, is absorbing.
     """
     from forestalg.decide import nonconfusion
-    from forestalg.decompose import _quotient_view
     from forestalg.oracle import key_value_sets
     from forestalg.reach import quotient_hom
 
@@ -1018,7 +1066,7 @@ def reference_alarm_fires(casc, alpha):
     qalg = qhom.target
     qinf = qalg.absorbing()
     members = set(rs.classes[cj])
-    tags = reference_class_tag_map(casc, _quotient_view(casc, qhom), k)
+    tags = reference_class_tag_map(casc, reference_quotient_view(casc, qhom), k)
     tree_keys = sorted({(root_tree,) for key in tags.values()
                         for root_tree in key},
                        key=lambda key: terms.tree_key(("r", key)))

@@ -23,7 +23,7 @@ from forestalg.errors import SizeLimitError
 from forestalg.hom import Homomorphism, Recognizer, syntactic
 from forestalg.reach import reachability
 
-from helpers import (census_formulas, printed_recognizer,
+from helpers import (census_formulas, census_table_homs, printed_recognizer,
                      reference_definiteness_degree, reference_nonconfusion,
                      reference_reachability, reference_syntactic)
 
@@ -79,13 +79,10 @@ def test_census_tables_factor_or_refuse_in_a_depth_k_carrier():
     """decompose_efex returns a cascade that it has checked to factor the
     hom, or refuses in a depth-k definite level carrier.  The refusal
     count is an upper bound: cascades that fit can only lower it."""
-    tables = {}
-    for phi in census_formulas(5, (logic.EF, logic.EX)):
-        syn = syntactic(logic.to_recognizer(phi, LETTERS))[0]
-        tables.setdefault(_table(syn), syn.hom)
-    assert len(tables) == 87
+    homs = census_table_homs(5, (logic.EF, logic.EX))
+    assert len(homs) == 87
     refused = Counter()
-    for hom in tables.values():
+    for hom in homs:
         try:
             casc = decompose_efex(hom)
         except SizeLimitError as exc:

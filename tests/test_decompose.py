@@ -18,12 +18,14 @@ from forestalg.hom import (Homomorphism, factors_through, generated,
 from forestalg.joint import TensorEvaluator, evaluate, mutually_determine
 from forestalg.oracle import random_forest
 
-from helpers import (TupleCascade, census_formulas, differential_homs,
-                     example_language_recognizer, four_element_algebra,
+from helpers import (TupleCascade, census_formulas, census_table_homs,
+                     differential_homs, example_language_recognizer,
+                     four_element_algebra,
                      random_cascade, random_formula, random_hom,
                      random_recognizer, random_tagged_hom,
                      reference_alarm_fires, reference_class_tag_map,
-                     reference_decompose_ef, u2_example_recognizer)
+                     reference_decompose_ef, reference_quotient_view,
+                     u2_example_recognizer)
 
 
 def _syn(formula, alphabet=("a", "b")):
@@ -547,6 +549,53 @@ def test_kdef_group_tags_match_the_key_closure(monkeypatch):
     levels = [level for level, _ in checked]
     assert outcomes["factored"] > 500 and outcomes["kdefinite"] > 150
     assert min(levels.count(level) for level in (1, 2, 3)) > 300
+
+
+def test_kdef_group_view_matches_the_quotient_view(monkeypatch):
+    """decompose_efex tags its depth-k groups by class_tag_names at the
+    quotient's representatives.  On every reachable state, the view that
+    each group receives equals helpers.reference_quotient_view, which
+    names the strict quotient's values by the quotient's own names.  Each
+    strict quotient is paired with the group after its recursion, so the
+    quotients are kept on a stack.  Corpus: the 87 EF+EX census tables,
+    differential_homs() and cycle n=2 at cap 65536."""
+    from forestalg import decompose
+
+    append, quotient = decompose._append_kdef_group, decompose.quotient_hom
+    pending, checked = [], []
+
+    def recorded(*args):
+        got = quotient(*args)
+        pending.append(got[0])
+        return got
+
+    def wrapped(casc, view, k):
+        qhom = pending.pop()
+        reference = reference_quotient_view(casc, qhom)
+        states = casc.reachable_states()
+        assert all(view(a, s) == reference(a, s)
+                   for a in casc.alphabet for s in states)
+        checked.append(qhom.target.H.size)
+        append(casc, view, k)
+
+    monkeypatch.setattr(decompose, "quotient_hom", recorded)
+    monkeypatch.setattr(decompose, "_append_kdef_group", wrapped)
+    census = census_table_homs(5, (logic.EF, logic.EX))
+    assert len(census) == 87
+    runs = [(alpha, decompose.DEFAULT_MAX_SIZE)
+            for alpha in census + differential_homs()]
+    runs.append((_syn("EF(a & EX b) | EF(b & EX a)"), 65536))
+    outcomes = []
+    for alpha, cap in runs:
+        del pending[:]
+        try:
+            outcomes.append(len(decompose_efex(alpha, cap)))
+        except (NotNonconfusing, SizeLimitError) as exc:
+            outcomes.append(type(exc).__name__)
+    assert outcomes[-1] == 25   # cycle n=2 factors at its cap
+    assert sum(isinstance(x, int) for x in outcomes) > 250
+    # groups after a one-element quotient, and after a larger one
+    assert checked.count(1) > 100 and len(checked) - checked.count(1) > 50
 
 
 def test_alarm_stage_fires_on_absorbing_only_state(monkeypatch):

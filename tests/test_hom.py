@@ -19,13 +19,13 @@ from forestalg.errors import (AlphabetMismatchError, SizeLimitError,
 from forestalg.io import parse_algebra, print_algebra
 from forestalg.joint import image
 from forestalg.oracle import random_forest
-from forestalg.reach import quotient_hom, reachability
+from forestalg.reach import class_tag_names, quotient_hom, reachability
 
 from helpers import (brute_isomorphism, census_formulas, differential_homs,
                      four_element_algebra, permuted_copy, printed_recognizer,
                      random_big_recognizer, random_hom, random_recognizer,
                      random_semilattice, reference_quotient,
-                     reference_realize, reference_syntactic,
+                     reference_realize, reference_relabeled, reference_syntactic,
                      reference_vertical_closure, u2_example_recognizer,
                      xor_u2_hom)
 
@@ -317,6 +317,30 @@ def test_relabeled():
     tagged = relabeled(F("a(b)"), hom)
     assert tagged == ((("a", "0"), ((("b", "0"), ()),)),)
     assert relabeled((), hom) == ()
+
+
+def test_relabeled_matches_the_reference_walk():
+    """relabeled, which tags through terms.relabel, equals the one-walk
+    helpers.reference_relabeled on seeded random homs and forests, under
+    the default tag map and class_tag_names at every class.  Every tenth
+    hom also relabels a 300-deep chain."""
+    rng = random.Random(2030)
+    checked = 0
+    for i in range(60):
+        hom = random_hom(rng)
+        rs = reachability(hom.target)
+        forests = [random_forest(rng, hom.alphabet, 4, 3) for _ in range(5)]
+        if i % 10 == 0:
+            chain = ()
+            for _ in range(300):
+                chain = (terms.tree(rng.choice(hom.alphabet), chain),)
+            forests.append(chain)
+        for tags in [None] + [class_tag_names(hom, ci, rs)
+                              for ci in range(len(rs.classes))]:
+            for s in forests:
+                assert relabeled(s, hom, tags) == reference_relabeled(s, hom, tags)
+                checked += 1
+    assert checked > 600
 
 
 def test_recognizers_isomorphic_detects_mismatch():

@@ -1,7 +1,8 @@
 """The bench tracer wraps library functions by name, and the workloads call
 them by name; every name they use must resolve, or a rename would silently
-break a bench run.  The package's own imports are checked here too, and
-no private module-level name in the package may be left unused."""
+break a bench run.  The package's own imports are checked here too, no
+private module-level name in the package may be left unused, and no four
+consecutive code lines may repeat in it."""
 
 import ast
 import dataclasses
@@ -9,9 +10,11 @@ import glob
 import importlib
 import importlib.util
 import inspect
+import io
 import os
 import random
 import re
+import tokenize
 import types
 
 BENCH = os.path.join(os.path.dirname(__file__), os.pardir, "bench")
@@ -385,6 +388,23 @@ def test_loaded_recognizer_computes_one_image_per_decision(monkeypatch):
             assert calls == [hom], (name, fragment)
 
 
+def test_kdefinite_decomposition_computes_one_image_of_the_hom(monkeypatch):
+    """decompose_kdefinite restricts a hand-built hom once and takes the
+    definiteness degree of the restriction, which is onto: the hom's image
+    is computed once.  The cascade's own closures are not counted."""
+    algebra = importlib.import_module("forestalg.algebra")
+    decompose = importlib.import_module("forestalg.decompose")
+    from forestalg.hom import Homomorphism
+
+    calls = _count_image_calls(monkeypatch)
+    u2 = algebra.u2()
+    hom = Homomorphism(("a", "b"), u2, {"a": u2.V.names.index("cinf"),
+                                        "b": u2.V.names.index("c0")})
+    casc = decompose.decompose_kdefinite(hom, 1)
+    assert casc.factors(hom) == (True, None)
+    assert [c for c in calls if isinstance(c, Homomorphism)] == [hom]
+
+
 def test_realize_rebuilds_no_candidate(monkeypatch):
     """realize joins each candidate's size and text from the numbered
     trees of its forest: it neither normalizes nor prints a forest per
@@ -421,3 +441,39 @@ def test_reachability_structures_hold_only_their_fields():
     for alg in (algebra.u1(), algebra.u2(), four_element_algebra().hom.target):
         rs = reach.reachability(alg)
         assert vars(rs).keys() == {f.name for f in dataclasses.fields(rs)}
+
+
+def _code_lines(path):
+    """A module's code lines as (line number, text), the text its tokens
+    joined by spaces; comments, docstrings and blank lines are left out."""
+    with open(path, encoding="utf-8") as fh:
+        source = fh.read()
+    docstrings = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)):
+            first = node.body[0] if node.body else None
+            if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                docstrings.add(first.lineno)
+    skipped = (tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+               tokenize.DEDENT, tokenize.ENDMARKER)
+    lines = {}
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type in skipped or (tok.type == tokenize.STRING
+                                   and tok.start[0] in docstrings):
+            continue
+        lines.setdefault(tok.start[0], []).append(tok.string)
+    return [(n, " ".join(toks)) for n, toks in sorted(lines.items())]
+
+
+def test_no_four_code_lines_repeat_in_the_package():
+    """No run of four consecutive code lines appears twice anywhere in the
+    package: a repeated block is written once, as a function."""
+    places = {}
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        lines = _code_lines(path)
+        for i in range(len(lines) - 3):
+            window = tuple(text for _, text in lines[i:i + 4])
+            places.setdefault(window, []).append(
+                "%s:%d" % (os.path.basename(path), lines[i][0]))
+    assert [p for p in places.values() if len(p) > 1] == []
