@@ -6,12 +6,20 @@ class, a descending fixpoint over pairs of distinct class members: a level
 starts from letter images of the previous level and saturates under adding
 a common summand or summing two pairs, always filtered back into the base
 set.  Saturation is skipped when the letter images already form, with the
-diagonal, an equivalence that adding a common summand respects.  The class
-is clean when some level empties; confusion is certified by unwinding the
+diagonal, an equivalence that adding a common summand respects.  Such a
+level is held as the blocks of that equivalence, and the next level's
+letter images are read off the blocks' images, in |A| x m steps for a
+class of m members; its derivations are found when read.  The class is
+clean when some level empties; confusion is certified by unwinding the
 recorded derivations into an explicit forest pair.
 """
 
+from bisect import bisect_left
+from collections import Counter
+from collections.abc import Mapping, Set
 from dataclasses import dataclass, field
+from functools import cached_property, reduce
+from itertools import chain
 
 from . import terms
 from .defk import definiteness_degree, simk_key
@@ -64,9 +72,12 @@ def is_ef_algebra(alg):
 class ClassTrace:
     class_index: int
     members: tuple
-    levels: list                 # levels[j] = frozenset of pairs at level j
-    derivations: list            # derivations[j][pair] = derivation record;
-                                 # level 0 has none, its pairs are base values
+    levels: list                 # levels[j] = the Set of pairs at level j:
+                                 # Blocks when it is an equivalence on the
+                                 # class, else a frozenset
+    derivations: list            # derivations[j][pair] = derivation record,
+                                 # a Mapping; level 0 has none, its pairs are
+                                 # base values
     verdict: str                 # "empty" or "confused"
     k: int                       # first empty level, or the stable level
 
@@ -85,44 +96,286 @@ class NonconfusionReport:
         return sorted(ci for ci, t in self.traces.items() if t.confused)
 
 
-def _closed_images(pairs, members, loc, lo):
-    """A certificate that a level's letter images need no saturation.
+class Blocks(Set):
+    """A pair level that is an equivalence on its class: the distinct pairs
+    of members in one block.  ``ids[i]`` is the block of the class's i-th
+    member, and ids[m] = -1 stands for every value outside the m members;
+    ``blocks[b]`` lists block b's member positions.  Both run in increasing
+    order, so iteration is sorted, as sorted() of a frozenset level is."""
 
-    pairs is S, the distinct pairs of one class C that the letter step
-    queued; C is closed under + (the caller checks that once per class);
-    loc numbers C's members 0..m-1 and sends every other value to m, and
-    lo[h][c] = loc[h + c].  With D the diagonal of C, True means:
-    (ii) S u D is an equivalence on C.  With row[i] = {i} u {j : (i, j) in
-    S}, it is one iff row[i] == row[j] for every (i, j) in S, that is iff
-    the distinct rows are disjoint: as each holds its own i, they cover
-    the m members, so iff their sizes sum to m.
+    def __init__(self, members, ids, blocks):
+        self.members, self.ids, self.blocks = members, ids, blocks
+
+    @classmethod
+    def _from_iterable(cls, pairs):
+        return frozenset(pairs)
+
+    def __len__(self):
+        return sum(len(K) * (len(K) - 1) for K in self.blocks)
+
+    def __iter__(self):
+        members, blocks = self.members, self.blocks
+        for i, h in enumerate(members):
+            for j in blocks[self.ids[i]]:
+                if j != i:
+                    yield h, members[j]
+
+    def __contains__(self, pair):
+        i, j = map(self._position, pair)
+        return i != j and self.ids[i] == self.ids[j]
+
+    def _position(self, h):
+        i = bisect_left(self.members, h)
+        return i if self.members[i:i + 1] == (h,) else len(self.members)
+
+
+class _LetterRecords(Mapping):
+    """The records of a Blocks level stepped from a Blocks level, all
+    letter steps: a pair's record is ("letter", a, parent) for the first
+    letter a that sends some pair of the previous level to it, and the
+    least such parent.  A lookup searches for it; iteration and items()
+    build the fixpoint's records, in its order, once."""
+
+    def __init__(self, level, prev, letters, loc):
+        self.level, self.prev, self.letters, self.loc = level, prev, letters, loc
+
+    def __getitem__(self, pair):
+        if pair not in self.level:
+            raise KeyError(pair)
+        x, y = pair
+        members, ids, blocks = self.prev.members, self.prev.ids, self.prev.blocks
+        for a, row in self.letters:
+            for i, h in enumerate(members):
+                if row[h] == x:
+                    for j in blocks[ids[i]]:
+                        if j != i and row[members[j]] == y:
+                            return "letter", a, (h, members[j])
+        raise InternalError("pair %r has no letter parent" % (pair,))
+
+    def __len__(self):
+        return len(self.level)
+
+    def __iter__(self):
+        return iter(self._records)
+
+    def items(self):
+        return self._records.items()
+
+    @cached_property
+    def _records(self):
+        return _letter_records(self.letters, sorted(self.prev), self.loc,
+                               len(self.prev.members))[0]
+
+
+def _letter_records(letters, prev_pairs, loc, m):
+    """The letter step: each image of a previous pair under a letter that is
+    in base and new to the level, mapped to ("letter", a, parent) for its
+    first derivation, letters in order, then prev_pairs in order.  loc
+    numbers the class's m members 0..m-1 and sends every other value to m.
+    Also returns fresh: fresh[loc[x] * (m + 1) + loc[y]] is 1 while (x, y)
+    is in base and not in the level."""
+    width = m + 1
+    fresh = bytearray(b"\x01" * m + b"\x00") * m + bytearray(width)
+    fresh[::width + 1] = bytes(width)
+    cur = {}
+    for a, row in letters:
+        for parent in prev_pairs:
+            q = (row[parent[0]], row[parent[1]])
+            code = loc[q[0]] * width + loc[q[1]]
+            if fresh[code]:
+                fresh[code] = 0
+                cur[q] = ("letter", a, parent)
+    return cur, fresh
+
+
+def join_irreducibles(op, zero):
+    """H's join-irreducibles, the c != 0 that are no sum of two elements
+    below c, in increasing order.  Every element of H is a sum of them.
+    a + b = c holds for a = c, b <= c and for b = c, a <= c, so for 2|{b :
+    b <= c}| - 1 pairs, and for more exactly when c is such a sum."""
+    sums = Counter(chain.from_iterable(op))
+    return [c for c, row in enumerate(op)
+            if c != zero and sums[c] == 2 * row.count(c) - 1]
+
+
+def _certified(rows, columns):
+    """A certificate that a level's letter images need no saturation, and
+    the blocks they then form.
+
+    The images S are distinct pairs of one class C of m members, and C is
+    closed under + (the caller checks that once per class).  rows[i] holds
+    bit i and bit j for each (i, j) in S, by position in C; col in
+    columns() lists each member's sum with one join-irreducible c of H, by
+    position, m outside C.  With D the diagonal of C, a certificate means:
+    (ii) S u D is an equivalence on C.  It is one iff rows[i] == rows[j]
+    for every (i, j) in S, that is iff the distinct rows are disjoint: as
+    each holds its own i, they cover the m members, so iff their sizes sum
+    to m.
     (iii) For each block K of it and each c in H, the members of K + c
-    that lie in C fall in one block.
+    that lie in C fall in one block.  The join-irreducibles suffice: every
+    c is a sum of them, and as C is convex in the reachability order, k +
+    c1 outside C puts k + c1 + c2 outside C, so the members of K that c1 +
+    c2 keeps in C go by c1 into one block and from there by c2 into one.
     Then no sum is fresh.  A constant sum (h + c, g + c) in base lies in S
     by (iii).  Take x = (h, g) and y = (h2, g2) in S with x + y in base.
     g + h2 is in C, since C is closed under +, so by (iii) x + (h2, h2) =
     (h + h2, g + h2) and y + (g, g) = (g + h2, g + g2) lie in S u D, and by
-    (ii) so does (h + h2, g + g2), which is distinct, so in S.  False
-    proves nothing: the caller then saturates.
+    (ii) so does (h + h2, g + g2), which is distinct, so in S.
+    Returns (ids, blocks) as Blocks holds them, or None, which proves
+    nothing: the caller then saturates.  columns() is called only when
+    there are blocks of several members besides other blocks.
     """
-    m = len(members)
-    row = [1 << i for i in range(m)]
-    for h, g in pairs:
-        row[loc[h]] |= 1 << loc[g]
-    blocks = {}
-    for h, r in zip(members, row):
-        blocks.setdefault(r, []).append(h)
-    if sum(r.bit_count() for r in blocks) != m:
-        return False
-    block = row + [0]            # block[loc[x]] is x's block, 0 outside C
-    for ks in blocks.values():
-        if len(ks) > 1:
-            for col in zip(*[lo[k] for k in ks]):     # col[i] = loc[ks[i] + c]
-                ids = set(map(block.__getitem__, col))
-                ids.discard(0)
-                if len(ids) > 1:
-                    return False
-    return True
+    m = len(rows)
+    groups = {}
+    for i, r in enumerate(rows):
+        groups.setdefault(r, []).append(i)
+    if sum(r.bit_count() for r in groups) != m:
+        return None
+    blocks = list(groups.values())
+    ids = [0] * m + [-1]
+    for b, K in enumerate(blocks):
+        for i in K:
+            ids[i] = b
+    if 1 < len(blocks) < m:
+        big = [K for K in blocks if len(K) > 1]
+        for col in columns():
+            for K in big:
+                hit = {ids[col[i]] for i in K}
+                hit.discard(-1)
+                if len(hit) > 1:
+                    return None
+    return ids, blocks
+
+
+def _saturate(queue, cur, fresh, op, hi, lo):
+    """Close the level in cur under adding a common summand and summing two
+    pairs, within base.  queue lists cur's pairs in order and both grow;
+    fresh is as _letter_records returns it, and hi[h] and lo[g] are h's and
+    g's sum rows as codes, so the code of (h + c, g + c) is hi[h][c] +
+    lo[g][c].
+
+    Each pair sums only with queue[at + 1:start], the pairs waiting behind
+    it when its turn came; its other sums queue nothing.  By h + h = h its
+    sum with a pair it queued is that pair.  By induction, if i's turn
+    ended before `at` = m + (c, c) or m + l was queued (i < m < l), i + m
+    was queued, diagonal or outside the class, which sums never reenter,
+    so i + `at` is outside base or a sum that an ended turn already formed.
+    """
+    n = len(op)
+    at = 0
+    while at < len(queue):
+        p = queue[at]
+        h, g = p
+        sum_h, sum_g = op[h], op[g]
+        hi_h, lo_g = hi[h], lo[g]
+        start = len(queue)
+        for c in range(n):
+            code = hi_h[c] + lo_g[c]
+            if fresh[code]:
+                fresh[code] = 0
+                q = (sum_h[c], sum_g[c])
+                cur[q] = ("const", c, p)
+                queue.append(q)
+        for p2 in queue[at + 1:start]:
+            h2, g2 = p2
+            code = hi_h[h2] + lo_g[g2]
+            if fresh[code]:
+                fresh[code] = 0
+                q = (sum_h[h2], sum_g[g2])
+                cur[q] = ("pair", p, p2)
+                queue.append(q)
+        at += 1
+
+
+def _once(make):
+    """A function that returns make(), calling it on its first call only."""
+    held = []
+
+    def get():
+        if not held:
+            held.append(make())
+        return held[0]
+    return get
+
+
+def _class_trace(ci, members, letters, op, joins):
+    """The pair fixpoint on one reachability class; ``joins()`` gives H's
+    join-irreducibles.
+
+    A level stepped from a Blocks level whose letter images pass
+    _certified is Blocks too, and is found from the blocks' images alone:
+    the images of the pairs of a block K under a letter are the distinct
+    pairs of a(K) that lie in the class.  Otherwise the previous level's
+    pairs are stepped one by one and the images saturated."""
+    n, m = len(op), len(members)
+    levels = [Blocks(members, [0] * m + [-1], [list(range(m))])]
+    derivations = [{}]
+    if m == 1:
+        return ClassTrace(ci, members, levels, derivations, "empty", 0)
+    loc = [m] * n
+    for i, h in enumerate(members):
+        loc[h] = i
+    # The class is convex in the reachability order, and h, g <= h + g <=
+    # the sum of all members, so it is closed under + iff it holds that sum.
+    plus_closed = loc[reduce(lambda s, h: op[s][h], members)] < m
+    images = [[loc[row[h]] for h in members] for _, row in letters]
+
+    columns = _once(lambda: [[loc[op[c][h]] for h in members]
+                             for c in joins()])
+    code_rows = _once(lambda: (
+        {h: [loc[x] * (m + 1) for x in op[h]] for h in members},
+        {h: [loc[x] for x in op[h]] for h in members}))
+
+    j = 0
+    while True:
+        j += 1
+        if j > n ** 2 + 1:
+            raise InternalError("pair fixpoint exceeded |H|^2 iterations")
+        prev = levels[-1]
+        blocked = isinstance(prev, Blocks)
+        cert = None
+        if blocked and plus_closed:
+            rows = [1 << i for i in range(m)]
+            for image in images:
+                for K in prev.blocks:
+                    hit = {image[i] for i in K}
+                    hit.discard(m)
+                    if len(hit) > 1:
+                        bits = sum(1 << x for x in hit)
+                        for x in hit:
+                            rows[x] |= bits
+            cert = _certified(rows, columns)
+            if cert:
+                level = Blocks(members, *cert)
+                records = _LetterRecords(level, prev, letters, loc)
+        if cert is None:
+            records, fresh = _letter_records(letters, sorted(prev), loc, m)
+            queue = list(records)
+            if plus_closed and not blocked:
+                rows = [1 << i for i in range(m)]
+                for h, g in queue:
+                    rows[loc[h]] |= 1 << loc[g]
+                cert = _certified(rows, columns)
+            if cert:
+                level = Blocks(members, *cert)
+            else:
+                _saturate(queue, records, fresh, op, *code_rows())
+                level = frozenset(records)
+        if blocked and cert:
+            # refinement: each new block meets one old block (ids[m] = -1
+            # in both); then equal block counts mean equal levels
+            descends = len(set(zip(level.ids, prev.ids))) == len(level.blocks) + 1
+            stable = len(level.blocks) == len(prev.blocks)
+        else:
+            descends, stable = level <= prev, level == prev
+        if not descends:
+            raise InternalError("pair levels are not descending")
+        levels.append(level)
+        derivations.append(records)
+        if not level:
+            return ClassTrace(ci, members, levels, derivations, "empty", j)
+        if stable:
+            return ClassTrace(ci, members, levels, derivations, "confused", j)
 
 
 def nonconfusion(alpha, rs=None):
@@ -131,10 +384,11 @@ def nonconfusion(alpha, rs=None):
     Levels shrink monotonically, so each class stabilizes within |H|^2
     outer iterations (asserted).  Every surviving pair carries the
     derivation that produced it, for witness extraction.  H must be
-    commutative and idempotent, as check_axioms() enforces: each pair is
-    summed only with the pairs queued behind it when its turn comes, and
-    a level whose letter images pass _closed_images is not saturated at
-    all; the records are the same either way.
+    commutative and idempotent and V must hold the insertions, as
+    check_axioms() enforces: each pair is summed only with the pairs
+    queued behind it when its turn comes, and a level whose letter images
+    pass _certified is not saturated at all but held as Blocks, whose
+    records are built when read; the records are the same either way.
     The fixpoint runs on all of H, so the verdict is alpha's only when
     alpha is onto its target: otherwise run it on image_restrict(alpha),
     which returns alpha itself, at no cost, when alpha is marked onto.
@@ -145,96 +399,9 @@ def nonconfusion(alpha, rs=None):
     letters = [(a, alpha.row(a))
                for a in sorted(set(alpha.alphabet), key=terms.label_key)]
     op = alg.H.op
-    n = len(op)
-    traces = {}
-    for ci, members in enumerate(rs.classes):
-        base = frozenset((h, g) for h in members for g in members if h != g)
-        levels = [base]
-        derivations = [{}]
-        if not base:
-            traces[ci] = ClassTrace(ci, members, levels, derivations, "empty", 0)
-            continue
-        # Pairs are tested by integer code: loc numbers the members 0..m-1
-        # and sends every other value to m, and (x, y) has the code
-        # loc[x] * width + loc[y].  fresh[code] is 1 while the pair is in
-        # base and not yet in the level.  hi[h] and lo[g] are h's and g's
-        # sum rows run through loc, so the code of (h + c, g + c) is
-        # hi[h][c] + lo[g][c].
-        m = len(members)
-        width = m + 1
-        loc = [m] * n
-        for i, h in enumerate(members):
-            loc[h] = i
-        base_fresh = bytearray(width * width)
-        for h, g in base:
-            base_fresh[loc[h] * width + loc[g]] = 1
-        hi = {h: [loc[x] * width for x in op[h]] for h in members}
-        lo = {h: [loc[x] for x in op[h]] for h in members}
-        plus_closed = all(lo[h][g] < m for h in members for g in members)
-        j = 0
-        while True:
-            j += 1
-            if j > n ** 2 + 1:
-                raise InternalError("pair fixpoint exceeded |H|^2 iterations")
-            prev = levels[-1]
-            prev_pairs = sorted(prev)
-            fresh = bytearray(base_fresh)
-            cur = {}
-            queue = []
-            for a, row in letters:
-                for parent in prev_pairs:
-                    q = (row[parent[0]], row[parent[1]])
-                    code = loc[q[0]] * width + loc[q[1]]
-                    if fresh[code]:
-                        fresh[code] = 0
-                        cur[q] = ("letter", a, parent)
-                        queue.append(q)
-            # Letter images that _closed_images certifies closed would
-            # queue nothing: start the saturation past them.
-            at = 0
-            if plus_closed and _closed_images(queue, members, loc, lo):
-                at = len(queue)
-            # Each pair sums only with queue[at + 1:start], the pairs waiting
-            # behind it when its turn came; its other sums queue nothing.  By
-            # h + h = h its sum with a pair it queued is that pair.  By
-            # induction, if i's turn ended before `at` = m + (c, c) or m + l
-            # was queued (i < m < l), i + m was queued, diagonal or outside
-            # the class, which sums never reenter, so i + `at` is outside base
-            # or a sum that an ended turn already formed.
-            while at < len(queue):
-                p = queue[at]
-                h, g = p
-                sum_h, sum_g = op[h], op[g]
-                hi_h, lo_g = hi[h], lo[g]
-                start = len(queue)
-                for c in range(n):
-                    code = hi_h[c] + lo_g[c]
-                    if fresh[code]:
-                        fresh[code] = 0
-                        q = (sum_h[c], sum_g[c])
-                        cur[q] = ("const", c, p)
-                        queue.append(q)
-                for p2 in queue[at + 1:start]:
-                    h2, g2 = p2
-                    code = hi_h[h2] + lo_g[g2]
-                    if fresh[code]:
-                        fresh[code] = 0
-                        q = (sum_h[h2], sum_g[g2])
-                        cur[q] = ("pair", p, p2)
-                        queue.append(q)
-                at += 1
-            level = frozenset(cur)
-            if not level <= prev:
-                raise InternalError("pair levels are not descending")
-            levels.append(level)
-            derivations.append(cur)
-            if not level:
-                verdict = "empty"
-                break
-            if level == prev:
-                verdict = "confused"
-                break
-        traces[ci] = ClassTrace(ci, members, levels, derivations, verdict, j)
+    joins = _once(lambda: join_irreducibles(op, alg.zero))
+    traces = {ci: _class_trace(ci, members, letters, op, joins)
+              for ci, members in enumerate(rs.classes)}
     ok = all(t.verdict == "empty" for t in traces.values())
     parameter = max((t.k for t in traces.values()), default=0)
     return NonconfusionReport(ok, parameter, traces)
@@ -347,7 +514,7 @@ def decide(rec, fragment):
                         report)
     ci = report.confused_classes()[0]
     trace = report.traces[ci]
-    pair = sorted(trace.levels[-1])[0]
+    pair = min(trace.levels[-1])
     s, t, k = confusion_witness(mu, trace, pair, rs=rs)
     detail = ("confused pair (%s, %s) at level %d: %s vs %s"
               % (mu.target.hname(pair[0]), mu.target.hname(pair[1]), k,

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from . import terms
 from .algebra import ForestAlgebra, _after, generated_algebra, horizontal_monoid
 from .errors import AlphabetMismatchError, StructuralError, UnknownLetterError
-from .joint import DEFAULT_MAX_JOINT, determines, evaluate, image, joint_image
+from .joint import DEFAULT_MAX_JOINT, determines, evaluate, joint_image
 
 
 @dataclass
@@ -202,10 +202,20 @@ def quotient(hom, reps, cls):
 
 
 def _carrier(hom):
-    """The values of hom in increasing order: all of H when it is onto."""
+    """The values of hom in increasing order: all of H when it is onto,
+    else joint.image's search, stepped on the letter rows and H's sum rows:
+    each value adds the tree values found so far and its sums with them."""
     if hom.onto:
         return range(hom.target.H.size)
-    return sorted(image(hom, hom.alphabet))
+    zero, sums = hom.target.zero, hom.target.H.row
+    rows = [hom.row(a) for a in set(hom.alphabet)]
+    trees, held, order = set(), {zero}, [zero]
+    for x in order:
+        trees.update([row[x] for row in rows])
+        new = trees.union(map(sums(x).__getitem__, trees)) - held
+        held |= new
+        order.extend(new)
+    return sorted(held)
 
 
 def _restrict(hom):

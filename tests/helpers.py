@@ -66,6 +66,12 @@ def u2_example_recognizer():
     return Recognizer(hom, frozenset({alg.H.names.index("inf")}))
 
 
+def ex_power_recognizer(n, letters=("a", "b")):
+    """The recognizer of EX^n applied to the first letter."""
+    return logic.to_recognizer(logic.parse_formula("EX " * n + letters[0]),
+                               letters)
+
+
 def xor_u2_hom(n):
     """The syntactic hom of EX^n a xor the language of u2_example_recognizer,
     on {a, b, c}, the decide-deep bench's boolean-closure shape.  At n = 3
@@ -73,8 +79,7 @@ def xor_u2_hom(n):
     from forestalg.hom import syntactic
 
     letters = ("a", "b", "c")
-    power = syntactic(logic.to_recognizer(
-        logic.parse_formula("EX " * n + "a"), letters))[0]
+    power = syntactic(ex_power_recognizer(n, letters))[0]
     u2_rec = u2_example_recognizer()
     A, B = power.hom.target, u2_rec.hom.target
     nb = B.H.size
@@ -218,6 +223,18 @@ def direct_product(a, b, max_vertical=DEFAULT_MAX_VERTICAL):
 # ---------------------------------------------------------------------------
 # Random instances
 
+# every lattice of at most four elements, as union-closed bit masks from 0:
+# the one-element, two-element and three-element chains, the four-element
+# chain and the diamond
+LATTICES = ((0,), (0, 1), (0, 1, 3), (0, 1, 3, 7), (0, 1, 2, 3))
+
+
+def mask_semilattice(masks):
+    """The union semilattice on a union-closed family of bit masks, 0 first."""
+    return horizontal_monoid([[masks.index(x | y) for y in masks]
+                              for x in masks], 0)
+
+
 def random_semilattice(rng, max_h=5):
     """A union-closed family of bit masks containing the empty set."""
     while True:
@@ -231,10 +248,8 @@ def random_semilattice(rng, max_h=5):
                 continue
             elems.add(x)
             frontier.extend(x | y for y in list(elems))
-        elems = sorted(elems)
         if len(elems) <= max_h:
-            plus = [[elems.index(x | y) for y in elems] for x in elems]
-            return horizontal_monoid(plus, 0)
+            return mask_semilattice(sorted(elems))
 
 
 def random_hom(rng, max_h=5, max_letters=3, max_vertical=150):
@@ -901,9 +916,32 @@ def reference_idempotent_criterion(alpha):
                or all(tuple(e[x] for x in s) == e for s in S) for e in S)
 
 
-def reference_nonconfusion(alpha, rs=None):
+def closed_by_certificate(alg, members, images):
+    """The three conditions under which nonconfusion skips saturating a
+    level's letter images, recomputed on sets over all of H: (i) the class
+    C is closed under +, (ii) the images with the diagonal of C are an
+    equivalence, (iii) each block's members that a common summand keeps in
+    C stay in one block."""
+    plus, C = alg.plus, set(members)
+    if any(plus(h, g) not in C for h in C for g in C):
+        return False
+    related = {h: {h} for h in C}
+    for h, g in images:
+        related[h].add(g)
+    block = {h: frozenset(related[h]) for h in C}
+    if any(block[h] != block[g] for h, g in images):
+        return False
+    return all(len({block[plus(h, c)] for h in K if plus(h, c) in C}) <= 1
+               for K in set(block.values()) for c in range(alg.H.size))
+
+
+def reference_nonconfusion(alpha, rs=None, skip_closed=False):
     """decide.nonconfusion with every sum looked up through alg.plus and the
-    previous level sorted once per letter; same visit order, same report."""
+    previous level sorted once per letter; same visit order, same report.
+    With ``skip_closed`` a level whose letter images pass
+    closed_by_certificate is those images, unsaturated, as its proof in
+    decide._certified allows: the pair sums of a large level then cost no
+    time."""
     from forestalg.decide import ClassTrace, NonconfusionReport
 
     alg = alpha.target
@@ -934,6 +972,8 @@ def reference_nonconfusion(alpha, rs=None):
                         cur[p] = ("letter", a, (h, g))
                         queue.append(p)
             at = 0
+            if skip_closed and closed_by_certificate(alg, members, queue):
+                at = len(queue)
             while at < len(queue):
                 h, g = queue[at]
                 at += 1

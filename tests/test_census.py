@@ -15,7 +15,7 @@ import re
 from collections import Counter
 
 from forestalg import logic
-from forestalg.algebra import generated_algebra, horizontal_monoid
+from forestalg.algebra import generated_algebra
 from forestalg.decide import is_ef_algebra, nonconfusion
 from forestalg.decompose import decompose_ef, decompose_efex
 from forestalg.defk import definiteness_degree, ex_definable_by_idempotents
@@ -23,7 +23,8 @@ from forestalg.errors import SizeLimitError
 from forestalg.hom import Homomorphism, Recognizer, syntactic
 from forestalg.reach import reachability
 
-from helpers import (census_formulas, census_table_homs, printed_recognizer,
+from helpers import (LATTICES, census_formulas, census_table_homs,
+                     mask_semilattice, printed_recognizer,
                      reference_definiteness_degree, reference_nonconfusion,
                      reference_reachability, reference_syntactic)
 
@@ -94,12 +95,6 @@ def test_census_tables_factor_or_refuse_in_a_depth_k_carrier():
                for what in refused), refused
 
 
-# every lattice of at most four elements, as union-closed bit masks from 0:
-# the one-element, two-element and three-element chains, the four-element
-# chain and the diamond
-LATTICES = ((0,), (0, 1), (0, 1, 3), (0, 1, 3, 7), (0, 1, 2, 3))
-
-
 def _algebra_census(letters, max_h):
     """Each distinct syntactic table, with its hom, of the recognizers on a
     lattice H of at most ``max_h`` elements whose letters act by any maps
@@ -107,8 +102,7 @@ def _algebra_census(letters, max_h):
     tables = {}
     for masks in (masks for masks in LATTICES if len(masks) <= max_h):
         n = len(masks)
-        H = horizontal_monoid([[masks.index(x | y) for y in masks]
-                               for x in masks], 0)
+        H = mask_semilattice(masks)
         maps = list(itertools.product(range(n), repeat=n))
         for rows in itertools.product(maps, repeat=len(letters)):
             alg, genmap = generated_algebra(H, dict(zip(letters, rows)))

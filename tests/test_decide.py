@@ -5,17 +5,19 @@ from collections import Counter
 import pytest
 
 from forestalg import logic, terms
-from forestalg.algebra import u1, u2
-from forestalg.decide import (confusion_witness, decide, is_ef_algebra,
-                              nonconfusion)
+from forestalg.algebra import generated_algebra, u1, u2
+from forestalg.decide import (Blocks, _certified, confusion_witness, decide,
+                              is_ef_algebra, join_irreducibles, nonconfusion)
 from forestalg.defk import simk_equiv
 from forestalg.hom import image_restrict, relabeled, syntactic
 from forestalg.joint import image
 from forestalg.reach import class_tag_names, quotient_hom, reachability
 
-from helpers import (differential_homs, direct_product,
+from helpers import (LATTICES, census_table_homs, closed_by_certificate,
+                     differential_homs, direct_product, ex_power_recognizer,
                      example_language_recognizer, four_element_algebra,
-                     random_big_recognizer, random_hom, random_recognizer,
+                     mask_semilattice, random_big_recognizer, random_hom,
+                     random_recognizer, random_semilattice,
                      reference_ef_violation, reference_nonconfusion,
                      u2_example_recognizer, xor_u2_hom)
 
@@ -73,19 +75,21 @@ def test_nonconfusion_trivial():
     assert report.nonconfusing
 
 
-def _closed_by_certificate(alg, members, images):
-    """The three conditions under which nonconfusion skips saturating a
-    level's letter images S, recomputed on sets: (i) the class C is closed
-    under +, (ii) S with the diagonal of C is an equivalence, (iii) each
-    block's members that a common summand keeps in C stay in one block."""
-    plus, C = alg.plus, set(members)
-    if any(plus(h, g) not in C for h in C for g in C):
-        return False
-    block = {h: frozenset([h] + [g for x, g in images if x == h]) for h in C}
-    if any(block[h] != block[g] for h, g in images):
-        return False
-    return all(len({block[plus(h, c)] for h in K if plus(h, c) in C}) <= 1
-               for K in set(block.values()) for c in range(alg.H.size))
+def _assert_same_fixpoint(got, want):
+    """Two nonconfusion reports agree: verdict, parameter and, per class,
+    levels, verdict, k and the records, both in order and by get."""
+    assert (got.nonconfusing, got.parameter) == (want.nonconfusing,
+                                                 want.parameter)
+    assert got.traces.keys() == want.traces.keys()
+    for ci, trace in got.traces.items():
+        ref = want.traces[ci]
+        assert (trace.levels, trace.verdict, trace.k) == (
+            ref.levels, ref.verdict, ref.k)
+        assert ([list(d.items()) for d in trace.derivations]
+                == [list(d.items()) for d in ref.derivations])
+        for level, records, ref_records in zip(
+                trace.levels[1:], trace.derivations[1:], ref.derivations[1:]):
+            assert all(records.get(p) == ref_records[p] for p in level)
 
 
 def test_nonconfusion_matches_plus_fixpoint():
@@ -106,24 +110,102 @@ def test_nonconfusion_matches_plus_fixpoint():
     confused = 0
     certified = Counter()
     for hom in homs:
-        got, want = nonconfusion(hom), reference_nonconfusion(hom)
-        assert (got.nonconfusing, got.parameter) == (want.nonconfusing,
-                                                     want.parameter)
-        assert got.traces.keys() == want.traces.keys()
-        for ci, trace in got.traces.items():
-            ref = want.traces[ci]
-            assert (trace.levels, trace.verdict, trace.k) == (
-                ref.levels, ref.verdict, ref.k)
-            assert ([list(d.items()) for d in trace.derivations]
-                    == [list(d.items()) for d in ref.derivations])
+        got = nonconfusion(hom)
+        _assert_same_fixpoint(got, reference_nonconfusion(hom))
+        for trace in got.traces.values():
             for level, records in zip(trace.levels[1:], trace.derivations[1:]):
                 images = [p for p, d in records.items() if d[0] == "letter"]
-                held = _closed_by_certificate(hom.target, trace.members, images)
+                held = closed_by_certificate(hom.target, trace.members, images)
                 assert not held or level == frozenset(images)
                 certified[held] += 1
         confused += not got.nonconfusing
     assert confused
     assert certified[True] and certified[False]
+
+
+def _ex_power_hom(n):
+    """The syntactic hom of EX^n a0 over {a0, a1}: from n = 2 all of H is
+    one class of 2^n members, and every pair level is an equivalence."""
+    return syntactic(ex_power_recognizer(n, ("a0", "a1")))[0].hom
+
+
+def test_nonconfusion_blocks_match_the_reference():
+    """Levels held as Blocks, with records built when read, give the
+    reference's report on the 87 EF+EX census tables, EX^n a xor u2_abc
+    (n = 4, 5) and EX^n a0 (n <= 8); differential_homs() are compared in
+    test_nonconfusion_matches_plus_fixpoint.  Past 32 values the reference
+    leaves unsaturated the letter images that its own certificate, on sets
+    over all of H, finds closed."""
+    homs = census_table_homs(5, (logic.EF, logic.EX))
+    homs += [xor_u2_hom(4), xor_u2_hom(5)]
+    homs += [_ex_power_hom(n) for n in range(1, 9)]
+    held = Counter()
+    for hom in homs:
+        got = nonconfusion(hom)
+        want = reference_nonconfusion(hom, skip_closed=hom.target.H.size > 32)
+        _assert_same_fixpoint(got, want)
+        held.update(type(level).__name__ for trace in got.traces.values()
+                    for level in trace.levels[1:])
+    assert held["Blocks"] > 100 and held["frozenset"] > 0
+
+
+def test_blocks_levels_step_no_pair(monkeypatch):
+    """On EX^n a0 (n = 3..8) and EX^5 a xor u2_abc every level is Blocks,
+    stepped on the blocks' letter images: no pair of a level is stepped,
+    saturated or given its record, as none is read."""
+    decide_module = sys.modules[nonconfusion.__module__]
+    calls = Counter()
+    for name in ("_letter_records", "_saturate"):
+        real = getattr(decide_module, name)
+
+        def counted(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(decide_module, name, counted)
+    for hom in [_ex_power_hom(n) for n in range(3, 9)] + [xor_u2_hom(5)]:
+        for trace in nonconfusion(hom).traces.values():
+            assert all(isinstance(level, Blocks) for level in trace.levels)
+    assert not calls
+
+
+def test_summands_on_join_irreducibles_decide_condition_iii():
+    """The skip certificate checks its condition (iii) on H's
+    join-irreducibles only.  On seeded partitions of each reachability
+    class, whose rows pass (ii), that agrees with (iii) on all of H:
+    letters acting by seeded maps on every lattice of the algebra census
+    and on seeded random semilattices.  join_irreducibles matches its
+    definition."""
+    rng = random.Random(3131)
+    lattices = [mask_semilattice(masks) for masks in LATTICES]
+    lattices += [random_semilattice(rng, max_h=8) for _ in range(100)]
+    outcomes = Counter()
+    for H in lattices:
+        n, op = H.size, H.op
+        joins = join_irreducibles(op, 0)
+        assert joins == [c for c in range(1, n) if all(
+            op[a][b] != c or c in (a, b) for a in range(n) for b in range(n))]
+        for _ in range(8):
+            alg, _ = generated_algebra(H, {a: [rng.randrange(n) for _ in range(n)]
+                                           for a in "abc"})
+            for members in reachability(alg).classes:
+                m = len(members)
+                if m < 3:
+                    continue
+                loc = {h: i for i, h in enumerate(members)}
+
+                def columns(cs):
+                    return [[loc.get(op[c][h], m) for h in members] for c in cs]
+
+                for size in range(1, m + 1):
+                    ids = [rng.randrange(size) for _ in range(m)]
+                    rows = [sum(1 << j for j in range(m) if ids[j] == b)
+                            for b in ids]
+                    on_joins = _certified(rows, lambda: columns(joins))
+                    on_all = _certified(rows, lambda: columns(range(n)))
+                    assert (on_joins is None) == (on_all is None)
+                    outcomes[on_joins is None] += 1
+    assert outcomes[True] > 300 and outcomes[False] > 300
 
 
 def test_nonconfusion_levels_are_least_closed_sets():

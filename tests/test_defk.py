@@ -17,8 +17,9 @@ from forestalg.hom import (Homomorphism, factors_through, image_restrict,
 from forestalg.joint import TensorEvaluator, evaluate, mutually_determine
 from forestalg.oracle import enumerate_forests, random_forest
 
-from helpers import (differential_homs, example_language_recognizer,
-                     random_big_recognizer, reference_definiteness_degree,
+from helpers import (differential_homs, ex_power_recognizer,
+                     example_language_recognizer, random_big_recognizer,
+                     reference_definiteness_degree,
                      reference_definiteness_levels,
                      reference_idempotent_criterion, simk_tset,
                      u2_example_recognizer, xor_u2_hom)
@@ -229,18 +230,13 @@ def test_generator_chain_matches_full_semigroup_chain():
     assert {0, 1, 2, None} <= degrees
 
 
-def _ex_power(n, letters=("a", "b")):
-    return logic.to_recognizer(logic.parse_formula("EX " * n + letters[0]),
-                               letters)
-
-
 def test_congruence_chain_matches_pair_levels():
     """The congruence chain gives the forward pair levels' degree, on homs
     with degrees 0 to 8 and None."""
     rng = random.Random(26)
     homs = differential_homs()
     homs += [xor_u2_hom(n) for n in range(3, 7)]
-    homs += [syntactic(_ex_power(n))[0].hom for n in range(1, 9)]
+    homs += [syntactic(ex_power_recognizer(n))[0].hom for n in range(1, 9)]
     homs += [syntactic(random_big_recognizer(rng))[0].hom for _ in range(20)]
     degrees = [definiteness_degree(hom) for hom in homs]
     assert degrees == [reference_definiteness_levels(hom) for hom in homs]
@@ -266,7 +262,7 @@ def test_degree_reads_the_sums_between_letters():
 
 
 def test_ex_decider_scales_to_hundreds_of_elements():
-    decision = decide(_ex_power(9, ("a0", "a1")), "ex")
+    decision = decide(ex_power_recognizer(9, ("a0", "a1")), "ex")
     assert decision.syntactic.hom.target.H.size == 512
     assert decision.definable and decision.detail == "definiteness degree 9"
     assert definiteness_degree(xor_u2_hom(6)) is None

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import random
 
@@ -177,6 +178,18 @@ def test_image_restrict():
     chain = four_element_algebra().hom
     sub = image_restrict(chain)
     assert sub.target.H.size == 4
+
+
+def test_carrier_matches_the_image_search():
+    """_carrier steps the letter rows and H's sum rows directly; its values
+    are joint.image's on every hom of differential_homs(), each also with
+    its onto mark cleared, so that all of them are searched."""
+    for hom in differential_homs():
+        unmarked = dataclasses.replace(hom)
+        assert not unmarked.onto
+        want = sorted(image(hom, hom.alphabet))
+        assert list(hom_module._carrier(unmarked)) == want
+        assert list(hom_module._carrier(hom)) == want
 
 
 def test_syntactic_trivial_cases():

@@ -337,7 +337,8 @@ def test_vertical_monoids_are_closed_in_one_place():
 
 def _count_image_calls(monkeypatch):
     """Count the calls of joint.image under every name the package binds
-    it to."""
+    it to, and the image searches of hom._carrier, which steps a hom not
+    marked onto on its tables instead."""
     calls = []
     real = importlib.import_module("forestalg.joint").image
 
@@ -350,6 +351,15 @@ def _count_image_calls(monkeypatch):
         module = importlib.import_module("forestalg." + name)
         if getattr(module, "image", None) is real:
             monkeypatch.setattr(module, "image", counted)
+    hom_module = importlib.import_module("forestalg.hom")
+    carrier = hom_module._carrier
+
+    def counted_carrier(hom):
+        if not hom.onto:
+            calls.append(hom)
+        return carrier(hom)
+
+    monkeypatch.setattr(hom_module, "_carrier", counted_carrier)
     return calls
 
 
