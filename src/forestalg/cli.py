@@ -245,7 +245,7 @@ def _cmd_witness(args):
     realizers = (realize(mu), constant_letter_realizers(mu)) if confused else None
     for ci in confused:
         trace = report_nc.traces[ci]
-        pair = sorted(trace.levels[-1])[0]
+        pair = min(trace.levels[-1])
         s, t, k = confusion_witness(mu, trace, pair, rs=rs, realizers=realizers)
         witnesses.append({"class": ci, "s": terms.print_forest(s),
                           "t": terms.print_forest(t), "k": k})

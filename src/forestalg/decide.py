@@ -5,21 +5,20 @@ the definiteness degree, and the combined test runs, per reachability
 class, a descending fixpoint over pairs of distinct class members: a level
 starts from letter images of the previous level and saturates under adding
 a common summand or summing two pairs, always filtered back into the base
-set.  Saturation is skipped when the letter images already form, with the
-diagonal, an equivalence that adding a common summand respects.  Such a
-level is held as the blocks of that equivalence, and the next level's
-letter images are read off the blocks' images, in |A| x m steps for a
-class of m members; its derivations are found when read.  The class is
-clean when some level empties; confusion is certified by unwinding the
-recorded derivations into an explicit forest pair.
+set.  A level is held as bit rows over its class.  From a level that is
+an equivalence on the class, as level 0 is, the letter images are read off
+its blocks' images, in |A| x m steps for a class of m members; when they
+form, with the diagonal, an equivalence that adding a common summand
+respects, they are the level unsaturated, and its derivations are found
+when read.  The class is clean when some level empties; confusion is
+certified by unwinding the recorded derivations into an explicit forest
+pair.
 """
 
 from bisect import bisect_left
-from collections import Counter
 from collections.abc import Mapping, Set
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from itertools import chain
 
 from . import terms
 from .defk import definiteness_degree, simk_key
@@ -72,9 +71,8 @@ def is_ef_algebra(alg):
 class ClassTrace:
     class_index: int
     members: tuple
-    levels: list                 # levels[j] = the Set of pairs at level j:
-                                 # Blocks when it is an equivalence on the
-                                 # class, else a frozenset
+    levels: list                 # levels[j] = the PairLevel of pairs at
+                                 # level j, bit rows over members
     derivations: list            # derivations[j][pair] = derivation record,
                                  # a Mapping; level 0 has none, its pairs are
                                  # base values
@@ -96,45 +94,42 @@ class NonconfusionReport:
         return sorted(ci for ci, t in self.traces.items() if t.confused)
 
 
-class Blocks(Set):
-    """A pair level that is an equivalence on its class: the distinct pairs
-    of members in one block.  ``ids[i]`` is the block of the class's i-th
-    member, and ids[m] = -1 stands for every value outside the m members;
-    ``blocks[b]`` lists block b's member positions.  Both run in increasing
+class PairLevel(Set):
+    """A pair level of a class: bit j of ``rows[i]`` is set when
+    (members[i], members[j]) is in the level.  Members run in increasing
     order, so iteration is sorted, as sorted() of a frozenset level is."""
 
-    def __init__(self, members, ids, blocks):
-        self.members, self.ids, self.blocks = members, ids, blocks
+    def __init__(self, members, rows):
+        self.members, self.rows = members, rows
 
     @classmethod
     def _from_iterable(cls, pairs):
         return frozenset(pairs)
 
     def __len__(self):
-        return sum(len(K) * (len(K) - 1) for K in self.blocks)
+        return sum(r.bit_count() for r in self.rows)
 
     def __iter__(self):
-        members, blocks = self.members, self.blocks
-        for i, h in enumerate(members):
-            for j in blocks[self.ids[i]]:
-                if j != i:
-                    yield h, members[j]
+        members = self.members
+        for h, r in zip(members, self.rows):
+            while r:
+                low = r & -r
+                yield h, members[low.bit_length() - 1]
+                r ^= low
 
     def __contains__(self, pair):
-        i, j = map(self._position, pair)
-        return i != j and self.ids[i] == self.ids[j]
-
-    def _position(self, h):
-        i = bisect_left(self.members, h)
-        return i if self.members[i:i + 1] == (h,) else len(self.members)
+        members = self.members
+        i, j = (bisect_left(members, x) for x in pair)
+        return (members[i:i + 1] + members[j:j + 1] == tuple(pair)
+                and self.rows[i] >> j & 1 == 1)
 
 
 class _LetterRecords(Mapping):
-    """The records of a Blocks level stepped from a Blocks level, all
-    letter steps: a pair's record is ("letter", a, parent) for the first
-    letter a that sends some pair of the previous level to it, and the
-    least such parent.  A lookup searches for it; iteration and items()
-    build the fixpoint's records, in its order, once."""
+    """The records of a level of letter images stepped from an equivalence
+    level: a pair's record is ("letter", a, parent) for the first letter a
+    that sends some pair of the previous level to it, and the least such
+    parent.  A lookup searches the previous level's rows for it; iteration
+    and items() build the fixpoint's records, in its order, once."""
 
     def __init__(self, level, prev, letters, loc):
         self.level, self.prev, self.letters, self.loc = level, prev, letters, loc
@@ -143,13 +138,13 @@ class _LetterRecords(Mapping):
         if pair not in self.level:
             raise KeyError(pair)
         x, y = pair
-        members, ids, blocks = self.prev.members, self.prev.ids, self.prev.blocks
+        members = self.prev.members
         for a, row in self.letters:
-            for i, h in enumerate(members):
-                if row[h] == x:
-                    for j in blocks[ids[i]]:
-                        if j != i and row[members[j]] == y:
-                            return "letter", a, (h, members[j])
+            to_y = sum(1 << j for j, g in enumerate(members) if row[g] == y)
+            for h, r in zip(members, self.prev.rows):
+                hit = r & to_y
+                if hit and row[h] == x:
+                    return "letter", a, (h, members[(hit & -hit).bit_length() - 1])
         raise InternalError("pair %r has no letter parent" % (pair,))
 
     def __len__(self):
@@ -163,7 +158,7 @@ class _LetterRecords(Mapping):
 
     @cached_property
     def _records(self):
-        return _letter_records(self.letters, sorted(self.prev), self.loc,
+        return _letter_records(self.letters, list(self.prev), self.loc,
                                len(self.prev.members))[0]
 
 
@@ -190,12 +185,19 @@ def _letter_records(letters, prev_pairs, loc, m):
 
 def join_irreducibles(op, zero):
     """H's join-irreducibles, the c != 0 that are no sum of two elements
-    below c, in increasing order.  Every element of H is a sum of them.
-    a + b = c holds for a = c, b <= c and for b = c, a <= c, so for 2|{b :
-    b <= c}| - 1 pairs, and for more exactly when c is such a sum."""
-    sums = Counter(chain.from_iterable(op))
-    return [c for c, row in enumerate(op)
-            if c != zero and sums[c] == 2 * row.count(c) - 1]
+    below c, in increasing order.  Every element of H is a sum of them, so
+    c is one iff those strictly below c do not sum to c (0 sums nothing).
+    They have smaller down-sets, op[c].count(c) = |{b : b <= c}|, so taking
+    c by down-set size finds them first."""
+    found = []
+    for c in sorted(range(len(op)), key=lambda c: op[c].count(c)):
+        below = zero
+        for b in found:
+            if op[b][c] == c:
+                below = op[below][b]
+        if below != c:
+            found.append(c)
+    return sorted(found)
 
 
 def _certified(rows, columns):
@@ -221,9 +223,10 @@ def _certified(rows, columns):
     g + h2 is in C, since C is closed under +, so by (iii) x + (h2, h2) =
     (h + h2, g + h2) and y + (g, g) = (g + h2, g + g2) lie in S u D, and by
     (ii) so does (h + h2, g + g2), which is distinct, so in S.
-    Returns (ids, blocks) as Blocks holds them, or None, which proves
-    nothing: the caller then saturates.  columns() is called only when
-    there are blocks of several members besides other blocks.
+    Returns the blocks, lists of member positions in increasing order, or
+    None, which proves nothing: the caller then saturates.  columns() is
+    called only when there are blocks of several members besides other
+    blocks.
     """
     m = len(rows)
     groups = {}
@@ -232,11 +235,11 @@ def _certified(rows, columns):
     if sum(r.bit_count() for r in groups) != m:
         return None
     blocks = list(groups.values())
-    ids = [0] * m + [-1]
-    for b, K in enumerate(blocks):
-        for i in K:
-            ids[i] = b
     if 1 < len(blocks) < m:
+        ids = [0] * m + [-1]
+        for b, K in enumerate(blocks):
+            for i in K:
+                ids[i] = b
         big = [K for K in blocks if len(K) > 1]
         for col in columns():
             for K in big:
@@ -244,7 +247,7 @@ def _certified(rows, columns):
                 hit.discard(-1)
                 if len(hit) > 1:
                     return None
-    return ids, blocks
+    return blocks
 
 
 def _saturate(queue, cur, fresh, op, hi, lo):
@@ -302,13 +305,16 @@ def _class_trace(ci, members, letters, op, joins):
     """The pair fixpoint on one reachability class; ``joins()`` gives H's
     join-irreducibles.
 
-    A level stepped from a Blocks level whose letter images pass
-    _certified is Blocks too, and is found from the blocks' images alone:
-    the images of the pairs of a block K under a letter are the distinct
-    pairs of a(K) that lie in the class.  Otherwise the previous level's
+    ``blocks`` holds the blocks of the previous level while that level is
+    an equivalence on the class: level 0, or a level whose letter images
+    passed _certified.  The next level's letter images are then found from
+    the blocks' images alone: the images of the pairs of a block K under a
+    letter are the distinct pairs of a(K) that lie in the class.  If they
+    pass _certified they are the level; otherwise the previous level's
     pairs are stepped one by one and the images saturated."""
     n, m = len(op), len(members)
-    levels = [Blocks(members, [0] * m + [-1], [list(range(m))])]
+    full = (1 << m) - 1
+    levels = [PairLevel(members, [full ^ (1 << i) for i in range(m)])]
     derivations = [{}]
     if m == 1:
         return ClassTrace(ci, members, levels, derivations, "empty", 0)
@@ -316,8 +322,10 @@ def _class_trace(ci, members, letters, op, joins):
     for i, h in enumerate(members):
         loc[h] = i
     # The class is convex in the reachability order, and h, g <= h + g <=
-    # the sum of all members, so it is closed under + iff it holds that sum.
+    # the sum of all members, so it is closed under + iff it holds that
+    # sum; _certified asks for it.
     plus_closed = loc[reduce(lambda s, h: op[s][h], members)] < m
+    blocks = [list(range(m))] if plus_closed else None
     images = [[loc[row[h]] for h in members] for _, row in letters]
 
     columns = _once(lambda: [[loc[op[c][h]] for h in members]
@@ -332,49 +340,34 @@ def _class_trace(ci, members, letters, op, joins):
         if j > n ** 2 + 1:
             raise InternalError("pair fixpoint exceeded |H|^2 iterations")
         prev = levels[-1]
-        blocked = isinstance(prev, Blocks)
-        cert = None
-        if blocked and plus_closed:
+        if blocks:
             rows = [1 << i for i in range(m)]
             for image in images:
-                for K in prev.blocks:
+                for K in blocks:
                     hit = {image[i] for i in K}
                     hit.discard(m)
                     if len(hit) > 1:
                         bits = sum(1 << x for x in hit)
                         for x in hit:
                             rows[x] |= bits
-            cert = _certified(rows, columns)
-            if cert:
-                level = Blocks(members, *cert)
-                records = _LetterRecords(level, prev, letters, loc)
-        if cert is None:
-            records, fresh = _letter_records(letters, sorted(prev), loc, m)
-            queue = list(records)
-            if plus_closed and not blocked:
-                rows = [1 << i for i in range(m)]
-                for h, g in queue:
-                    rows[loc[h]] |= 1 << loc[g]
-                cert = _certified(rows, columns)
-            if cert:
-                level = Blocks(members, *cert)
-            else:
-                _saturate(queue, records, fresh, op, *code_rows())
-                level = frozenset(records)
-        if blocked and cert:
-            # refinement: each new block meets one old block (ids[m] = -1
-            # in both); then equal block counts mean equal levels
-            descends = len(set(zip(level.ids, prev.ids))) == len(level.blocks) + 1
-            stable = len(level.blocks) == len(prev.blocks)
+            blocks = _certified(rows, columns)
+        if blocks:
+            level = PairLevel(members, [r ^ (1 << i) for i, r in enumerate(rows)])
+            records = _LetterRecords(level, prev, letters, loc)
         else:
-            descends, stable = level <= prev, level == prev
-        if not descends:
+            records, fresh = _letter_records(letters, list(prev), loc, m)
+            _saturate(list(records), records, fresh, op, *code_rows())
+            rows = [0] * m
+            for h, g in records:
+                rows[loc[h]] |= 1 << loc[g]
+            level = PairLevel(members, rows)
+        if any(r & ~p for r, p in zip(level.rows, prev.rows)):
             raise InternalError("pair levels are not descending")
         levels.append(level)
         derivations.append(records)
         if not level:
             return ClassTrace(ci, members, levels, derivations, "empty", j)
-        if stable:
+        if level.rows == prev.rows:
             return ClassTrace(ci, members, levels, derivations, "confused", j)
 
 
@@ -386,9 +379,10 @@ def nonconfusion(alpha, rs=None):
     derivation that produced it, for witness extraction.  H must be
     commutative and idempotent and V must hold the insertions, as
     check_axioms() enforces: each pair is summed only with the pairs
-    queued behind it when its turn comes, and a level whose letter images
-    pass _certified is not saturated at all but held as Blocks, whose
-    records are built when read; the records are the same either way.
+    queued behind it when its turn comes, and a level stepped from an
+    equivalence whose letter images pass _certified is not saturated at
+    all, and its records are built when read; the records are the same
+    either way.
     The fixpoint runs on all of H, so the verdict is alpha's only when
     alpha is onto its target: otherwise run it on image_restrict(alpha),
     which returns alpha itself, at no cost, when alpha is marked onto.

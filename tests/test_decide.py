@@ -6,8 +6,9 @@ import pytest
 
 from forestalg import logic, terms
 from forestalg.algebra import generated_algebra, u1, u2
-from forestalg.decide import (Blocks, _certified, confusion_witness, decide,
-                              is_ef_algebra, join_irreducibles, nonconfusion)
+from forestalg.decide import (PairLevel, _certified, _LetterRecords,
+                              confusion_witness, decide, is_ef_algebra,
+                              join_irreducibles, nonconfusion)
 from forestalg.defk import simk_equiv
 from forestalg.hom import image_restrict, relabeled, syntactic
 from forestalg.joint import image
@@ -129,10 +130,11 @@ def _ex_power_hom(n):
     return syntactic(ex_power_recognizer(n, ("a0", "a1")))[0].hom
 
 
-def test_nonconfusion_blocks_match_the_reference():
-    """Levels held as Blocks, with records built when read, give the
-    reference's report on the 87 EF+EX census tables, EX^n a xor u2_abc
-    (n = 4, 5) and EX^n a0 (n <= 8); differential_homs() are compared in
+def test_nonconfusion_on_demand_records_match_the_reference():
+    """Levels of certified letter images, whose records are built when
+    read, and saturated levels give the reference's report on the 87 EF+EX
+    census tables, EX^n a xor u2_abc (n = 4, 5) and EX^n a0 (n <= 8);
+    differential_homs() are compared in
     test_nonconfusion_matches_plus_fixpoint.  Past 32 values the reference
     leaves unsaturated the letter images that its own certificate, on sets
     over all of H, finds closed."""
@@ -144,15 +146,16 @@ def test_nonconfusion_blocks_match_the_reference():
         got = nonconfusion(hom)
         want = reference_nonconfusion(hom, skip_closed=hom.target.H.size > 32)
         _assert_same_fixpoint(got, want)
-        held.update(type(level).__name__ for trace in got.traces.values()
-                    for level in trace.levels[1:])
-    assert held["Blocks"] > 100 and held["frozenset"] > 0
+        for trace in got.traces.values():
+            assert all(isinstance(level, PairLevel) for level in trace.levels)
+            held.update(type(records) for records in trace.derivations[1:])
+    assert held[_LetterRecords] > 100 and held[dict] > 0
 
 
 def test_blocks_levels_step_no_pair(monkeypatch):
-    """On EX^n a0 (n = 3..8) and EX^5 a xor u2_abc every level is Blocks,
-    stepped on the blocks' letter images: no pair of a level is stepped,
-    saturated or given its record, as none is read."""
+    """On EX^n a0 (n = 3..8) and EX^5 a xor u2_abc every level is stepped
+    on the previous blocks' letter images and certified: no pair of a level
+    is stepped, saturated or given its record, as none is read."""
     decide_module = sys.modules[nonconfusion.__module__]
     calls = Counter()
     for name in ("_letter_records", "_saturate"):
@@ -165,8 +168,17 @@ def test_blocks_levels_step_no_pair(monkeypatch):
         monkeypatch.setattr(decide_module, name, counted)
     for hom in [_ex_power_hom(n) for n in range(3, 9)] + [xor_u2_hom(5)]:
         for trace in nonconfusion(hom).traces.values():
-            assert all(isinstance(level, Blocks) for level in trace.levels)
+            assert all(isinstance(records, _LetterRecords)
+                       for records in trace.derivations[1:])
     assert not calls
+
+
+def _join_irreducibles_by_definition(op, zero):
+    """Every c != zero that is no a + b with c not in (a, b), in order."""
+    n = len(op)
+    sums = {op[a][b] for a in range(n) for b in range(n)
+            if op[a][b] not in (a, b)}
+    return [c for c in range(n) if c != zero and c not in sums]
 
 
 def test_summands_on_join_irreducibles_decide_condition_iii():
@@ -175,7 +187,11 @@ def test_summands_on_join_irreducibles_decide_condition_iii():
     class, whose rows pass (ii), that agrees with (iii) on all of H:
     letters acting by seeded maps on every lattice of the algebra census
     and on seeded random semilattices.  join_irreducibles matches its
-    definition."""
+    definition there and on the H of EX^n a0 (n <= 8)."""
+    for n in range(1, 9):
+        alg = _ex_power_hom(n).target
+        assert (join_irreducibles(alg.H.op, alg.zero)
+                == _join_irreducibles_by_definition(alg.H.op, alg.zero))
     rng = random.Random(3131)
     lattices = [mask_semilattice(masks) for masks in LATTICES]
     lattices += [random_semilattice(rng, max_h=8) for _ in range(100)]
@@ -183,8 +199,7 @@ def test_summands_on_join_irreducibles_decide_condition_iii():
     for H in lattices:
         n, op = H.size, H.op
         joins = join_irreducibles(op, 0)
-        assert joins == [c for c in range(1, n) if all(
-            op[a][b] != c or c in (a, b) for a in range(n) for b in range(n))]
+        assert joins == _join_irreducibles_by_definition(op, 0)
         for _ in range(8):
             alg, _ = generated_algebra(H, {a: [rng.randrange(n) for _ in range(n)]
                                            for a in "abc"})

@@ -453,6 +453,20 @@ def test_reachability_structures_hold_only_their_fields():
         assert vars(rs).keys() == {f.name for f in dataclasses.fields(rs)}
 
 
+def test_pair_levels_hold_only_their_rows():
+    """A nonconfusion level is its class's members and bit rows, also after
+    it is read: no second layout of the same pairs is cached beside them."""
+    from helpers import xor_u2_hom
+
+    decide = importlib.import_module("forestalg.decide")
+    for trace in decide.nonconfusion(xor_u2_hom(4)).traces.values():
+        for level in trace.levels:
+            assert isinstance(level, decide.PairLevel)
+            assert len(level) == len(list(level))
+            assert all(pair in level for pair in level)
+            assert vars(level).keys() == {"members", "rows"}
+
+
 def _code_lines(path):
     """A module's code lines as (line number, text), the text its tokens
     joined by spaces; comments, docstrings and blank lines are left out."""
